@@ -18,18 +18,11 @@ speedup, and fails below ``--min-speedup``.  The batched tests rerun
 their workload once under an :class:`~repro.obs.Observability` handle
 (outside the timed region) and tag ``extra_info["event_counts"]`` so
 the committed report also records what each workload *did*.
-
-An unpaired microbench times the calendar-queue event kernel against
-the binary heap on a pure schedule/fire storm (tagged
-``engine="calendar"``/``"heap"``, deliberately not gated — the calendar
-kernel's win depends on slot tuning, and the multihop fabric is its
-only consumer).
 """
 
 from repro.core.parameters import paper_example_params
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.obs import Observability
-from repro.simulation.engine import make_simulator
 from repro.simulation.network import BCNNetworkSimulator
 
 V2_DURATION = 0.2
@@ -100,40 +93,3 @@ def test_bench_dumbbell_message_mode_reference(benchmark):
         workload="dumbbell_message_mode", engine="reference",
         simulated_seconds=MSG_DURATION)
     assert res.bcn_negative > 0
-
-
-# -- event-kernel microbench (unpaired, not gated) -------------------------
-
-N_EVENTS = 50_000
-
-
-def _event_storm(kernel):
-    # Near-horizon churn plus a far tail that exercises the overflow
-    # heap and horizon rolling on the calendar kernel.
-    sim = make_simulator(kernel, slot_width=1e-5, n_slots=1024)
-    count = 0
-
-    def tick():
-        nonlocal count
-        count += 1
-
-    for i in range(N_EVENTS):
-        sim.schedule((i % 997) * 1e-5 + 1e-7, tick)
-    for i in range(N_EVENTS // 10):
-        sim.schedule(0.5 + (i % 89) * 1e-3, tick)
-    sim.run()
-    return count
-
-
-def test_bench_event_kernel_heap(benchmark):
-    fired = benchmark.pedantic(lambda: _event_storm("heap"),
-                               rounds=3, iterations=1)
-    benchmark.extra_info.update(workload="event_storm", engine="heap")
-    assert fired == N_EVENTS + N_EVENTS // 10
-
-
-def test_bench_event_kernel_calendar(benchmark):
-    fired = benchmark.pedantic(lambda: _event_storm("calendar"),
-                               rounds=3, iterations=1)
-    benchmark.extra_info.update(workload="event_storm", engine="calendar")
-    assert fired == N_EVENTS + N_EVENTS // 10

@@ -22,8 +22,9 @@ not compiled-vs-interpreted:
 Both compiled rows tag ``extra_info["event_counts"]`` (packet) or the
 bundle's switch totals (fluid) so the committed ``BENCH_compiled.json``
 records what the workloads did.  The whole module skips on the
-pure-numpy fallback tier, where ``engine="compiled"`` simply delegates
-to the batched engine and a speedup gate would be meaningless.
+pure-numpy fallback tier, where ``engine="compiled"`` runs the same
+numpy window loop as the batched engine and a speedup gate would be
+meaningless.
 
 Regenerate the committed report with::
 
@@ -45,7 +46,7 @@ from repro.simulation.network import BCNNetworkSimulator
 
 pytestmark = pytest.mark.skipif(
     not get_backend().compiled,
-    reason="no compiled backend (numba, or cffi + C compiler) available",
+    reason="no compiled backend (cffi + C compiler) available",
 )
 
 V2_DURATION = 0.2

@@ -176,9 +176,9 @@ def _resolve_packet_engine(engine: str) -> str:
     """Downgrade ``compiled`` to ``batched`` when nothing can compile.
 
     The compiled engine is numerically identical to the batched engine
-    on every backend tier (the numpy tier literally delegates), so the
-    fallback only changes speed — but the user asked for compiled, so
-    say what they are actually getting and why.
+    on every backend tier (on the numpy tier both run the same numpy
+    window loop), so the fallback only changes speed — but the user
+    asked for compiled, so say what they are actually getting and why.
     """
     if engine == "compiled":
         from .kernels import get_backend
@@ -186,7 +186,7 @@ def _resolve_packet_engine(engine: str) -> str:
         if not get_backend().compiled:
             print(
                 "warning: no compiled kernel backend is available "
-                "(numba is not installed and no C compiler was found); "
+                "(cffi or a C compiler is missing); "
                 "falling back to the batched engine",
                 file=sys.stderr,
             )

@@ -593,8 +593,8 @@ def simulate_fluid_batch(
 
     ``fluid_method`` selects the stepping implementation: ``"numpy"``
     (this module's vectorized loop, the default), ``"compiled"`` (the
-    :mod:`repro.kernels` backend — numba or C — falling back to numpy
-    when neither is available) or ``"auto"`` (compiled when available).
+    :mod:`repro.kernels` C backend, falling back to numpy when no C
+    compiler is available) or ``"auto"`` (compiled when available).
     ``precision`` (``"float64"``/``"float32"``) selects the state dtype
     for ensemble work; the numpy path integrates in float64 and casts,
     so tiers stay deterministic.

@@ -1,40 +1,35 @@
 """Compiled hot-path kernels behind the ``engine="compiled"`` seam.
 
-This package provides native implementations of the three hottest
-paths the ``repro.obs`` span profiles identify — the batched packet
-window (Lindley service hull + sigma sampling + PAUSE truncation), the
-batch fluid RK4 stepper with cubic-Hermite event refinement (float64
-and float32), and the calendar-queue slot operations — each compiled
-through whichever backend the environment offers:
+This package provides native implementations of the two hottest paths
+the ``repro.obs`` span profiles identify — the frame-train packet
+window (source pacing, Lindley service hull + sigma sampling + PAUSE
+truncation, BCN message delivery) and the batch fluid RK4 stepper with
+cubic-Hermite event refinement (float64 and float32) — on one of two
+tiers:
 
-* **numba** ``@njit(cache=True)`` over the shared scalar bodies in
-  :mod:`repro.kernels._scalar` (install via ``pip install
-  repro[compiled]``);
-* a **cffi**-built C translation of the same bodies (any C compiler);
-* pure **numpy** — no compilation at all: the compiled entry points
-  transparently delegate to the existing batched engines, which the
-  scalar bodies mirror bit-for-bit.
+* a **cffi**-built C translation of the pure-python bodies in
+  :mod:`repro.kernels._scalar` (any C compiler);
+* pure **numpy** — no compilation at all: the packet window loop runs
+  its numpy-vectorized closures and the numpy
+  :class:`~repro.simulation.switch.BatchedSwitchKernel`, and the fluid
+  entry point delegates to the numpy batch integrator; the scalar
+  bodies mirror both bit-for-bit.
 
-Select explicitly with ``REPRO_KERNEL_BACKEND=auto|numba|cffi|numpy``.
+Select explicitly with ``REPRO_KERNEL_BACKEND=auto|cffi|numpy``.
 Engine selection is one flag everywhere: ``engine="compiled"`` on
 :class:`~repro.simulation.network.BCNNetworkSimulator`, the scenario
 runtime and the CLI; ``fluid_method="compiled"`` on
-:func:`~repro.fluid.batch.simulate_fluid_batch`;
-``kernel="compiled-calendar"`` on
-:func:`~repro.simulation.engine.make_simulator`.
+:func:`~repro.fluid.batch.simulate_fluid_batch`.
 """
 
-from ._backend import (KernelBackend, available_backends,
-                       consume_warmup_span, get_backend, reset_backend)
-from .calendar import CompiledCalendarSimulator
+from ._backend import (KernelBackend, consume_warmup_span, get_backend,
+                       reset_backend)
 from .fluid import simulate_fluid_batch_compiled
 from .packet import CompiledSwitchKernel
 
 __all__ = [
-    "CompiledCalendarSimulator",
     "CompiledSwitchKernel",
     "KernelBackend",
-    "available_backends",
     "consume_warmup_span",
     "get_backend",
     "reset_backend",

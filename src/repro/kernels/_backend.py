@@ -1,34 +1,31 @@
-"""Backend selection for the compiled kernels.
+"""Backend selection for the packet and fluid kernels.
 
-Three tiers, tried in order (override with ``REPRO_KERNEL_BACKEND`` set
-to ``auto`` / ``numba`` / ``cffi`` / ``numpy``):
+Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
+``cffi`` / ``numpy``):
 
-``numba``
-    :func:`numba.njit`-compiled versions of the pure-python bodies in
-    :mod:`repro.kernels._scalar` (``cache=True``, so the second process
-    start skips compilation).  Installed via the ``[compiled]`` extra.
 ``cffi``
     The out-of-line C extension from :mod:`repro.kernels._cbuild` — a
-    line-for-line C translation of the same bodies, compiled once into
-    a content-addressed cache directory.  Used automatically when numba
-    is absent but a C compiler + cffi are available.
+    line-for-line C translation of the pure-python bodies in
+    :mod:`repro.kernels._scalar`, compiled once into a
+    content-addressed cache directory.  ``auto`` picks it whenever cffi
+    and a C compiler are available.
 ``numpy``
-    No compiled code at all.  The engine wrappers detect
-    ``backend.compiled is False`` and delegate to the existing
-    numpy-vectorized batched implementations, so ``engine="compiled"``
-    degrades gracefully to bit-identical batched behaviour.
+    No compiled code.  The window-loop closures (``bind_pacing_plan``,
+    ``bind_merge_trains``, ``bind_pacing_commit``, ``bind_owed_repay``)
+    are numpy-vectorized; everything else runs the ``_scalar`` bodies
+    as-is.  ``engine="batched"`` always runs on this tier, and
+    ``engine="compiled"`` falls back to it without a C compiler, so the
+    two engines stay bit-identical.
 
-Whichever tier wins, the one-time warm-up cost (JIT compilation or the
-C build) is accumulated in ``warmup_seconds`` and surfaced to the
-observability layer by :func:`consume_warmup_span`, so ``repro
-profile`` separates first-call compilation from steady-state kernel
-time.
+The one-time C build cost is accumulated in ``warmup_seconds`` and
+surfaced to the observability layer by :func:`consume_warmup_span`, so
+``repro profile`` separates first-call compilation from steady-state
+kernel time.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -36,7 +33,6 @@ from . import _scalar
 
 __all__ = [
     "KernelBackend",
-    "available_backends",
     "consume_warmup_span",
     "get_backend",
     "reset_backend",
@@ -45,14 +41,17 @@ __all__ = [
 #: obs span name under which warm-up/compile time is recorded.
 WARMUP_SPAN = "kernels.jit_warmup"
 
+#: Accepted ``REPRO_KERNEL_BACKEND`` values.
+_CHOICES = ("auto", "cffi", "numpy")
+
 
 class KernelBackend:
-    """Uniform facade over one backend tier.
+    """Uniform facade over one backend tier; this base class is the
+    numpy tier.
 
     Exposes the kernel entry points with the exact python signatures of
     :mod:`repro.kernels._scalar`; ``compiled`` tells callers whether the
-    calls actually run native code (when False, engines should prefer
-    their existing vectorized paths instead).
+    calls actually run native code.
     """
 
     name = "numpy"
@@ -60,8 +59,8 @@ class KernelBackend:
     #: One-time compile/warm-up cost paid constructing this backend.
     warmup_seconds = 0.0
 
-    # Pure-python fallbacks: semantically exact but interpreted — only
-    # used directly by the differential tests, never by the engines.
+    # Pure-python bodies: semantically exact but interpreted — the
+    # executable spec the differential tests compare every tier with.
     merge_trains = staticmethod(_scalar.merge_trains)
     pacing_plan = staticmethod(_scalar.pacing_plan)
     pacing_commit = staticmethod(_scalar.pacing_commit)
@@ -71,55 +70,99 @@ class KernelBackend:
     packet_scalar = staticmethod(_scalar.packet_scalar)
     apply_messages = staticmethod(_scalar.apply_messages)
     fluid_rows = staticmethod(_scalar.fluid_rows)
-    next_nonempty = staticmethod(_scalar.next_nonempty)
 
     # -- bound fast-call closures -----------------------------------------
     #
     # The packet loop calls the same kernels every window on the same
     # preallocated arrays.  ``bind_*`` returns a closure with the
     # persistent arrays (and per-run constants) already captured, so the
-    # per-window call passes only what actually changes.  The base
-    # implementations simply close over the generic entry points; the
-    # cffi tier overrides them to also precompute the pointer casts.
-    # Callers must re-bind after replacing any captured array object.
+    # per-window call passes only what actually changes.  On this tier
+    # the four pacing closures are numpy-vectorized and the others close
+    # over the scalar bodies; the cffi tier overrides them all to call C
+    # through precomputed pointer casts.  Callers must re-bind after
+    # replacing any captured array object.
 
     def bind_pacing_plan(self, next_emit, paused, active, remaining, gaps,
                          first, counts):
-        fn = self.pacing_plan
-
         def call(until):
-            return fn(next_emit, paused, active, remaining, gaps, until,
-                      first, counts)
+            # A source's train starts at its pending emission, deferred
+            # past a PAUSE; it holds every gap that fits before `until`,
+            # capped at the frames a finite flow has left.
+            np.maximum(next_emit, paused, out=first)
+            counts_f = np.where(
+                (active != 0) & (first <= until),
+                np.floor((until - first) / gaps) + 1.0,
+                0.0,
+            )
+            counts[:] = np.minimum(counts_f, remaining)
+            return int(counts.sum())
 
         return call
 
     def bind_pacing_commit(self, srcs, first, gaps, counts, any_finite,
                            next_emit, remaining, active, frames_acc,
                            comm, fin_idx, fin_t):
-        fn = self.pacing_commit
+        n = next_emit.shape[0]
 
         def call(m_committed):
-            return fn(srcs, m_committed, first, gaps, counts, any_finite,
-                      next_emit, remaining, active, frames_acc, comm,
-                      fin_idx, fin_t)
+            # Advance each source's pacing by its committed prefix while
+            # the planning rate is still in force.
+            comm[:] = np.bincount(srcs[:m_committed], minlength=n)
+            frames_acc[:] += comm
+            has = comm > 0
+            next_emit[has] = first[has] + gaps[has] * comm[has]
+            held = (counts > 0) & ~has  # planned but cut off (PAUSE)
+            next_emit[held] = first[held]
+            if not any_finite:
+                return 0
+            remaining[has] -= comm[has]
+            finished = np.flatnonzero(has & (remaining <= 0))
+            n_fin = finished.size
+            # Send-side FCT: emission time of the last frame, matching
+            # TrafficSource._emit in the reference path.
+            fin_idx[:n_fin] = finished
+            fin_t[:n_fin] = first[finished] + gaps[finished] * (
+                comm[finished] - 1)
+            active[finished] = 0
+            return n_fin
 
         return call
 
     def bind_merge_trains(self, first, gaps, counts, assoc,
                           out_t, out_src, out_assoc):
-        fn = self.merge_trains
+        src_idx = np.arange(first.shape[0])
 
         def call(d):
-            return fn(first, gaps, counts, assoc, d, out_t, out_src,
-                      out_assoc)
+            # Concatenate the arithmetic trains, then a stable argsort:
+            # time ties resolve in ascending source order.
+            total = int(counts.sum())
+            srcs = np.repeat(src_idx, counts)
+            ends = np.cumsum(counts)
+            offsets = np.arange(total) - np.repeat(ends - counts, counts)
+            times = (np.repeat(first, counts)
+                     + np.repeat(gaps, counts) * offsets + d)
+            order = np.argsort(times, kind="stable")
+            out_t[:total] = times[order]
+            out_src[:total] = srcs[order]
+            out_assoc[:total] = assoc[out_src[:total]]
+            return total
 
         return call
 
     def bind_owed_repay(self, owed, next_emit, rates):
-        fn = self.owed_repay
-
         def call(until, nxt):
-            return fn(owed, next_emit, rates, until, nxt)
+            # A positive balance means the new rate would have sent more
+            # bits before the boundary, so the next emission moves
+            # earlier (clamped to stay beyond the planned horizon; the
+            # unpaid remainder carries over).  Sources holding a cut-off
+            # emission keep their schedule.
+            if not owed.any():
+                return
+            target = np.where(next_emit > until,
+                              np.maximum(next_emit - owed / rates, nxt),
+                              next_emit)
+            owed[:] -= (next_emit - target) * rates
+            next_emit[:] = target
 
         return call
 
@@ -170,95 +213,6 @@ class KernelBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KernelBackend {self.name} compiled={self.compiled}>"
-
-
-class _NumbaKernels(KernelBackend):
-    """:func:`numba.njit` compilation of the ``_scalar`` bodies."""
-
-    name = "numba"
-    compiled = True
-
-    def __init__(self) -> None:
-        import numba
-
-        t0 = time.perf_counter()  # repro-lint: disable=wall-clock -- jit warm-up span timing
-        jit = numba.njit(cache=True, fastmath=False)
-        # The kernel bodies call the module-level helpers by global name;
-        # nopython compilation requires those globals to already be
-        # dispatchers, so swap them in place (the jitted helpers return
-        # the same float64 values, so the pure-python callers that share
-        # these globals are unaffected semantically).
-        _scalar._fluid_refine = jit(_scalar._fluid_refine)
-        _scalar._round_half_even = jit(_scalar._round_half_even)
-        self.merge_trains = jit(_scalar.merge_trains)
-        self.pacing_plan = jit(_scalar.pacing_plan)
-        self.pacing_commit = jit(_scalar.pacing_commit)
-        self.owed_repay = jit(_scalar.owed_repay)
-        self.packet_plan = jit(_scalar.packet_plan)
-        self.packet_commit = jit(_scalar.packet_commit)
-        self.packet_scalar = jit(_scalar.packet_scalar)
-        self.apply_messages = jit(_scalar.apply_messages)
-        self.fluid_rows = jit(_scalar.fluid_rows)
-        self.next_nonempty = jit(_scalar.next_nonempty)
-        self._warm_up()
-        self.warmup_seconds = time.perf_counter() - t0  # repro-lint: disable=wall-clock -- jit warm-up span timing
-
-    def _warm_up(self) -> None:
-        """Trigger compilation on empty inputs so later calls are hot."""
-        f = np.zeros(0)
-        i = np.zeros(0, dtype=np.int64)
-        u8 = np.zeros(0, dtype=np.uint8)
-        out_d = np.zeros(8)
-        out_i = np.zeros(16, dtype=np.int64)
-        self.merge_trains(f, f, i, u8, 0.0, f.copy(), i.copy(), u8.copy())
-        z1f = np.zeros(1)
-        z1i = np.zeros(1, dtype=np.int64)
-        z1b = np.zeros(1, dtype=np.bool_)
-        self.pacing_plan(z1f, z1f.copy(), z1b, z1f.copy(), np.ones(1),
-                         0.0, z1f.copy(), z1i)
-        self.pacing_commit(z1i, 0, z1f, np.ones(1), z1i.copy(), 0,
-                           z1f.copy(), z1f.copy(), z1b.copy(), z1i.copy(),
-                           z1i.copy(), z1i.copy(), z1f.copy())
-        self.owed_repay(z1f, z1f.copy(), np.ones(1), 0.0, 0.0)
-        self.packet_plan(
-            f, 0.0, 1.0, 1.0, 1.0, 1.0, float("nan"), 0, 0.0, 0,
-            -np.inf, np.inf, 0.0, f.copy(), f.copy(), f.copy(), out_d, out_i,
-        )
-        self.packet_commit(
-            0, 0, f, i, u8, f, f, f, 0.0, 1.0, 0, 0.0, f, 0, 0.01, 100, 0,
-            0.0, 1.0, 2.0, 0, 0, float("nan"), 32.0,
-            f.copy(), i.copy(), f.copy(), f.copy(), f.copy(), f.copy(),
-            f.copy(), f.copy(), out_d, out_i,
-        )
-        self.packet_scalar(
-            f, i, u8, f, 0, 0.01, 100, 0, 0.0, 1.0, 1.0, 1.0, 10.0,
-            float("nan"), 1.0, 2.0, 0, 0, float("nan"), 32.0, 0, 0.0, 0,
-            -np.inf, np.inf, 1e-3, 0.0, 0.0,
-            f.copy(), i.copy(), f.copy(), f.copy(), f.copy(), f.copy(),
-            f.copy(), f.copy(), f.copy(), i.copy(), f.copy(), f.copy(),
-            f.copy(), out_d, out_i,
-        )
-        self.apply_messages(
-            f, i, f, f, 0, 0.1, 0.01, 1.0, -1.0, 0.0, 1.0,
-            f.copy(), f.copy(), u8.copy(), i.copy(), f.copy(), f.copy(),
-            f.copy(), out_d,
-        )
-        tg = np.linspace(0.0, 1.0, 3)
-        z1 = np.zeros(1)
-        self.fluid_rows(
-            z1, z1.copy(), tg, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0,
-            0, 0, 4, 1e-5, 1.0,
-            np.zeros((3, 1)), np.zeros((3, 1)),
-            np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64),
-            z1.copy(), z1.copy(), z1.copy(),
-            4, np.zeros(1, dtype=np.int64), np.zeros(4),
-            np.zeros(4, dtype=np.int8), np.zeros(4), np.zeros(4), out_i,
-        )
-        self.next_nonempty(np.zeros(4, dtype=np.int64), 0)
-
-
-def _ptr(ffi, arr, ctype):
-    return ffi.cast(ctype, ffi.from_buffer(arr))
 
 
 class _CffiKernels(KernelBackend):
@@ -437,10 +391,6 @@ class _CffiKernels(KernelBackend):
             self._i(out_i),
         )
 
-    def next_nonempty(self, counts, cursor):
-        return int(self._lib.k_next_nonempty(
-            self._i(counts), int(cursor), counts.shape[0]))
-
     # -- bound fast-call closures (pointer casts hoisted out of the loop) --
     #
     # Each closure keeps a reference to the arrays it captured (``keep``)
@@ -595,12 +545,6 @@ _WARMUP_REPORTED = False
 
 
 def _select(choice: str) -> KernelBackend:
-    if choice in ("auto", "numba"):
-        try:
-            return _NumbaKernels()
-        except Exception:
-            if choice == "numba":
-                raise
     if choice in ("auto", "cffi"):
         try:
             return _CffiKernels()
@@ -615,12 +559,12 @@ def get_backend() -> KernelBackend:
     global _BACKEND
     if _BACKEND is None:
         choice = os.environ.get("REPRO_KERNEL_BACKEND", "auto").lower()
-        if choice not in ("auto", "numba", "cffi", "numpy"):
+        if choice not in _CHOICES:
             raise ValueError(
-                f"REPRO_KERNEL_BACKEND={choice!r}: expected auto, numba, "
-                "cffi, or numpy"
+                f"REPRO_KERNEL_BACKEND={choice!r}: expected "
+                f"{'|'.join(_CHOICES)}"
             )
-        _BACKEND = KernelBackend() if choice == "numpy" else _select(choice)
+        _BACKEND = _select(choice)
     return _BACKEND
 
 
@@ -631,27 +575,8 @@ def reset_backend() -> None:
     _WARMUP_REPORTED = False
 
 
-def available_backends() -> list[str]:
-    """Names of the tiers importable in this environment (cheap probe)."""
-    names = []
-    try:
-        import numba  # noqa: F401
-
-        names.append("numba")
-    except Exception:
-        pass
-    try:
-        import cffi  # noqa: F401
-
-        names.append("cffi")
-    except Exception:
-        pass
-    names.append("numpy")
-    return names
-
-
 def consume_warmup_span(obs) -> None:
-    """Record the one-time JIT/compile cost as a ``repro.obs`` span.
+    """Record the one-time C build cost as a ``repro.obs`` span.
 
     Called by the engines right after their first kernel use; the span
     is emitted once per process so ``repro profile`` attributes warm-up

@@ -2,7 +2,7 @@
 
 The C source below is a line-for-line translation of the scalar kernel
 bodies (same float64 operation order, same libm transcendentals), so
-the float64 entry points are bit-identical to the python/numba bodies —
+the float64 entry points are bit-identical to the python bodies —
 ``tests/unit/test_kernels.py`` asserts exact equality.  The fluid
 kernel is instantiated twice from one template (``double`` and
 ``float``) to provide the float32 ensemble mode.
@@ -104,8 +104,6 @@ void k_fluid_f32(int64_t m, int64_t n_steps, double *t_grid,
     int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i);
-
-int64_t k_next_nonempty(int64_t *counts, int64_t cursor, int64_t n);
 """
 
 _COMMON = r"""
@@ -581,12 +579,6 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
         }
     }
     out_d[0] = total_rate;
-}
-
-int64_t k_next_nonempty(int64_t *counts, int64_t cursor, int64_t n) {
-    int64_t i;
-    for (i = cursor; i < n; i++) if (counts[i] > 0) return i;
-    return -1;
 }
 """
 

@@ -1,15 +1,16 @@
-"""Scalar (per-element) kernel bodies shared by every compiled backend.
+"""Scalar (per-element) kernel bodies: the executable spec of every tier.
 
 These functions are the *semantic source of truth* for the compiled
-hot paths: each one is written in nopython style (numpy arrays, scalar
-arithmetic, no python objects) so the same body serves three backends:
+hot paths: each one is written in plain scalar style (numpy arrays,
+scalar arithmetic, no python objects) so the same body serves two
+tiers:
 
-* ``numba`` — :func:`numba.njit(cache=True)` applied verbatim;
 * ``cffi`` (C) — :mod:`repro.kernels._cbuild` carries a line-for-line C
   translation, differentially tested for bit-identical float64 output
   against these bodies in ``tests/unit/test_kernels.py``;
-* plain python — the functions run as-is (slowly), which is what the
-  unit tests exercise on machines with neither numba nor a C compiler.
+* plain python — the numpy tier runs the bodies as-is (slowly) where it
+  has no vectorized closure of its own, which is also what the unit
+  tests exercise on machines without a C compiler.
 
 The floating-point operation *order* in each body deliberately mirrors
 the vectorized numpy implementations in
@@ -22,7 +23,7 @@ else is exact).
 Calling convention: outputs are written into caller-preallocated numpy
 arrays; scalar results travel through small ``out_d`` (float64) /
 ``out_i`` (int64) arrays so the signatures stay identical across
-backends (C pointers, numba arrays, python arrays).
+tiers (C pointers, python arrays).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "packet_scalar",
     "apply_messages",
     "fluid_rows",
-    "next_nonempty",
 ]
 
 _NEG_INF = -math.inf
@@ -1226,16 +1226,3 @@ def fluid_rows(
         last = 1  # the numpy kernel always commits at least one grid step
     out_i[0] = last
     out_i[1] = overflow
-
-
-# ---------------------------------------------------------------------------
-# calendar: slot-directory scan
-# ---------------------------------------------------------------------------
-
-def next_nonempty(counts, cursor):
-    """First slot index ``>= cursor`` with a pending event, or -1."""
-    n = counts.shape[0]
-    for i in range(cursor, n):
-        if counts[i] > 0:
-            return i
-    return -1

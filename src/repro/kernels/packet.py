@@ -7,9 +7,9 @@
 BCN emission, service accounting) and the exact per-frame fallback for
 drop-tail windows — while keeping every observable side effect
 (switch stats, queue counters, sigma history, obs events, RNG stream
-position) identical to the batched engine.  When no compiled backend
-is available the class transparently delegates to the inherited numpy
-implementation, so ``engine="compiled"`` is always safe to request.
+position) identical to the batched engine.  The dumbbell window loop
+builds it on the C tier only; on the numpy tier it builds the parent
+class instead.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class CompiledSwitchKernel(BatchedSwitchKernel):
 
     def process(self, t_start, t_end, times, srcs, assoc):
         be = self._backend
-        if not be.compiled:
-            # numpy tier: the inherited vectorized path IS the fallback
-            return super().process(t_start, t_end, times, srcs, assoc)
-
         sw = self.switch
         Lf = float(self.frame_bits)
         m = int(times.size)

@@ -9,7 +9,7 @@ Run it as ``repro lint [paths]`` or programmatically::
     findings = run_lint([Path("src/repro")])
 
 Checks are stdlib-only AST analyses — the tree never has to be
-importable (no numpy/numba needed), which is what lets the linter gate
+importable (no numpy needed), which is what lets the linter gate
 CI before any heavyweight dependency is installed.
 """
 

@@ -1,16 +1,15 @@
-"""``kernel-parity``: the three kernel tiers must agree *statically*.
+"""``kernel-parity``: the two kernel tiers must agree *statically*.
 
 ``repro.kernels`` keeps one scalar reference body per kernel
-(``_scalar.py``), jitted verbatim by the numba tier and re-exposed by
-the cffi tier as a python wrapper over a C translation (``_cbuild.py``).
-Tier drift — a renamed argument, a reordered parameter, a dtype change
-on one side only — today surfaces as a JIT failure on first import or,
-worse, as a conformance-suite divergence after minutes of simulation.
-This check makes drift a lint error instead:
+(``_scalar.py``), re-exported by the numpy tier (``KernelBackend``) and
+re-exposed by the cffi tier as a python wrapper over a C translation
+(``_cbuild.py``).  Tier drift — a renamed argument, a reordered
+parameter, a dtype change on one side only — otherwise surfaces as a
+conformance-suite divergence after minutes of simulation.  This check
+makes drift a lint error instead:
 
-* the ``KernelBackend`` fallbacks, the numba jit table and the cffi
-  wrapper methods must each cover exactly the scalar kernel set, under
-  the same names;
+* the ``KernelBackend`` table and the cffi wrapper methods must each
+  cover exactly the scalar kernel set, under the same names;
 * every cffi wrapper's python signature must equal the scalar
   signature, name for name, position for position;
 * every ``lib.k_*`` call must match a prototype in ``_cbuild.py``'s
@@ -18,10 +17,7 @@ This check makes drift a lint error instead:
   (``self._d`` → ``double *`` …) and ``float()``/``int()`` coercions
   make the expected C type or argument name derivable, those must match
   the prototype too — argument *dtype* drift between python and C is a
-  lint error;
-* scalar bodies that get jitted must stay inside a nopython-safe
-  subset (no dict/set/comprehension state, no try/with/yield/closures,
-  no f-strings), so the numba tier can never fall into object mode.
+  lint error.
 """
 
 from __future__ import annotations
@@ -45,28 +41,6 @@ _CAST_TYPES = {
 
 #: python scalar coercion -> canonical C parameter type.
 _COERCE_TYPES = {"float": "double", "int": "int64_t"}
-
-#: AST constructs that force numba out of nopython mode (or into
-#: reflected containers) inside a jitted body.
-_OBJECT_MODE_NODES: tuple[tuple[type[ast.AST], str], ...] = (
-    (ast.Dict, "dict literal"),
-    (ast.DictComp, "dict comprehension"),
-    (ast.Set, "set literal"),
-    (ast.SetComp, "set comprehension"),
-    (ast.GeneratorExp, "generator expression"),
-    (ast.Lambda, "lambda"),
-    (ast.Try, "try/except"),
-    (ast.With, "with block"),
-    (ast.Yield, "yield"),
-    (ast.YieldFrom, "yield from"),
-    (ast.Global, "global statement"),
-    (ast.Nonlocal, "nonlocal statement"),
-    (ast.ClassDef, "class definition"),
-    (ast.JoinedStr, "f-string"),
-    (ast.Await, "await"),
-    (ast.Starred, "star-unpacking"),
-)
-
 
 def _finding(file: SourceFile, node: ast.AST, message: str) -> Finding:
     return Finding(
@@ -116,39 +90,6 @@ def _base_table(cls: ast.ClassDef) -> dict[str, tuple[str, ast.AST]]:
             if scalar_name is not None:
                 out[node.targets[0].id] = (scalar_name, node)
     return out
-
-
-def _numba_tables(cls: ast.ClassDef) -> tuple[
-        dict[str, tuple[str, ast.AST]], dict[str, ast.AST]]:
-    """Jit assignments in ``_NumbaKernels.__init__``.
-
-    Returns ``(self.X = jit(_scalar.Y) table, _scalar._h = jit(...)
-    helper table)``.
-    """
-    methods: dict[str, tuple[str, ast.AST]] = {}
-    helpers: dict[str, ast.AST] = {}
-    init = next((n for n in cls.body if isinstance(n, ast.FunctionDef)
-                 and n.name == "__init__"), None)
-    if init is None:
-        return methods, helpers
-    for node in ast.walk(init):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id == "jit"
-                and len(node.value.args) == 1):
-            continue
-        scalar_name = _scalar_attr(node.value.args[0])
-        if scalar_name is None:
-            continue
-        target = node.targets[0]
-        if isinstance(target, ast.Attribute) \
-                and isinstance(target.value, ast.Name):
-            if target.value.id == "self":
-                methods[target.attr] = (scalar_name, node)
-            elif target.value.id == "_scalar":
-                helpers[scalar_name] = node
-    return methods, helpers
 
 
 # -- CDEF prototype parsing ------------------------------------------------
@@ -249,23 +190,6 @@ def _check_lib_calls(file: SourceFile,
                        "referenced by the cffi tier in _backend.py")
 
 
-def _check_nopython(file: SourceFile, fn: ast.FunctionDef) -> Iterator[Finding]:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.FunctionDef) and node is not fn:
-            yield _finding(file, node,
-                           f"nested function {node.name!r} inside jitted "
-                           f"kernel {fn.name!r}: closures are not "
-                           "nopython-safe")
-            continue
-        for bad_type, label in _OBJECT_MODE_NODES:
-            if isinstance(node, bad_type):
-                yield _finding(
-                    file, node,
-                    f"{label} inside jitted kernel {fn.name!r} is not "
-                    "nopython-safe; the numba tier would fail to compile")
-                break
-
-
 @register("kernel-parity")
 def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
     """Cross-check ``_scalar.py`` / ``_backend.py`` / ``_cbuild.py``."""
@@ -278,12 +202,11 @@ def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
 
     scalar_fns = _scalar_functions(scalar.tree)
     base_cls = _class(backend.tree, "KernelBackend")
-    numba_cls = _class(backend.tree, "_NumbaKernels")
     cffi_cls = _class(backend.tree, "_CffiKernels")
-    if base_cls is None or numba_cls is None or cffi_cls is None:
+    if base_cls is None or cffi_cls is None:
         yield _finding(backend, backend.tree,
-                       "_backend.py must define KernelBackend, "
-                       "_NumbaKernels and _CffiKernels")
+                       "_backend.py must define KernelBackend and "
+                       "_CffiKernels")
         return
 
     base = _base_table(base_cls)
@@ -300,23 +223,7 @@ def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
                            f"KernelBackend.{name} references "
                            f"_scalar.{scalar_name}, which does not exist")
 
-    # 2. the numba tier must jit exactly the same kernel set.
-    numba, helpers = _numba_tables(numba_cls)
-    for name, (scalar_name, node) in sorted(numba.items()):
-        if name != scalar_name:
-            yield _finding(backend, node,
-                           f"_NumbaKernels jits _scalar.{scalar_name} "
-                           f"onto self.{name}; tier names drifted")
-    for name in sorted(kernel_names - set(numba)):
-        yield _finding(backend, numba_cls,
-                       f"_NumbaKernels never jits kernel {name!r}; the "
-                       "numba tier would silently run interpreted python")
-    for name in sorted(set(numba) - kernel_names):
-        yield _finding(backend, numba[name][1],
-                       f"_NumbaKernels jits {name!r}, which is not a "
-                       "KernelBackend kernel")
-
-    # 3. cffi wrappers: python signature parity with the scalar bodies.
+    # 2. cffi wrappers: python signature parity with the scalar bodies.
     cffi_methods = {node.name: node for node in cffi_cls.body
                     if isinstance(node, ast.FunctionDef)}
     for name in sorted(kernel_names):
@@ -339,7 +246,7 @@ def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
                 f"the scalar reference signature {want}; tier "
                 "signatures drifted")
 
-    # 4. C prototypes vs the marshalling the wrappers actually do.
+    # 3. C prototypes vs the marshalling the wrappers actually do.
     cdef_text: str | None = None
     for node in cbuild.tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -356,9 +263,3 @@ def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
         protos = _parse_cdef(cdef_text)
         yield from _check_lib_calls(backend, protos)
 
-    # 5. nopython-safety of every jitted scalar body.
-    jitted = sorted(kernel_names | set(helpers))
-    for name in jitted:
-        fn = scalar_fns.get(name)
-        if fn is not None:
-            yield from _check_nopython(scalar, fn)

@@ -53,7 +53,7 @@ SPAN_NAMES = (
 
 #: Span-name prefixes with a dynamic tail.
 SPAN_PREFIXES = (
-    "kernels.jit_warmup.",     # + backend tier name (numba/cffi)
+    "kernels.jit_warmup.",     # + backend tier name (cffi)
 )
 
 #: Span-name suffixes with a dynamic engine head.

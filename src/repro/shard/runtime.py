@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from ..simulation.engine import CalendarSimulator, Simulator, make_simulator
+from ..simulation.engine import Simulator
 from ..simulation.frames import EthernetFrame
 from ..simulation.link import Link
 from ..simulation.multihop import QueueRecorder
@@ -103,7 +103,7 @@ class ShardRuntime:
         else:
             self.obs = None
         self._obs_engine = f"packet.{plan.engine}"
-        self.sim = _make_kernel(plan)
+        self.sim = Simulator()
 
         # Mirror the serial construction order exactly (see module
         # docstring): ports in first-traversal order over flows...
@@ -407,23 +407,6 @@ class ShardRuntime:
             "msgs_recv": self._msgs_recv,
             "obs": self.obs.snapshot() if self.obs is not None else None,
         }
-
-
-def _make_kernel(plan: ShardPlan) -> Simulator:
-    """The per-shard event kernel for the plan's ``engine`` seam value."""
-    if plan.engine == "reference":
-        return Simulator()
-    fastest = max(
-        (data["capacity"] for _, _, data in plan.graph.edges(data=True)
-         if "capacity" in data),
-        default=1e9,
-    )
-    slot = plan.frame_bits / fastest
-    if plan.engine == "batched":
-        return CalendarSimulator(slot_width=slot, n_slots=4096)
-    if plan.engine == "compiled":
-        return make_simulator("compiled", slot_width=slot, n_slots=4096)
-    raise ValueError(f"unknown packet engine {plan.engine!r}")
 
 
 def _route_edges(route: tuple[str, ...]) -> list[Edge]:

@@ -1,17 +1,8 @@
-"""Discrete-event simulation engines.
+"""Discrete-event simulation engine.
 
-Two deterministic event kernels share one public API:
-
-* :class:`Simulator` — the reference kernel: events are ``(time, seq,
-  callback)`` triples in a binary heap; ties in time break by insertion
-  order (``seq``), which keeps runs reproducible.
-* :class:`CalendarSimulator` — a slotted calendar queue: the near
-  horizon is an array of time buckets with O(1) amortised insert and
-  pop (events land in ``floor(t / slot_width)`` buckets; the active
-  bucket is drained in ``(time, seq)`` order), and events beyond the
-  calendar horizon fall back to a binary heap that is drained into the
-  buckets as the calendar advances.  Event ordering is identical to the
-  reference kernel, so the two are interchangeable.
+:class:`Simulator` is the one deterministic event kernel: events are
+``(time, seq, callback)`` triples in a binary heap; ties in time break
+by insertion order (``seq``), which keeps runs reproducible.
 
 Components schedule callbacks with :meth:`Simulator.schedule` (relative
 delay) or :meth:`Simulator.schedule_at` (absolute time) and may cancel
@@ -20,7 +11,7 @@ popped; when more than half of the pending events are cancelled the
 queue compacts itself so long runs with heavy cancellation (rate
 re-pacing, pause retries) do not leak memory.
 
-The kernels know nothing about networking; switches, sources and links
+The kernel knows nothing about networking; switches, sources and links
 (:mod:`repro.simulation`) are plain objects holding a reference to the
 simulator.
 """
@@ -33,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["Event", "Simulator", "CalendarSimulator", "make_simulator"]
+__all__ = ["Event", "Simulator"]
 
 #: Compact the pending-event store once this fraction of it is cancelled.
 _COMPACT_FRACTION = 0.5
@@ -97,7 +88,7 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued (cancelled ones may linger
         until the next pop or compaction)."""
-        return self._queue_len()
+        return len(self._heap)
 
     # -- window barrier ----------------------------------------------------
 
@@ -147,41 +138,24 @@ class Simulator:
             self._freeze_horizon = previous
         return self._processed - before
 
-    # -- queue storage (overridden by CalendarSimulator) ------------------
-
-    def _push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def _pop_min(self) -> Event:
-        event = heapq.heappop(self._heap)
-        if event.cancelled:
-            self._cancelled_pending -= 1
-        return event
-
-    def _peek_min_time(self) -> float:
-        return self._heap[0].time
-
-    def _queue_len(self) -> int:
-        return len(self._heap)
-
-    def _clear(self) -> None:
-        self._heap.clear()
-        self._cancelled_pending = 0
-
-    def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify."""
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-
     # -- cancellation accounting ------------------------------------------
 
     def _note_cancel(self) -> None:
         self._cancelled_pending += 1
-        pending = self._queue_len()
+        pending = len(self._heap)
         if (pending > _COMPACT_MIN_PENDING
                 and self._cancelled_pending > _COMPACT_FRACTION * pending):
             self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled events from the heap and re-heapify.
+
+        In place: :meth:`run` holds the heap list across callbacks, and
+        a callback's cancellation may trigger compaction.
+        """
+        self._heap[:] = [e for e in self._heap if not e.cancelled]
+        heapq.heapify(self._heap)
+        self._cancelled_pending = 0
 
     # -- scheduling --------------------------------------------------------
 
@@ -198,7 +172,7 @@ class Simulator:
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
         event = Event(time, next(self._seq), callback, owner=self)
-        self._push(event)
+        heapq.heappush(self._heap, event)
         return event
 
     def schedule_every(
@@ -232,15 +206,17 @@ class Simulator:
             Safety cap on callbacks executed in this call.
         """
         until = min(until, self._freeze_horizon)
+        heap = self._heap
         executed = 0
-        while self._queue_len():
+        while heap:
             if max_events is not None and executed >= max_events:
                 break
-            if self._peek_min_time() > until:
+            if heap[0].time > until:
                 self._now = until
                 return
-            event = self._pop_min()
+            event = heapq.heappop(heap)
             if event.cancelled:
+                self._cancelled_pending -= 1
                 continue
             self._now = event.time
             event.callback()
@@ -251,206 +227,11 @@ class Simulator:
 
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
-        self._clear()
+        self._heap.clear()
+        self._cancelled_pending = 0
         self._now = 0.0
         self._processed = 0
         self._freeze_horizon = math.inf
-
-
-class CalendarSimulator(Simulator):
-    """Calendar-queue event kernel: slotted near horizon, heap far tail.
-
-    The calendar covers ``n_slots * slot_width`` seconds from
-    ``_horizon_start``; an event at time ``t`` within the horizon lands
-    in bucket ``floor((t - _horizon_start) / slot_width)`` with an O(1)
-    append.  The active bucket is heapified on first touch so events
-    drain in exact ``(time, seq)`` order — the total order is identical
-    to :class:`Simulator`'s.  Events beyond the horizon go to an
-    overflow heap and migrate into the buckets whenever the calendar
-    rolls forward one horizon length.
-
-    Parameters
-    ----------
-    slot_width:
-        Bucket width in seconds.  Pick it near the typical event
-        spacing (e.g. one frame service time for a packet simulation);
-        a poor choice degrades gracefully to heap-like behaviour.
-        When omitted (``None``) the width is derived from
-        ``quantum_hint`` when given — ``quantum_hint / 64``, so one
-        control window spans ~64 buckets instead of collapsing into a
-        single bucket — and falls back to the legacy ``1e-6`` default
-        otherwise.
-    n_slots:
-        Number of buckets per horizon.
-    quantum_hint:
-        Optional control-quantum (window length) hint used to
-        auto-derive ``slot_width``; ignored when ``slot_width`` is
-        passed explicitly.
-    """
-
-    #: Buckets per control quantum when auto-deriving the slot width.
-    _SLOTS_PER_QUANTUM = 64
-    #: Legacy default bucket width when no hint is available.
-    _DEFAULT_SLOT_WIDTH = 1e-6
-
-    def __init__(
-        self,
-        *,
-        slot_width: float | None = None,
-        n_slots: int = 1024,
-        quantum_hint: float | None = None,
-    ) -> None:
-        if slot_width is None:
-            if quantum_hint is not None and quantum_hint > 0 \
-                    and math.isfinite(quantum_hint):
-                slot_width = quantum_hint / self._SLOTS_PER_QUANTUM
-            else:
-                slot_width = self._DEFAULT_SLOT_WIDTH
-        if slot_width <= 0 or not math.isfinite(slot_width):
-            raise ValueError("slot_width must be positive and finite")
-        if n_slots < 2:
-            raise ValueError("need at least 2 slots")
-        super().__init__()
-        self._slot_width = slot_width
-        self._n_slots = n_slots
-        self._horizon = slot_width * n_slots
-        self._horizon_start = 0.0
-        self._slots: list[list[Event]] = [[] for _ in range(n_slots)]
-        self._cursor = 0  # index of the active bucket
-        self._active_is_heap = False
-        self._overflow: list[Event] = []
-        self._size = 0
-
-    # -- queue storage ----------------------------------------------------
-
-    def _push(self, event: Event) -> None:
-        offset = event.time - self._horizon_start
-        if offset < self._horizon:
-            idx = int(offset / self._slot_width)
-            if idx >= self._n_slots:  # float edge: t == horizon end
-                idx = self._n_slots - 1
-            if idx < self._cursor:
-                # schedule_at guarantees t >= now, so the event belongs
-                # to the active bucket's time range at the earliest.
-                idx = self._cursor
-            if idx == self._cursor and self._active_is_heap:
-                heapq.heappush(self._slots[idx], event)
-            else:
-                self._slots[idx].append(event)
-        else:
-            heapq.heappush(self._overflow, event)
-        self._size += 1
-
-    def _advance_to_nonempty(self) -> bool:
-        """Move the cursor to the earliest non-empty bucket.
-
-        Returns False when no events remain anywhere.
-        """
-        while True:
-            slots = self._slots
-            n = self._n_slots
-            while self._cursor < n:
-                bucket = slots[self._cursor]
-                if bucket:
-                    if not self._active_is_heap:
-                        heapq.heapify(bucket)
-                        self._active_is_heap = True
-                    return True
-                self._cursor += 1
-                self._active_is_heap = False
-            # Calendar exhausted: roll the horizon forward and refill
-            # from the overflow heap.
-            if not self._overflow:
-                return False
-            next_time = self._overflow[0].time
-            periods = max(1, int((next_time - self._horizon_start)
-                                 / self._horizon))
-            self._horizon_start += periods * self._horizon
-            self._cursor = 0
-            self._active_is_heap = False
-            horizon_end = self._horizon_start + self._horizon
-            overflow = self._overflow
-            while overflow and overflow[0].time < horizon_end:
-                event = heapq.heappop(overflow)
-                idx = int((event.time - self._horizon_start)
-                          / self._slot_width)
-                if idx >= n:  # float edge
-                    idx = n - 1
-                slots[idx].append(event)
-
-    def _pop_min(self) -> Event:
-        if not self._advance_to_nonempty():  # pragma: no cover - guarded
-            raise IndexError("pop from empty calendar")
-        event = heapq.heappop(self._slots[self._cursor])
-        self._size -= 1
-        if event.cancelled:
-            self._cancelled_pending -= 1
-        return event
-
-    def _peek_min_time(self) -> float:
-        if not self._advance_to_nonempty():  # pragma: no cover - guarded
-            raise IndexError("peek on empty calendar")
-        return self._slots[self._cursor][0].time
-
-    def _queue_len(self) -> int:
-        return self._size
-
-    def _clear(self) -> None:
-        self._slots = [[] for _ in range(self._n_slots)]
-        self._overflow = []
-        self._cursor = 0
-        self._active_is_heap = False
-        self._horizon_start = 0.0
-        self._size = 0
-        self._cancelled_pending = 0
-
-    def _compact(self) -> None:
-        """Drop cancelled events from every bucket and the overflow."""
-        removed = 0
-        for idx, bucket in enumerate(self._slots):
-            if not bucket:
-                continue
-            kept = [e for e in bucket if not e.cancelled]
-            removed += len(bucket) - len(kept)
-            if idx == self._cursor and self._active_is_heap:
-                heapq.heapify(kept)
-            self._slots[idx] = kept
-        kept_overflow = [e for e in self._overflow if not e.cancelled]
-        removed += len(self._overflow) - len(kept_overflow)
-        heapq.heapify(kept_overflow)
-        self._overflow = kept_overflow
-        self._size -= removed
-        self._cancelled_pending = 0
-
-
-def make_simulator(
-    kernel: str = "heap",
-    *,
-    slot_width: float | None = None,
-    n_slots: int = 1024,
-    quantum_hint: float | None = None,
-) -> Simulator:
-    """Build an event kernel by name.
-
-    ``"heap"`` and ``"calendar"`` are the reference kernels;
-    ``"compiled"`` (alias ``"compiled-calendar"``) is the calendar
-    queue with compiled slot scans from :mod:`repro.kernels`, which
-    degrades to the plain calendar when no compiled backend is
-    available.  ``slot_width=None`` lets the calendar derive its bucket
-    width from ``quantum_hint`` (see :class:`CalendarSimulator`).
-    """
-    if kernel == "heap":
-        return Simulator()
-    if kernel == "calendar":
-        return CalendarSimulator(slot_width=slot_width, n_slots=n_slots,
-                                 quantum_hint=quantum_hint)
-    if kernel in ("compiled", "compiled-calendar"):
-        from ..kernels import CompiledCalendarSimulator
-
-        return CompiledCalendarSimulator(slot_width=slot_width,
-                                         n_slots=n_slots,
-                                         quantum_hint=quantum_hint)
-    raise ValueError(f"unknown event kernel {kernel!r}")
 
 
 def noop() -> None:  # pragma: no cover - convenience for tests

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..topology.routing import ecmp_route, route_edges
 from ..workloads.flows import FlowSpec
-from .engine import CalendarSimulator, Simulator, make_simulator
+from .engine import Simulator
 from .frames import EthernetFrame
 from .link import Link
 from .network import PACKET_ENGINES
@@ -171,16 +171,11 @@ class MultiHopNetwork:
     propagation_delay:
         Per-hop one-way delay.
     engine:
-        ``"reference"`` runs on the binary-heap event kernel;
-        ``"batched"`` swaps in the calendar-queue kernel
-        (:class:`~repro.simulation.engine.CalendarSimulator`) with
-        slots sized to one frame service time at the fastest port;
-        ``"compiled"`` uses the calendar queue with compiled slot scans
-        (:func:`~repro.simulation.engine.make_simulator`), degrading to
-        the plain calendar without a compiled backend.  Event ordering
-        — and therefore every result — is identical across the three;
-        frame-train batching itself currently applies to the
-        single-bottleneck dumbbell only.
+        Any of :data:`~repro.simulation.network.PACKET_ENGINES`.  Every
+        engine runs the same binary-heap event kernel and per-frame
+        ports, so results are identical across them; the name only sets
+        the obs tag ``packet.<engine>``.  Frame-train batching currently
+        applies to the single-bottleneck dumbbell only.
     shards:
         ``None`` (default) runs the serial single-kernel engine.  An
         integer or ``"auto"`` runs the conservative sharded engine of
@@ -270,7 +265,7 @@ class MultiHopNetwork:
         #: Declarative timed events ``(t, seq, kind, payload)`` injected
         #: by the scenario layer.  ``seq`` is a monotonic registration
         #: counter: ties at one timestamp fire in registration order on
-        #: every engine (serial heap, calendar, and each shard kernel).
+        #: every engine (the serial kernel and each shard kernel).
         self._timed_events: list[tuple[float, int, str, tuple]] = []
         self._event_seq = itertools.count()
 
@@ -304,20 +299,7 @@ class MultiHopNetwork:
             self._delivered: dict[int, float] = {}
             return
 
-        if engine == "batched" or engine == "compiled":
-            fastest = max(
-                (data["capacity"] for _, _, data in graph.edges(data=True)
-                 if "capacity" in data),
-                default=1e9,
-            )
-            slot = frame_bits / fastest
-            if engine == "compiled":
-                self.sim = make_simulator("compiled", slot_width=slot,
-                                          n_slots=4096)
-            else:
-                self.sim = CalendarSimulator(slot_width=slot, n_slots=4096)
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
 
         # Instantiate one port per directed switch-output edge in use.
         self.ports = {}

@@ -12,6 +12,7 @@ peak queue), ready to be compared against the fluid model.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 
@@ -26,8 +27,9 @@ from .switch import BatchedSwitchKernel, CoreSwitch
 
 __all__ = ["SimulationResult", "BCNNetworkSimulator", "PACKET_ENGINES"]
 
-#: Selectable packet engines: the event-driven oracle, the frame-train
-#: batched fast path, and its compiled-kernel variant (``repro.kernels``).
+#: Selectable packet engines: the event-driven oracle, and the frame-train
+#: window loop on the numpy tier (``batched``) or on the best available
+#: ``repro.kernels`` tier (``compiled``).
 PACKET_ENGINES = ("reference", "batched", "compiled")
 
 
@@ -141,6 +143,13 @@ class SimulationResult:
         return float(self.queue[mask].std()) if mask.any() else 0.0
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    # A zero or negative window never advances the clock and NaN turns
+    # every comparison false: both would hang or silently empty a run.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 class BCNNetworkSimulator:
     """Builds and runs the dumbbell BCN scenario of Fig. 1.
 
@@ -174,20 +183,24 @@ class BCNNetworkSimulator:
         times.
     engine:
         ``"reference"`` (the event-driven kernel, one callback per
-        frame — the differential oracle) or ``"batched"`` (frame-train
-        batching: sources plan whole emission trains as numpy arrays
-        and the switch drains them through the vectorized
-        :class:`~repro.simulation.switch.BatchedSwitchKernel`).  Both
-        engines are deterministic; they agree within a documented
-        tolerance — the batched engine computes queue/sigma/sampling
-        exactly but applies control messages to the regulators at
-        window boundaries, so rate changes can lag their reference
-        timing by up to one ``control_quantum``.
+        frame — the differential oracle), ``"batched"`` (frame-train
+        batching: sources plan whole emission trains and the switch
+        drains them window by window, on the numpy kernel tier) or
+        ``"compiled"`` (the same window loop on
+        :func:`repro.kernels.get_backend`'s tier — C when a compiler is
+        available, else numpy).  ``batched`` and ``compiled`` produce
+        bit-identical results.  All engines are deterministic; the
+        window loop agrees with the reference within a documented
+        tolerance — it computes queue/sigma/sampling exactly but
+        applies control messages to the regulators at window
+        boundaries, so rate changes can lag their reference timing by
+        up to one ``control_quantum``.
     control_quantum:
-        Window length for the batched engine; defaults to twice the
-        expected BCN inter-message time (small enough that the
-        compensated regulator lag stays well below the control loop
-        period, large enough to amortize the numpy batch overhead).
+        Window length for the batched and compiled engines; defaults to
+        twice the expected BCN inter-message time (small enough that
+        the compensated regulator lag stays well below the control loop
+        period, large enough to amortize the per-window overhead).
+        Must be finite and positive.
     obs:
         Optional :class:`repro.obs.Observability` handle.  The switch
         emits ``bcn``/``pause_on``/``pause_off``/``drop`` events live
@@ -221,6 +234,8 @@ class BCNNetworkSimulator:
             raise ValueError(
                 f"unknown packet engine {engine!r}; pick from {PACKET_ENGINES}"
             )
+        if control_quantum is not None:
+            _require_positive_finite("control_quantum", control_quantum)
         self.params = params
         self.frame_bits = frame_bits
         self.engine = engine
@@ -428,27 +443,28 @@ class BCNNetworkSimulator:
         else:  # pragma: no cover - _register_event controls the kinds
             raise ValueError(f"unknown event kind {kind!r}")
 
-    def _run_batched(self, duration: float) -> None:
-        """Drive the scenario with frame-train batching.
+    def _run_windows(self, duration: float, be) -> None:
+        """Drive the scenario with frame-train batching on backend ``be``.
 
         The run advances in control-quantum windows.  Within a window
         every regulator's rate is frozen, so each source contributes an
         arithmetic emission train (the maths of
         :meth:`~repro.simulation.source.TrafficSource.plan_train`, held
-        vectorized across sources); the merged train goes through the
-        vectorized switch kernel, which returns the BCN messages (and
-        possibly a PAUSE) the window generated.  Control is delivered to
-        the sources at the window boundary with its true timestamps —
-        the regulator arithmetic (including the fluid modes' ``dt``
-        integration) is exact, but a rate update takes effect on pacing
-        up to one window later than under the reference engine.  The
-        first-order part of that lag is compensated: each update books
-        the bits the new rate would have (not) sent before the boundary
-        and shifts the source's next emission to repay them, so the
-        emitted bit count tracks the reference pacing to second order
-        in the quantum.  A PAUSE truncates the window so its boundary
-        stays sharp; a window where drop-tail engages is replayed
-        frame-by-frame by the kernel's exact scalar fallback.
+        across sources in struct-of-array state); the trains merge into
+        one sorted train that goes through the switch window kernel,
+        which returns the BCN messages (and possibly a PAUSE) the window
+        generated.  Control is delivered to the sources at the window
+        boundary with its true timestamps — the regulator arithmetic
+        (including the fluid modes' ``dt`` integration) is exact, but a
+        rate update takes effect on pacing up to one window later than
+        under the reference engine.  The first-order part of that lag is
+        compensated: each update books the bits the new rate would have
+        (not) sent before the boundary and shifts the source's next
+        emission to repay them, so the emitted bit count tracks the
+        reference pacing to second order in the quantum.  A PAUSE
+        truncates the window so its boundary stays sharp; a window where
+        drop-tail engages is replayed frame-by-frame by the kernel's
+        exact scalar fallback.
 
         Timed events (:meth:`schedule_capacity`, :meth:`schedule_outage`,
         :meth:`schedule_departure`) are additional window boundaries:
@@ -459,25 +475,44 @@ class BCNNetworkSimulator:
         mid-window is just a later first emission of the arithmetic
         train, and finite flows cap their train at the frames they have
         left.
+
+        The backend supplies the hot loops as bound closures (see
+        :class:`~repro.kernels.KernelBackend`): pacing plan, train
+        merge, pacing commit, owed-bits repayment and message delivery;
+        the switch window runs in a
+        :class:`~repro.kernels.CompiledSwitchKernel` on the C tier and
+        in the numpy :class:`BatchedSwitchKernel` otherwise.  Message
+        delivery updates struct-of-array regulator state (folded back
+        into the :class:`RateRegulator` objects at the end of the run);
+        if the sources carry non-uniform regulator laws or
+        ``on_rate_change`` observers it falls back to the python loop
+        so every observable stays exact.
         """
+        from ..kernels import CompiledSwitchKernel
+
         if any(s.muted for s in self.sources):
             raise NotImplementedError(
-                "the batched engine cannot pace initially-muted (on/off) "
-                "sources; use engine='reference' for those workloads"
+                f"the {self.engine} engine cannot pace initially-muted "
+                "(on/off) sources; use engine='reference' for those "
+                "workloads"
             )
         d = self._propagation_delay
         L = float(self.frame_bits)
         n = len(self.sources)
         cpid = self.switch.cpid
-        kernel = BatchedSwitchKernel(
-            self.switch,
-            self.frame_bits,
+        kernel_kwargs = dict(
             pause_fanout=n if self._enable_pause else 0,
             # Frames emitted before a PAUSE reaches their source (one
             # propagation delay control-path, then one data-path back)
             # are in flight and must land, as in the reference engine.
             pause_commit_horizon=2.0 * d,
         )
+        if be.compiled:
+            kernel = CompiledSwitchKernel(self.switch, self.frame_bits,
+                                          backend=be, **kernel_kwargs)
+        else:
+            kernel = BatchedSwitchKernel(self.switch, self.frame_bits,
+                                         **kernel_kwargs)
         self._batched_kernel = kernel
         # The auto quantum (2x the expected message interval) assumes the
         # run is long relative to the control loop; cap it so short runs
@@ -498,16 +533,19 @@ class BCNNetworkSimulator:
         grid_pos = 0
         self._record()
 
-        # Pacing state, one slot per source.
-        src_idx = np.arange(n)
-        rates = np.array([s.regulator.rate for s in self.sources])
+        # Pacing state, one slot per source, plus the struct-of-array
+        # regulator mirror the message kernel updates in place:
+        # ``rates``/``owed_bits`` serve both roles directly.
+        regs = [s.regulator for s in self.sources]
+        rates = np.array([r.rate for r in regs])
         total_rate = float(rates.sum())
         gaps = L / rates
         # First emission one gap after each flow's start time.
         next_emit = np.array([s.start_time for s in self.sources]) + gaps
         paused = np.zeros(n)
-        assoc_flags = np.array(
-            [s.regulator.associated_cpid == cpid for s in self.sources]
+        assoc8 = np.array(
+            [1 if r.associated_cpid == cpid else 0 for r in regs],
+            dtype=np.uint8,
         )
         #: Emitting sources; cleared on departure or flow completion.
         active = np.ones(n, dtype=bool)
@@ -517,229 +555,8 @@ class BCNNetworkSimulator:
             else float(np.ceil(s.total_bits / L))
             for s in self.sources
         ])
-        frames_acc = np.zeros(n, dtype=int)
-        owed_bits = np.zeros(n)  # lag-compensation ledger
-
-        events = sorted(self._timed_events)
-        ev_pos = 0
-
-        t = 0.0
-        while t < duration:
-            # Apply every timed event the clock has reached; each is a
-            # window boundary, so normally ev_t == t exactly.
-            while ev_pos < len(events) and events[ev_pos][0] <= t:
-                ev_t, _, kind, payload = events[ev_pos]
-                ev_pos += 1
-                if kind == "capacity":
-                    kernel.set_capacity(payload[0])
-                elif kind == "outage":
-                    kernel.freeze_until(ev_t + payload[0])
-                elif kind == "departure":
-                    self.sources[payload[0]].muted = True
-                    active[payload[0]] = False
-            next_ev = events[ev_pos][0] if ev_pos < len(events) else np.inf
-            t_end = min(t + quantum, duration, next_ev)
-            until = t_end - d
-            first = np.maximum(next_emit, paused)
-            counts_f = np.where(
-                active & (first <= until),
-                np.floor((until - first) / gaps) + 1.0,
-                0.0,
-            )
-            counts = np.minimum(counts_f, remaining).astype(int)
-            total = int(counts.sum())
-            if total:
-                srcs = np.repeat(src_idx, counts)
-                ends = np.cumsum(counts)
-                offsets = np.arange(total) - np.repeat(ends - counts, counts)
-                times = (np.repeat(first, counts)
-                         + np.repeat(gaps, counts) * offsets + d)
-                order = np.argsort(times, kind="stable")
-                times = times[order]
-                srcs = srcs[order]
-                assoc = assoc_flags[srcs]
-            else:
-                times = np.empty(0)
-                srcs = np.empty(0, dtype=int)
-                assoc = np.empty(0, dtype=bool)
-
-            window = kernel.process(t, t_end, times, srcs, assoc)
-
-            # Advance each source's pacing by its committed prefix while
-            # the planning rate is still in force.
-            committed = (
-                np.bincount(srcs[: window.committed], minlength=n)
-                if window.committed else np.zeros(n, dtype=int)
-            )
-            frames_acc += committed
-            has = committed > 0
-            next_emit[has] = first[has] + gaps[has] * committed[has]
-            held = (counts > 0) & ~has  # planned but cut off (PAUSE)
-            next_emit[held] = first[held]
-            remaining[has] -= committed[has]
-            finished = has & (remaining <= 0)
-            if np.any(finished):
-                for i in np.nonzero(finished)[0]:
-                    # Send-side FCT: emission time of the last frame,
-                    # matching TrafficSource._emit in the reference path.
-                    self.sources[i].finish_time = float(
-                        first[i] + gaps[i] * (committed[i] - 1)
-                    )
-                active[finished] = False
-            self._delivered_bits += window.delivered_bits
-
-            # Emit recorder samples covered by this window.
-            hi = int(np.searchsorted(grid, window.t_commit, side="right"))
-            if hi > grid_pos:
-                pts = grid[grid_pos:hi]
-                self._queue_samples.extend(pts, kernel.queue_at(pts))
-                self._rate_samples.extend(
-                    pts, np.full(pts.size, total_rate)
-                )
-                grid_pos = hi
-
-            # Deliver the window's control plane in timestamp order.
-            for k in range(window.msg_t.size):
-                i = int(window.msg_src[k])
-                sent_at = float(window.msg_t[k])
-                deliver_at = sent_at + d
-                self.sim._now = deliver_at
-                source = self.sources[i]
-                rate_before = source.regulator.rate
-                source.receive_control(
-                    BCNMessage(
-                        da=i,
-                        sa=cpid,
-                        cpid=cpid,
-                        fb=float(window.msg_fb[k]),
-                        q_off=float(window.msg_q_off[k]),
-                        q_delta=float(window.msg_dq[k]),
-                        fb_raw=float(window.msg_sigma[k]),
-                        sent_at=sent_at,
-                    )
-                )
-                rate_after = source.regulator.rate
-                if rate_after != rate_before:
-                    delta = rate_after - rate_before
-                    owed_bits[i] += delta * max(
-                        window.t_commit - deliver_at, 0.0
-                    )
-                    total_rate += delta
-                    rates[i] = rate_after
-                    gaps[i] = L / rate_after
-                assoc_flags[i] = (
-                    source.regulator.associated_cpid == cpid
-                )
-            if window.pause_at is not None and self._enable_pause:
-                self.sim._now = window.pause_at + d
-                pause = PauseFrame(
-                    sa=cpid,
-                    duration=self._pause_duration,
-                    sent_at=window.pause_at,
-                )
-                for i, source in enumerate(self.sources):
-                    source.receive_control(pause)
-                    paused[i] = source.paused_until
-
-            # Repay the lag ledger: a positive balance means the new
-            # rate would have sent more bits before the boundary, so
-            # the next emission moves earlier (clamped to stay beyond
-            # the planned horizon; the unpaid remainder carries over).
-            # Sources holding a cut-off emission keep their schedule.
-            if np.any(owed_bits):
-                movable = next_emit > until
-                target = np.where(
-                    movable,
-                    np.maximum(next_emit - owed_bits / rates,
-                               np.nextafter(until, np.inf)),
-                    next_emit,
-                )
-                owed_bits -= (next_emit - target) * rates
-                next_emit = target
-
-            t = window.t_commit
-
-        for i, source in enumerate(self.sources):
-            source.frames_sent += int(frames_acc[i])
-            source.bits_sent += float(frames_acc[i]) * L
-            source._train_next = float(next_emit[i])
-        self.sim._now = duration
-
-    def _run_compiled(self, duration: float) -> None:
-        """Drive the scenario through the compiled window kernels.
-
-        Same orchestration as :meth:`_run_batched` — quantum windows,
-        boundary-applied control, the owed-bits lag ledger — but the
-        three hot loops run in compiled code: the per-source emission
-        trains merge through ``merge_trains`` instead of a
-        ``repeat``/``argsort`` pass, the switch window runs in a
-        :class:`~repro.kernels.CompiledSwitchKernel`, and each window's
-        BCN messages apply to struct-of-array regulator state through
-        ``apply_messages`` (the :class:`RateRegulator` objects are
-        synchronized once at the end of the run).  If no compiled
-        backend is available this delegates to :meth:`_run_batched`,
-        which the kernels match bit-for-bit anyway; if the sources
-        carry non-uniform regulator laws or ``on_rate_change``
-        observers, only the message delivery falls back to the python
-        loop so every observable stays exact.
-        """
-        from ..kernels import (CompiledSwitchKernel, consume_warmup_span,
-                               get_backend)
-
-        be = get_backend()
-        if not be.compiled:
-            self._run_batched(duration)
-            return
-        if any(s.muted for s in self.sources):
-            raise NotImplementedError(
-                "the compiled engine cannot pace initially-muted (on/off) "
-                "sources; use engine='reference' for those workloads"
-            )
-        if self.obs is not None:
-            consume_warmup_span(self.obs)
-        d = self._propagation_delay
-        L = float(self.frame_bits)
-        n = len(self.sources)
-        cpid = self.switch.cpid
-        kernel = CompiledSwitchKernel(
-            self.switch,
-            self.frame_bits,
-            pause_fanout=n if self._enable_pause else 0,
-            pause_commit_horizon=2.0 * d,
-            backend=be,
-        )
-        self._batched_kernel = kernel
-        quantum = self._control_quantum
-        if not self._quantum_explicit:
-            quantum = min(quantum, duration / 32.0)
-        dt = self._queue_dt
-
-        ticks = dt * np.arange(1, int(np.floor(duration / dt + 1e-9)) + 1)
-        grid = np.concatenate([ticks[ticks <= duration], [duration]])
-        grid_pos = 0
-        self._record()
-
-        # Pacing state (identical layout to the batched engine) plus the
-        # struct-of-array regulator mirror the message kernel updates in
-        # place: ``rates``/``owed_bits`` serve both roles directly.
-        regs = [s.regulator for s in self.sources]
-        rates = np.array([r.rate for r in regs])
-        total_rate = float(rates.sum())
-        gaps = L / rates
-        next_emit = np.array([s.start_time for s in self.sources]) + gaps
-        paused = np.zeros(n)
-        assoc8 = np.array(
-            [1 if r.associated_cpid == cpid else 0 for r in regs],
-            dtype=np.uint8,
-        )
-        active = np.ones(n, dtype=bool)
-        remaining = np.array([
-            np.inf if s.total_bits is None
-            else float(np.ceil(s.total_bits / L))
-            for s in self.sources
-        ])
         frames_acc = np.zeros(n, dtype=np.int64)
-        owed_bits = np.zeros(n)
+        owed_bits = np.zeros(n)  # lag-compensation ledger
 
         reg0 = regs[0]
         mode_code = {"message": 0, "fluid-euler": 1,
@@ -807,6 +624,8 @@ class BCNNetworkSimulator:
 
         t = 0.0
         while t < duration:
+            # Apply every timed event the clock has reached; each is a
+            # window boundary, so normally ev_t == t exactly.
             while ev_pos < len(events) and events[ev_pos][0] <= t:
                 ev_t, _, kind, payload = events[ev_pos]
                 ev_pos += 1
@@ -842,11 +661,14 @@ class BCNNetworkSimulator:
 
             window = kernel.process(t, t_end, times, srcs, assoc)
 
+            # Advance each source's pacing by its committed prefix while
+            # the planning rate is still in force.
             n_fin = int(bound_pacing_commit(window.committed))
             for k in range(n_fin):
                 self.sources[int(fin_idx[k])].finish_time = float(fin_t[k])
             self._delivered_bits += window.delivered_bits
 
+            # Emit recorder samples covered by this window.
             hi = int(np.searchsorted(grid, window.t_commit, side="right"))
             if hi > grid_pos:
                 pts = grid[grid_pos:hi]
@@ -856,6 +678,7 @@ class BCNNetworkSimulator:
                 )
                 grid_pos = hi
 
+            # Deliver the window's control plane in timestamp order.
             if fast_msgs:
                 if window.msg_t.size:
                     reg_d[0] = total_rate
@@ -919,7 +742,7 @@ class BCNNetworkSimulator:
         if fast_msgs:
             # Fold the struct-of-array regulator state back into the
             # RateRegulator objects so post-run inspection matches the
-            # batched engine exactly.
+            # python delivery loop exactly.
             for i, reg in enumerate(regs):
                 reg.rate = float(rates[i])
                 lu = float(last_update[i])
@@ -932,13 +755,19 @@ class BCNNetworkSimulator:
 
     def run(self, duration: float) -> SimulationResult:
         """Run the scenario for ``duration`` seconds of simulated time."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        _require_positive_finite("duration", duration)
         wall_start = _time.monotonic() if self.obs is not None else 0.0  # repro-lint: disable=wall-clock -- obs run-span wall-time
         if self.engine == "batched":
-            self._run_batched(duration)
+            from ..kernels import KernelBackend
+
+            self._run_windows(duration, KernelBackend())
         elif self.engine == "compiled":
-            self._run_compiled(duration)
+            from ..kernels import consume_warmup_span, get_backend
+
+            be = get_backend()
+            if self.obs is not None:
+                consume_warmup_span(self.obs)
+            self._run_windows(duration, be)
         else:
             # Timed events first: heap ties at the same timestamp break
             # by insertion order, so events registered here fire before

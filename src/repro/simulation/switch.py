@@ -597,7 +597,7 @@ class BatchedSwitchKernel:
             positive = (sigma > 0) \
                 & ((qs < sw.q0) | (not sw.positive_only_below_q0))
             if sw.require_association:
-                positive &= assoc[sample_idx]
+                positive &= assoc[sample_idx] != 0  # bool or uint8 flags
             sw.stats.bcn_negative += int(np.count_nonzero(negative))
             sw.stats.bcn_positive += int(np.count_nonzero(positive))
             emit = negative | positive

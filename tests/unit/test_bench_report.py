@@ -48,8 +48,8 @@ class TestSpeedupPairing:
         assert report["speedups"]["p"]["fast_engine"] == "batched"
 
     def test_other_engine_tags_are_not_gated(self):
-        # heap/calendar microbenches share a workload but neither is a
-        # fast engine, so no speedup row (and hence no gate) appears.
+        # Two rows share a workload but neither tag is a fast engine,
+        # so no speedup row (and hence no gate) appears.
         report = build_report(_raw(
             _bench("a", 1.0, workload="storm", engine="heap"),
             _bench("b", 0.5, workload="storm", engine="calendar"),

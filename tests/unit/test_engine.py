@@ -1,32 +1,23 @@
-"""Unit tests for the discrete-event engines (repro.simulation.engine).
+"""Unit tests for the discrete-event engine (repro.simulation.engine).
 
-Every behavioural test runs against both kernels (binary heap and
-calendar queue) through the ``sim`` fixture; the two must be
-observationally identical.  Kernel-specific internals (lazy compaction,
-horizon rolling) get their own classes.
+Behavioural tests run through the ``sim`` fixture; kernel internals
+(lazy compaction, the window barrier) get their own classes.
 """
 
 import math
 
 import pytest
 
-from repro.simulation.engine import (
-    _COMPACT_MIN_PENDING,
-    CalendarSimulator,
-    Simulator,
-    make_simulator,
-)
+from repro.simulation.engine import _COMPACT_MIN_PENDING, Simulator
 
-KERNELS = ["heap", "calendar"]
+#: The event kernels under test (the binary heap is the only one); the
+#: fixture id keeps each test's name, ``test_x[heap]``, stable.
+KERNELS = ["heap"]
 
 
 @pytest.fixture(params=KERNELS)
 def sim(request):
-    # A small slot width relative to the test times exercises the
-    # overflow heap and horizon rolling on the calendar variant.
-    if request.param == "calendar":
-        return make_simulator("calendar", slot_width=0.01, n_slots=64)
-    return make_simulator("heap")
+    return Simulator()
 
 
 class TestScheduling:
@@ -105,7 +96,7 @@ class TestCompaction:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_mass_cancellation_compacts_queue(self, kernel):
-        sim = make_simulator(kernel, slot_width=0.5, n_slots=32)
+        sim = Simulator()
         n = 4 * _COMPACT_MIN_PENDING
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(n)]
         assert sim.pending == n
@@ -125,7 +116,7 @@ class TestCompaction:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_small_queues_skip_compaction(self, kernel):
-        sim = make_simulator(kernel, slot_width=0.5, n_slots=32)
+        sim = Simulator()
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
         for h in handles:
             h.cancel()
@@ -136,19 +127,40 @@ class TestCompaction:
         assert sim.pending == 0
 
     def test_compaction_preserves_order_and_results(self):
-        for kernel in KERNELS:
-            sim = make_simulator(kernel, slot_width=0.25, n_slots=16)
-            fired = []
-            n = 4 * _COMPACT_MIN_PENDING
-            handles = [
-                sim.schedule(float(i + 1) * 0.125, lambda i=i: fired.append(i))
-                for i in range(n)
-            ]
+        sim = Simulator()
+        fired = []
+        n = 4 * _COMPACT_MIN_PENDING
+        handles = [
+            sim.schedule(float(i + 1) * 0.125, lambda i=i: fired.append(i))
+            for i in range(n)
+        ]
+        for i, h in enumerate(handles):
+            if i % 3:
+                h.cancel()
+        sim.run()
+        assert fired == [i for i in range(n) if i % 3 == 0]
+
+    def test_compaction_inside_a_running_callback(self):
+        # run() keeps the heap across callbacks, so a compaction that a
+        # callback's cancellations trigger must happen in place.
+        sim = Simulator()
+        fired = []
+        n = 4 * _COMPACT_MIN_PENDING
+        handles = [
+            sim.schedule(float(i + 2), lambda i=i: fired.append(i))
+            for i in range(n)
+        ]
+
+        def cancel_most():
             for i, h in enumerate(handles):
-                if i % 3:
+                if i % 4:
                     h.cancel()
-            sim.run()
-            assert fired == [i for i in range(n) if i % 3 == 0]
+            sim.schedule(0.5, lambda: fired.append("added"))
+
+        sim.schedule(1.0, cancel_most)
+        sim.run()
+        assert fired == ["added"] + [i for i in range(n) if i % 4 == 0]
+        assert sim.pending == 0
 
 
 class TestRunControl:
@@ -206,68 +218,6 @@ class TestRunControl:
         assert run_once(sim) == first
 
 
-class TestCalendarKernel:
-    def test_far_events_cross_the_horizon(self):
-        # horizon = 4 * 0.5 = 2 s; events at 10 s start in the overflow
-        # heap and must still fire in exact order.
-        sim = CalendarSimulator(slot_width=0.5, n_slots=4)
-        fired = []
-        sim.schedule(10.0, lambda: fired.append("far"))
-        sim.schedule(0.25, lambda: fired.append("near"))
-        sim.schedule(25.0, lambda: fired.append("farther"))
-        sim.run()
-        assert fired == ["near", "far", "farther"]
-        assert sim.now == 25.0
-
-    def test_matches_heap_kernel_on_mixed_workload(self):
-        def run_once(s):
-            out = []
-            s.schedule_every(0.017, lambda: out.append(round(s.now, 12)),
-                             until=1.0)
-            for k in range(40):
-                s.schedule(0.013 * (k + 1) + 3.0,
-                           lambda k=k: out.append(("late", k)))
-            handles = [s.schedule(0.5 + 0.001 * k, lambda k=k: out.append(k))
-                       for k in range(20)]
-            for h in handles[::2]:
-                h.cancel()
-            s.run()
-            return out
-
-        heap_out = run_once(make_simulator("heap"))
-        cal_out = run_once(make_simulator("calendar", slot_width=0.01,
-                                          n_slots=16))
-        assert cal_out == heap_out
-
-    def test_slot_edge_times_do_not_crash(self):
-        sim = CalendarSimulator(slot_width=0.1, n_slots=10)
-        fired = []
-        # Exactly at the horizon end and exactly on bucket boundaries.
-        for t in (0.0, 0.1, 0.999999999999, 1.0, 1.0000000001):
-            sim.schedule_at(t, lambda t=t: fired.append(t))
-        sim.run()
-        assert fired == sorted(fired)
-        assert len(fired) == 5
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CalendarSimulator(slot_width=0.0)
-        with pytest.raises(ValueError):
-            CalendarSimulator(slot_width=math.inf)
-        with pytest.raises(ValueError):
-            CalendarSimulator(n_slots=1)
-
-
-class TestMakeSimulator:
-    def test_builds_each_kernel(self):
-        assert type(make_simulator("heap")) is Simulator
-        assert isinstance(make_simulator("calendar"), CalendarSimulator)
-
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            make_simulator("splay-tree")
-
-
 class TestWindowBarrier:
     """freeze_horizon / run_window: the conservative-parallel contract."""
 
@@ -288,7 +238,7 @@ class TestWindowBarrier:
                 s.schedule(t, lambda i=i: order.append(i))
             return order
 
-        want_sim = make_simulator("heap")
+        want_sim = Simulator()
         want = load(want_sim)
         want_sim.run(until=0.05)
 

@@ -1,37 +1,41 @@
 """Unit tests for the compiled kernel package (:mod:`repro.kernels`).
 
 Backend selection, the differential guarantees of the individual
-kernels against their pure-python reference bodies, the compiled
-calendar queue, the fluid precision modes, and the one-time warm-up
-span.  Tests marked ``requires_compiled`` exercise a real compiled
-tier (numba or cffi) and skip on the pure-numpy fallback; everything
-else runs on every tier.
+kernels and of each tier's bound window-loop closures against their
+pure-python reference bodies, the fluid precision modes, and the
+one-time warm-up span.  Tests marked ``requires_compiled`` exercise the
+C tier and skip on the pure-numpy fallback; everything else runs on
+every tier.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.kernels import (available_backends, get_backend, reset_backend,
+from repro.kernels import (get_backend, reset_backend,
                            simulate_fluid_batch_compiled)
+from repro.kernels import _scalar
 from repro.kernels._backend import KernelBackend, consume_warmup_span
-from repro.simulation.engine import CalendarSimulator, make_simulator
 from repro.simulation.frames import BCNMessage
 from repro.simulation.source import RateRegulator
 
 requires_compiled = pytest.mark.skipif(
     not get_backend().compiled,
-    reason="no compiled backend (numba, or cffi + C compiler) available",
+    reason="no compiled backend (cffi + C compiler) available",
 )
 
 
+@pytest.fixture(params=["numpy", "cffi"])
+def tier(request):
+    """Each kernel tier the window loop can run on."""
+    if request.param == "numpy":
+        return KernelBackend()
+    be = get_backend()
+    if not be.compiled:
+        pytest.skip("no compiled backend (cffi + C compiler) available")
+    return be
+
+
 # -- backend selection ------------------------------------------------------
-
-
-def test_available_backends_always_lists_numpy():
-    names = available_backends()
-    assert names[-1] == "numpy"
 
 
 def test_numpy_tier_is_the_scalar_reference():
@@ -46,6 +50,17 @@ def test_unknown_backend_env_is_rejected(monkeypatch):
     reset_backend()
     try:
         with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
+            get_backend()
+    finally:
+        monkeypatch.undo()
+        reset_backend()
+
+
+def test_numba_env_is_rejected(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+    reset_backend()
+    try:
+        with pytest.raises(ValueError, match=r"auto\|cffi\|numpy"):
             get_backend()
     finally:
         monkeypatch.undo()
@@ -144,99 +159,104 @@ def test_merge_trains_breaks_time_ties_by_source():
     np.testing.assert_array_equal(out_assoc, [1, 0, 1, 0, 1, 0])
 
 
-# -- next_nonempty ----------------------------------------------------------
-
-
-def test_next_nonempty_python_semantics():
-    from repro.kernels import _scalar
-
-    counts = np.array([0, 0, 3, 0, 1, 0], dtype=np.int64)
-    assert _scalar.next_nonempty(counts, 0) == 2
-    assert _scalar.next_nonempty(counts, 2) == 2
-    assert _scalar.next_nonempty(counts, 3) == 4
-    assert _scalar.next_nonempty(counts, 5) == -1
-
-
-@requires_compiled
-def test_next_nonempty_compiled_matches_python():
-    be = get_backend()
-    counts = np.array([0, 0, 3, 0, 1, 0], dtype=np.int64)
-    for cursor in range(counts.size):
-        from repro.kernels import _scalar
-
-        assert int(be.next_nonempty(counts, cursor)) == \
-            _scalar.next_nonempty(counts, cursor)
-
-
 # -- apply_messages ---------------------------------------------------------
 
 
 _MODES = [("message", 0), ("fluid-euler", 1), ("fluid-exact", 2)]
 
 
-@requires_compiled
-@pytest.mark.parametrize("mode, code", _MODES)
-def test_apply_messages_matches_regulator_objects(mode, code):
+def _apply_case(mode):
+    """Random BCN messages applied the object way (RateRegulator.apply
+    plus the window loop's owed-bits bookkeeping); returns the message
+    arrays, the constants and the expected per-source outcome."""
     rng = np.random.default_rng(7)
     n, n_msg = 6, 400
-    gi, gd, ru, max_dt = 4.0, 1 / 128, 8e6, 5e-4
-    d, t_commit = 5e-6, 0.0105
-    line_rate = np.full(n, 1e9)
-    min_rate = np.full(n, 1e5)
+    const = dict(gi=4.0, gd=1 / 128, ru=8e6, max_dt=5e-4, d=5e-6,
+                 t_commit=0.0105)
     regs = [
-        RateRegulator(gi=gi, gd=gd, ru=ru, initial_rate=2e7, min_rate=1e5,
-                      line_rate=1e9, mode=mode, max_dt=max_dt)
+        RateRegulator(gi=const["gi"], gd=const["gd"], ru=const["ru"],
+                      initial_rate=2e7, min_rate=1e5, line_rate=1e9,
+                      mode=mode, max_dt=const["max_dt"])
         for _ in range(n)
     ]
-    msg_t = np.sort(rng.uniform(0.0, 0.01, n_msg))
-    msg_src = rng.integers(0, n, n_msg).astype(np.int64)
-    msg_sigma = rng.uniform(-3e6, 3e6, n_msg)
-    msg_fb = rng.uniform(-128.0, 127.0, n_msg)
-
-    # object path: the batched orchestrator's delivery loop
-    owed_obj = np.zeros(n)
-    total_obj = float(sum(r.rate for r in regs))
+    msgs = dict(
+        msg_t=np.sort(rng.uniform(0.0, 0.01, n_msg)),
+        msg_src=rng.integers(0, n, n_msg).astype(np.int64),
+        msg_fb=rng.uniform(-128.0, 127.0, n_msg),
+        msg_sigma=rng.uniform(-3e6, 3e6, n_msg),
+    )
+    owed = np.zeros(n)
+    total = float(sum(r.rate for r in regs))
     for k in range(n_msg):
-        i = int(msg_src[k])
-        now = float(msg_t[k]) + d
+        i = int(msgs["msg_src"][k])
+        now = float(msgs["msg_t"][k]) + const["d"]
         before = regs[i].rate
         regs[i].apply(
-            BCNMessage(da=i, sa="cp", cpid="cp", fb=float(msg_fb[k]),
-                       q_off=0.0, q_delta=0.0, fb_raw=float(msg_sigma[k]),
-                       sent_at=float(msg_t[k])),
+            BCNMessage(da=i, sa="cp", cpid="cp",
+                       fb=float(msgs["msg_fb"][k]), q_off=0.0, q_delta=0.0,
+                       fb_raw=float(msgs["msg_sigma"][k]),
+                       sent_at=float(msgs["msg_t"][k])),
             now,
         )
         after = regs[i].rate
         if after != before:
             delta = after - before
-            owed_obj[i] += delta * max(t_commit - now, 0.0)
-            total_obj += delta
+            owed[i] += delta * max(const["t_commit"] - now, 0.0)
+            total += delta
+    return msgs, const, regs, owed, total
 
-    # kernel path: struct-of-array state
-    rate = np.full(n, 2e7)
-    last_update = np.full(n, np.nan)
-    assoc8 = np.zeros(n, dtype=np.uint8)
-    updates = np.zeros(n, dtype=np.int64)
-    owed = np.zeros(n)
-    out_d = np.array([n * 2e7])
-    get_backend().apply_messages(
-        msg_t, msg_src, msg_fb, msg_sigma, code, gi, gd, ru, max_dt,
-        d, t_commit, rate, last_update, assoc8, updates,
-        min_rate, line_rate, owed, out_d,
-    )
 
-    np.testing.assert_array_equal(rate, [r.rate for r in regs])
-    np.testing.assert_array_equal(owed, owed_obj)
-    assert float(out_d[0]) == total_obj
-    np.testing.assert_array_equal(updates,
+def _soa_state(n):
+    """Fresh struct-of-array regulator state matching ``_apply_case``."""
+    return dict(rate=np.full(n, 2e7), last_update=np.full(n, np.nan),
+                assoc8=np.zeros(n, dtype=np.uint8),
+                updates=np.zeros(n, dtype=np.int64), owed=np.zeros(n),
+                out_d=np.array([n * 2e7]))
+
+
+def _assert_soa_matches(st, regs, owed, total):
+    np.testing.assert_array_equal(st["rate"], [r.rate for r in regs])
+    np.testing.assert_array_equal(st["owed"], owed)
+    assert float(st["out_d"][0]) == total
+    np.testing.assert_array_equal(st["updates"],
                                   [r.updates_applied for r in regs])
     for i, reg in enumerate(regs):
-        assert bool(assoc8[i]) == (reg.associated_cpid == "cp")
-        lu = float(last_update[i])
+        assert bool(st["assoc8"][i]) == (reg.associated_cpid == "cp")
+        lu = float(st["last_update"][i])
         if reg._last_update is None:
             assert lu != lu  # NaN encodes "never updated"
         else:
             assert lu == reg._last_update
+
+
+@requires_compiled
+@pytest.mark.parametrize("mode, code", _MODES)
+def test_apply_messages_matches_regulator_objects(mode, code):
+    msgs, c, regs, owed, total = _apply_case(mode)
+    n = len(regs)
+    st = _soa_state(n)
+    get_backend().apply_messages(
+        msgs["msg_t"], msgs["msg_src"], msgs["msg_fb"], msgs["msg_sigma"],
+        code, c["gi"], c["gd"], c["ru"], c["max_dt"], c["d"],
+        c["t_commit"], st["rate"], st["last_update"], st["assoc8"],
+        st["updates"], np.full(n, 1e5), np.full(n, 1e9), st["owed"],
+        st["out_d"],
+    )
+    _assert_soa_matches(st, regs, owed, total)
+
+
+@pytest.mark.parametrize("mode, code", _MODES)
+def test_bound_apply_messages_matches_regulator_objects(tier, mode, code):
+    msgs, c, regs, owed, total = _apply_case(mode)
+    n = len(regs)
+    st = _soa_state(n)
+    bound = tier.bind_apply_messages(
+        code, c["gi"], c["gd"], c["ru"], c["max_dt"], c["d"], st["rate"],
+        st["last_update"], st["assoc8"], st["updates"], np.full(n, 1e5),
+        np.full(n, 1e9), st["owed"], st["out_d"])
+    bound(msgs["msg_t"], msgs["msg_src"], msgs["msg_fb"],
+          msgs["msg_sigma"], c["t_commit"])
+    _assert_soa_matches(st, regs, owed, total)
 
 
 # -- pacing kernels ---------------------------------------------------------
@@ -256,8 +276,6 @@ def _pacing_case(seed=5, n=7):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_pacing_plan_matches_scalar_reference(seed):
-    from repro.kernels import _scalar
-
     next_emit, paused, active, remaining, gaps = _pacing_case(seed)
     until = 1.5e-3
     n = next_emit.size
@@ -279,8 +297,6 @@ def test_pacing_plan_matches_scalar_reference(seed):
 
 @pytest.mark.parametrize("truncate", [False, True])
 def test_pacing_commit_matches_scalar_reference(truncate):
-    from repro.kernels import _scalar
-
     next_emit, paused, _, remaining, gaps = _pacing_case(9)
     until = 1.5e-3
     n = next_emit.size
@@ -318,8 +334,6 @@ def test_pacing_commit_matches_scalar_reference(truncate):
 
 
 def test_owed_repay_matches_scalar_reference():
-    from repro.kernels import _scalar
-
     rng = np.random.default_rng(21)
     n = 8
     owed = np.where(rng.random(n) < 0.5, rng.uniform(-2e4, 2e4, n), 0.0)
@@ -341,6 +355,146 @@ def test_owed_repay_matches_scalar_reference():
     np.testing.assert_array_equal(got_owed[before], owed[before])
     # repayment never reschedules a deferred source into the closed window
     assert np.all(got_ne[~before] >= nxt)
+
+
+# -- each tier's bound window-loop closures vs the scalar bodies ----------
+
+
+def _merge_case(seed, n, max_count):
+    rng = np.random.default_rng(seed)
+    first = rng.uniform(0.0, 1e-3, n)
+    gaps = rng.uniform(1e-6, 1e-4, n)
+    counts = rng.integers(0, max_count, n).astype(np.int64)
+    assoc = rng.integers(0, 2, n).astype(np.uint8)
+    return first, gaps, counts, assoc
+
+
+def _scalar_merge(first, gaps, counts, assoc, d):
+    total = int(counts.sum())
+    out = (np.empty(total), np.empty(total, dtype=np.int64),
+           np.empty(total, dtype=np.uint8))
+    assert _scalar.merge_trains(first, gaps, counts, assoc, d, *out) == total
+    return out
+
+
+def test_bound_merge_trains_matches_scalar_with_growth_and_rebind(tier):
+    # The window loop's buffer life cycle: bind over small persistent
+    # buffers, then a window that outgrows them — reallocate, re-bind,
+    # merge again — all against the same captured per-source arrays.
+    n, d = 8, 5e-6
+    first, gaps, counts, assoc = _merge_case(3, n, 6)
+    cap = 64
+    out_t, out_src = np.empty(cap), np.empty(cap, dtype=np.int64)
+    out_assoc = np.empty(cap, dtype=np.uint8)
+    bound = tier.bind_merge_trains(first, gaps, counts, assoc,
+                                   out_t, out_src, out_assoc)
+    total = int(bound(d))
+    assert total == int(counts.sum()) <= cap
+    for got, want in zip((out_t, out_src, out_assoc),
+                         _scalar_merge(first, gaps, counts, assoc, d)):
+        np.testing.assert_array_equal(got[:total], want)
+
+    # next window: new plan written in place, too big for the buffers;
+    # two identical trains collide at every emission time, and ties
+    # must resolve in ascending source order
+    f2, g2, c2, a2 = _merge_case(4, n, 50)
+    first[:], gaps[:], counts[:], assoc[:] = f2, g2, c2, a2
+    first[1], gaps[1] = first[0], gaps[0]
+    counts[:2], assoc[:2] = 30, [1, 0]
+    total = int(counts.sum())
+    assert total > cap
+    out_t, out_src = np.empty(2 * total), np.empty(2 * total, dtype=np.int64)
+    out_assoc = np.empty(2 * total, dtype=np.uint8)
+    bound = tier.bind_merge_trains(first, gaps, counts, assoc,
+                                   out_t, out_src, out_assoc)
+    assert int(bound(d)) == total
+    for got, want in zip((out_t, out_src, out_assoc),
+                         _scalar_merge(first, gaps, counts, assoc, d)):
+        np.testing.assert_array_equal(got[:total], want)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_bound_pacing_plan_matches_scalar(tier, seed):
+    next_emit, paused, active, remaining, gaps = _pacing_case(seed)
+    until = 1.5e-3
+    n = next_emit.size
+    ref_first, ref_counts = np.empty(n), np.empty(n, dtype=np.int64)
+    ref_total = _scalar.pacing_plan(next_emit, paused, active, remaining,
+                                    gaps, until, ref_first, ref_counts)
+    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
+    bound = tier.bind_pacing_plan(next_emit, paused, active, remaining,
+                                  gaps, first, counts)
+    assert int(bound(until)) == ref_total
+    np.testing.assert_array_equal(first, ref_first)
+    np.testing.assert_array_equal(counts, ref_counts)
+
+
+@pytest.mark.parametrize("any_finite", [1, 0])
+@pytest.mark.parametrize("truncate", [False, True])
+def test_bound_pacing_commit_matches_scalar(tier, truncate, any_finite):
+    next_emit, paused, _, remaining, gaps = _pacing_case(9)
+    until = 1.5e-3
+    n = next_emit.size
+    active = np.ones(n, dtype=bool)
+    # the last source is PAUSEd past its pending emission, so when the
+    # commit is cut short it holds a deferred first emission
+    next_emit[-1], paused[-1] = 2e-4, 5e-4
+    if any_finite:
+        remaining[:3] = [1.0, 2.0, 3.0]  # force some sources to run out
+    else:
+        remaining[:] = np.inf  # the loop's pure-elephant shortcut
+    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
+    total = _scalar.pacing_plan(next_emit, paused, active, remaining, gaps,
+                                until, first, counts)
+    srcs = np.repeat(np.arange(n, dtype=np.int64), counts)
+    m_committed = total // 2 if truncate else total
+
+    def state():
+        return dict(ne=next_emit.copy(), rem=remaining.copy(),
+                    act=active.copy(), fa=np.zeros(n, dtype=np.int64),
+                    comm=np.empty(n, dtype=np.int64),
+                    fin_idx=np.empty(n, dtype=np.int64), fin_t=np.empty(n))
+
+    ref = state()
+    ref_fin = _scalar.pacing_commit(
+        srcs, m_committed, first, gaps, counts, any_finite, ref["ne"],
+        ref["rem"], ref["act"], ref["fa"], ref["comm"], ref["fin_idx"],
+        ref["fin_t"])
+    got = state()
+    bound = tier.bind_pacing_commit(
+        srcs, first, gaps, counts, any_finite, got["ne"], got["rem"],
+        got["act"], got["fa"], got["comm"], got["fin_idx"], got["fin_t"])
+    n_fin = int(bound(m_committed))
+    assert n_fin == ref_fin
+    if not any_finite:
+        assert n_fin == 0
+    elif not truncate:
+        assert n_fin > 0  # the short finite flows all ran out
+    for key in ("ne", "rem", "act", "fa", "comm"):
+        np.testing.assert_array_equal(got[key], ref[key])
+    for key in ("fin_idx", "fin_t"):
+        np.testing.assert_array_equal(got[key][:n_fin], ref[key][:n_fin])
+
+
+@pytest.mark.parametrize("all_zero", [False, True])
+def test_bound_owed_repay_matches_scalar(tier, all_zero):
+    rng = np.random.default_rng(21)
+    n = 8
+    owed = np.where(rng.random(n) < 0.5, rng.uniform(-2e4, 2e4, n), 0.0)
+    if all_zero:
+        owed[:] = 0.0  # an empty ledger must be an exact no-op
+    rates = rng.uniform(1e6, 1e9, n)
+    until = 1e-3
+    next_emit = np.where(rng.random(n) < 0.7,
+                         until + rng.uniform(0.0, 1e-3, n),
+                         rng.uniform(0.0, until, n))
+    nxt = float(np.nextafter(until, np.inf))
+    ref_owed, ref_ne = owed.copy(), next_emit.copy()
+    _scalar.owed_repay(ref_owed, ref_ne, rates, until, nxt)
+    got_owed, got_ne = owed.copy(), next_emit.copy()
+    tier.bind_owed_repay(got_owed, got_ne, rates)(until, nxt)
+    np.testing.assert_array_equal(got_owed, ref_owed)
+    np.testing.assert_array_equal(got_ne, ref_ne)
 
 
 def test_bound_closures_mutate_like_direct_calls():
@@ -470,70 +624,3 @@ def test_fluid_numpy_fallback_casts_float32():
     out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
                                fluid_method="numpy", precision="float32")
     assert out.x.dtype == np.float32
-
-
-# -- calendar queue ---------------------------------------------------------
-
-
-def _drain_order(sim, times):
-    seen = []
-    for j, t in enumerate(times.tolist()):
-        sim.schedule_at(t, lambda j=j, sim=sim: seen.append((sim.now, j)))
-    sim.run(until=float(times.max()) + 1.0)
-    return seen
-
-
-@pytest.mark.parametrize("kernel", ["compiled", "compiled-calendar"])
-def test_compiled_calendar_matches_heap_order(kernel):
-    rng = np.random.default_rng(11)
-    times = rng.uniform(0.0, 5e-3, 400)
-    heap = _drain_order(make_simulator("heap"), times)
-    comp = _drain_order(make_simulator(kernel, quantum_hint=1e-4), times)
-    assert comp == heap
-
-
-def test_compiled_calendar_rolls_horizon_like_parent():
-    rng = np.random.default_rng(13)
-    # spread far beyond one horizon so the overflow heap drains
-    times = rng.uniform(0.0, 0.5, 300)
-    heap = _drain_order(make_simulator("heap"), times)
-    comp = _drain_order(make_simulator("compiled", slot_width=1e-4,
-                                       n_slots=64), times)
-    assert comp == heap
-
-
-def test_calendar_slot_width_auto_derived_from_quantum_hint():
-    assert CalendarSimulator(quantum_hint=6.4e-3)._slot_width == \
-        pytest.approx(6.4e-3 / 64)
-    # no hint: the legacy default
-    assert CalendarSimulator()._slot_width == 1e-6
-    # explicit width always wins
-    assert CalendarSimulator(slot_width=2e-6,
-                             quantum_hint=1.0)._slot_width == 2e-6
-    # degenerate hints fall back instead of exploding
-    assert CalendarSimulator(quantum_hint=0.0)._slot_width == 1e-6
-    assert CalendarSimulator(quantum_hint=math.inf)._slot_width == 1e-6
-    with pytest.raises(ValueError):
-        CalendarSimulator(slot_width=0.0)
-
-
-def test_calendar_degenerate_single_slot_schedule_stays_ordered():
-    """Regression: with the legacy fixed width, a sub-microsecond event
-    cluster lands entirely in bucket 0 and must still drain in exact
-    (time, seq) order; the quantum hint spreads the same cluster over
-    many buckets."""
-    rng = np.random.default_rng(17)
-    times = rng.uniform(0.0, 9e-7, 200)
-    heap = _drain_order(make_simulator("heap"), times)
-    legacy = _drain_order(CalendarSimulator(), times.copy())
-    assert legacy == heap
-
-    hinted = CalendarSimulator(quantum_hint=1e-6)
-    for j, t in enumerate(times.tolist()):
-        hinted.schedule_at(t, lambda: None)
-    occupied = sum(1 for bucket in hinted._slots if bucket)
-    assert occupied > 10  # the hint actually spreads the cluster
-    legacy_sim = CalendarSimulator()
-    for t in times.tolist():
-        legacy_sim.schedule_at(t, lambda: None)
-    assert sum(1 for b in legacy_sim._slots if b) == 1  # the degeneracy

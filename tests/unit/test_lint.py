@@ -214,7 +214,7 @@ def test_real_vocabulary_matches_runtime_registries():
     assert rt_vocab.registered_counter("runner.cache_hit")
     assert rt_vocab.registered_counter("events.drop")
     assert not rt_vocab.registered_counter("events.not_a_kind")
-    assert rt_vocab.registered_span("kernels.jit_warmup.numba")
+    assert rt_vocab.registered_span("kernels.jit_warmup.cffi")
     assert not rt_vocab.registered_span("kernels.jit_warmup.")
     assert rt_vocab.registered_histogram("queue_frac.packet.reference")
     assert not rt_vocab.registered_gauge("anything")
@@ -341,10 +341,6 @@ _KERNEL_TREE = {
         class KernelBackend:
             add_one = staticmethod(_scalar.add_one)
 
-        class _NumbaKernels(KernelBackend):
-            def __init__(self):
-                self.add_one = jit(_scalar.add_one)
-
         class _CffiKernels(KernelBackend):
             def add_one(self, x, out):
                 return self._lib.k_add_one(
@@ -376,10 +372,6 @@ def test_kernel_parity_flags_signature_drift(tmp_path):
         class KernelBackend:
             add_one = staticmethod(_scalar.add_one)
 
-        class _NumbaKernels(KernelBackend):
-            def __init__(self):
-                self.add_one = jit(_scalar.add_one)
-
         class _CffiKernels(KernelBackend):
             def add_one(self, x, result):
                 return self._lib.k_add_one(
@@ -390,23 +382,30 @@ def test_kernel_parity_flags_signature_drift(tmp_path):
     assert "names the parameter 'out'" in messages
 
 
-def test_kernel_parity_flags_missing_jit_and_arity(tmp_path):
-    findings = _parity(tmp_path, **{"kernels/_backend.py": """\
-        from . import _scalar
+def test_kernel_parity_flags_missing_wrapper_and_arity(tmp_path):
+    findings = _parity(tmp_path, **{
+        "kernels/_scalar.py": """\
+            def add_one(x, out):
+                for i in range(out.shape[0]):
+                    out[i] = x[i] + 1.0
+                return out.shape[0]
 
-        class KernelBackend:
-            add_one = staticmethod(_scalar.add_one)
+            def add_two(x, out):
+                return add_one(x, out)
+            """,
+        "kernels/_backend.py": """\
+            from . import _scalar
 
-        class _NumbaKernels(KernelBackend):
-            def __init__(self):
-                pass
+            class KernelBackend:
+                add_one = staticmethod(_scalar.add_one)
+                add_two = staticmethod(_scalar.add_two)
 
-        class _CffiKernels(KernelBackend):
-            def add_one(self, x, out):
-                return self._lib.k_add_one(self._d(x), self._d(out))
-        """})
+            class _CffiKernels(KernelBackend):
+                def add_one(self, x, out):
+                    return self._lib.k_add_one(self._d(x), self._d(out))
+            """})
     messages = " | ".join(f.message for f in findings)
-    assert "never jits kernel 'add_one'" in messages
+    assert "no wrapper for kernel 'add_two'" in messages
     assert "declares 3" in messages              # called with 2 args
 
 
@@ -421,18 +420,6 @@ def test_kernel_parity_flags_dtype_drift_and_dead_prototypes(tmp_path):
     assert "marshalled as double* but the C prototype declares float*" \
         in messages
     assert "k_orphan" in messages and "never referenced" in messages
-
-
-def test_kernel_parity_flags_object_mode_scalar_bodies(tmp_path):
-    findings = _parity(tmp_path, **{"kernels/_scalar.py": """\
-        def add_one(x, out):
-            cache = {}
-            for i in range(out.shape[0]):
-                out[i] = x[i] + 1.0
-            return len(cache)
-        """})
-    assert any("dict literal" in f.message
-               and "not" in f.message for f in findings)
 
 
 def test_kernel_parity_skips_non_repro_trees(tmp_path):

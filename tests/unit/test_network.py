@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.parameters import BCNParams
 from repro.simulation.multihop import MultiHopNetwork, PortConfig
-from repro.simulation.network import BCNNetworkSimulator
+from repro.simulation.network import PACKET_ENGINES, BCNNetworkSimulator
 from repro.topology.graphs import dumbbell, fat_tree
 from repro.workloads.flows import FlowSpec
 from repro.workloads.generators import homogeneous, incast
@@ -54,6 +54,22 @@ class TestDumbbell:
         net = BCNNetworkSimulator(small_params())
         with pytest.raises(ValueError):
             net.run(0.0)
+
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
+    @pytest.mark.parametrize("quantum", [0.0, -1e-4, np.nan, np.inf])
+    def test_rejects_bad_control_quantum(self, engine, quantum):
+        # A window that never advances (<= 0) would hang the window
+        # loop; NaN would return an empty run with 0 delivered bits.
+        with pytest.raises(ValueError, match="control_quantum"):
+            BCNNetworkSimulator(small_params(), engine=engine,
+                                control_quantum=quantum)
+
+    @pytest.mark.parametrize("engine", PACKET_ENGINES)
+    @pytest.mark.parametrize("duration", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_bad_duration(self, engine, duration):
+        net = BCNNetworkSimulator(small_params(), engine=engine)
+        with pytest.raises(ValueError, match="duration"):
+            net.run(duration)
 
     def test_queue_mean_and_std_settle_window(self):
         net = BCNNetworkSimulator(small_params(), frame_bits=8000)

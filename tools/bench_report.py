@@ -28,9 +28,8 @@ keeps what the perf trajectory needs:
   ``engine="compiled"`` for the compiled kernel backend,
   ``engine="warm"`` for the job server's cached path)
   against ``engine="reference"`` rows that share
-  ``extra_info["workload"]``.  Rows with other engine tags (e.g. the
-  ``heap``/``calendar`` event-kernel microbenches) are reported but
-  never gated;
+  ``extra_info["workload"]``.  Rows with any other engine tag are
+  reported but never gated;
 * per-workload **event counts** for benchmarks that tag
   ``extra_info["event_counts"]`` (the observability layer's per-kind
   totals), so BENCH JSONs record what the run *did*, not just how fast;
