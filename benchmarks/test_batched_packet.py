@@ -69,7 +69,7 @@ def test_bench_dumbbell_fluid_vs_packet_batched(benchmark):
 
 def test_bench_dumbbell_fluid_vs_packet_reference(benchmark):
     res = benchmark.pedantic(lambda: _run_v2("reference"),
-                             rounds=1, iterations=1)
+                             rounds=3, iterations=1)
     benchmark.extra_info.update(
         workload="dumbbell_fluid_vs_packet", engine="reference",
         simulated_seconds=V2_DURATION)
@@ -88,7 +88,7 @@ def test_bench_dumbbell_message_mode_batched(benchmark):
 
 def test_bench_dumbbell_message_mode_reference(benchmark):
     res = benchmark.pedantic(lambda: _run_message("reference"),
-                             rounds=1, iterations=1)
+                             rounds=3, iterations=1)
     benchmark.extra_info.update(
         workload="dumbbell_message_mode", engine="reference",
         simulated_seconds=MSG_DURATION)

@@ -66,14 +66,14 @@ class QueuedPort:
             self._busy = False
             return
         self._busy = True
+        self.sim.schedule(frame.size_bits / self.capacity,
+                          self._service_done, frame)
 
-        def done() -> None:
-            if self.on_departure is not None:
-                self.on_departure(frame)
-            self.forward(frame)
-            self._serve()
-
-        self.sim.schedule(frame.size_bits / self.capacity, done)
+    def _service_done(self, frame: EthernetFrame) -> None:
+        if self.on_departure is not None:
+            self.on_departure(frame)
+        self.forward(frame)
+        self._serve()
 
 
 class PacedSource:

@@ -7,7 +7,7 @@ orchestrator (:mod:`.network`).  Frame formats, including the Fig. 2 BCN
 message, live in :mod:`.frames`.
 """
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .frames import BCN_ETHERTYPE, BCNMessage, EthernetFrame, PauseFrame
 from .link import Link
 from .network import PACKET_ENGINES, BCNNetworkSimulator, SimulationResult
@@ -17,7 +17,6 @@ from .switch import BatchedSwitchKernel, BatchedWindow, CoreSwitch, SwitchStats
 
 __all__ = [
     "Simulator",
-    "Event",
     "EthernetFrame",
     "BCNMessage",
     "PauseFrame",

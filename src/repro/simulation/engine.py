@@ -1,15 +1,17 @@
 """Discrete-event simulation engine.
 
-:class:`Simulator` is the one deterministic event kernel: events are
-``(time, seq, callback)`` triples in a binary heap; ties in time break
-by insertion order (``seq``), which keeps runs reproducible.
+:class:`Simulator` is the one deterministic event kernel.  Each pending
+event is a plain ``(time, seq, callback, arg)`` tuple in a binary heap,
+so ordering runs in C: ties in time break by insertion order (``seq``),
+and because ``seq`` is unique a callback or its argument is never
+compared.  Runs are therefore reproducible by construction.
 
 Components schedule callbacks with :meth:`Simulator.schedule` (relative
-delay) or :meth:`Simulator.schedule_at` (absolute time) and may cancel
-them via the returned handle.  Cancelled events are skipped lazily when
-popped; when more than half of the pending events are cancelled the
-queue compacts itself so long runs with heavy cancellation (rate
-re-pacing, pause retries) do not leak memory.
+delay) or :meth:`Simulator.schedule_at` (absolute time).  Either takes
+an optional single argument that is passed to the callback when it
+fires, so a per-frame hop can schedule a bound method plus its frame
+instead of building a closure.  Events cannot be cancelled; every
+scheduled event runs once the clock reaches it.
 
 The kernel knows nothing about networking; switches, sources and links
 (:mod:`repro.simulation`) are plain objects holding a reference to the
@@ -21,36 +23,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["Simulator"]
 
-#: Compact the pending-event store once this fraction of it is cancelled.
-_COMPACT_FRACTION = 0.5
-#: ... but never bother below this many pending events.
-_COMPACT_MIN_PENDING = 64
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback; orderable by ``(time, seq)``."""
-
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: The simulator that owns this event (None for detached events);
-    #: lets ``cancel`` feed the owner's lazy-compaction accounting.
-    owner: "Simulator | None" = field(default=None, compare=False, repr=False)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.owner is not None:
-            self.owner._note_cancel()
+#: Marks an event whose callback takes no argument.
+_NO_ARG = object()
 
 
 class Simulator:
@@ -60,18 +38,17 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(1.5, lambda: fired.append(sim.now))
+    >>> sim.schedule(1.5, lambda: fired.append(sim.now))
     >>> sim.run()
     >>> fired
     [1.5]
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Callable[..., None], Any]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._cancelled_pending = 0
         self._freeze_horizon = math.inf
 
     @property
@@ -86,8 +63,7 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (cancelled ones may linger
-        until the next pop or compaction)."""
+        """Number of events still queued."""
         return len(self._heap)
 
     # -- window barrier ----------------------------------------------------
@@ -138,42 +114,33 @@ class Simulator:
             self._freeze_horizon = previous
         return self._processed - before
 
-    # -- cancellation accounting ------------------------------------------
-
-    def _note_cancel(self) -> None:
-        self._cancelled_pending += 1
-        pending = len(self._heap)
-        if (pending > _COMPACT_MIN_PENDING
-                and self._cancelled_pending > _COMPACT_FRACTION * pending):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify.
-
-        In place: :meth:`run` holds the heap list across callbacks, and
-        a callback's cancellation may trigger compaction.
-        """
-        self._heap[:] = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0 or not math.isfinite(delay):
-            raise ValueError(f"delay must be finite and non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback)
+    def schedule(
+        self, delay: float, callback: Callable[..., None], arg: Any = _NO_ARG
+    ) -> None:
+        """Schedule ``callback`` to run ``delay`` seconds from now.
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
+        If ``arg`` is given the callback is called as ``callback(arg)``,
+        otherwise as ``callback()``.
+        """
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
+        heapq.heappush(self._heap,
+                       (self._now + delay, next(self._seq), callback, arg))
+
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], arg: Any = _NO_ARG
+    ) -> None:
+        """Schedule ``callback`` at absolute simulation time ``time``.
+
+        ``arg`` is passed as in :meth:`schedule`.
+        """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
-        event = Event(time, next(self._seq), callback, owner=self)
-        heapq.heappush(self._heap, event)
-        return event
+        heapq.heappush(self._heap, (time, next(self._seq), callback, arg))
 
     def schedule_every(
         self,
@@ -207,19 +174,21 @@ class Simulator:
         """
         until = min(until, self._freeze_horizon)
         heap = self._heap
+        pop = heapq.heappop
+        no_arg = _NO_ARG
         executed = 0
         while heap:
             if max_events is not None and executed >= max_events:
                 break
-            if heap[0].time > until:
+            if heap[0][0] > until:
                 self._now = until
                 return
-            event = heapq.heappop(heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            event.callback()
+            time, _, callback, arg = pop(heap)
+            self._now = time
+            if arg is no_arg:
+                callback()
+            else:
+                callback(arg)
             self._processed += 1
             executed += 1
         if math.isfinite(until):
@@ -228,11 +197,7 @@ class Simulator:
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
         self._heap.clear()
-        self._cancelled_pending = 0
         self._now = 0.0
         self._processed = 0
         self._freeze_horizon = math.inf
 
-
-def noop() -> None:  # pragma: no cover - convenience for tests
-    """A callback that does nothing."""

@@ -43,12 +43,8 @@ class Link:
 
     def transmit(self, payload: Any) -> None:
         """Send ``payload``; it arrives ``delay`` seconds from now."""
+        self.sim.schedule(self.delay, self._arrive, payload)
 
-        def arrive() -> None:
-            self.delivered += 1
-            self.deliver(payload)
-
-        if self.delay == 0.0:
-            self.sim.schedule(0.0, arrive)
-        else:
-            self.sim.schedule(self.delay, arrive)
+    def _arrive(self, payload: Any) -> None:
+        self.delivered += 1
+        self.deliver(payload)

@@ -42,7 +42,7 @@ from ..workloads.flows import FlowSpec
 from .engine import Simulator
 from .frames import EthernetFrame
 from .link import Link
-from .network import PACKET_ENGINES
+from .network import PACKET_ENGINES, _require_positive_finite
 from .source import RateRegulator, TrafficSource
 from .switch import CoreSwitch
 
@@ -491,8 +491,7 @@ class MultiHopNetwork:
 
     def run(self, duration: float) -> MultiHopResult:
         """Run the fabric for ``duration`` seconds."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        _require_positive_finite("duration", duration)
         if self._plan is not None:
             from ..shard import run_sharded
 

@@ -115,14 +115,14 @@ class SimulationResult:
     duration: float
     capacity: float
 
-    def utilization(self, *, settle: float = 0.0) -> float:
-        """Bottleneck utilisation over ``[settle, duration]``."""
-        horizon = self.duration - settle
-        if horizon <= 0:
-            raise ValueError("settle must be below the run duration")
-        return self.delivered_bits / (self.capacity * self.duration) if settle == 0 else (
-            self.delivered_bits / (self.capacity * self.duration)
-        )
+    def utilization(self) -> float:
+        """Bottleneck utilisation over the whole run.
+
+        ``delivered_bits / (capacity * duration)``.  The result keeps
+        only the run's total delivered bits, so a utilisation over a
+        sub-window cannot be computed from it.
+        """
+        return self.delivered_bits / (self.capacity * self.duration)
 
     def jain_fairness(self) -> float:
         """Jain's fairness index of the final per-source rates."""

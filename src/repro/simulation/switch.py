@@ -321,15 +321,14 @@ class CoreSwitch:
             self._busy = False
             return
         self._busy = True
-        service_time = frame.size_bits / self.capacity
+        self.sim.schedule(frame.size_bits / self.capacity,
+                          self._service_done, frame)
 
-        def done() -> None:
-            self.stats.forwarded_frames += 1
-            self.stats.forwarded_bits += frame.size_bits
-            self.forward(frame)
-            self._start_service()
-
-        self.sim.schedule(service_time, done)
+    def _service_done(self, frame: EthernetFrame) -> None:
+        self.stats.forwarded_frames += 1
+        self.stats.forwarded_bits += frame.size_bits
+        self.forward(frame)
+        self._start_service()
 
 
 @dataclass

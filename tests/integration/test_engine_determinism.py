@@ -16,7 +16,7 @@ Two guarantees, per ISSUE PR 4:
 import numpy as np
 import pytest
 
-from repro.core.parameters import BCNParams
+from repro.core.parameters import BCNParams, paper_example_params
 from repro.simulation.network import PACKET_ENGINES, BCNNetworkSimulator
 
 
@@ -43,6 +43,15 @@ def _run(engine, *, duration=0.02, random_sampling=False, **kw):
         **kw,
     )
     return net.run(duration)
+
+
+def test_reference_event_count_is_pinned():
+    # The reference engine's exact event count on the paper's example.
+    # A change that folds, splits or drops per-frame hops changes this
+    # number, even when every golden series still matches.
+    net = BCNNetworkSimulator(paper_example_params())
+    net.run(0.005)
+    assert net.sim.events_processed == 15_556
 
 
 @pytest.mark.parametrize("engine", PACKET_ENGINES)

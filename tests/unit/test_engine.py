@@ -1,14 +1,15 @@
 """Unit tests for the discrete-event engine (repro.simulation.engine).
 
-Behavioural tests run through the ``sim`` fixture; kernel internals
-(lazy compaction, the window barrier) get their own classes.
+Behavioural tests run through the ``sim`` fixture; the event contract
+(one-argument callbacks, insertion-order ties, no comparison beyond
+``(time, seq)``) and the window barrier get their own classes.
 """
 
 import math
 
 import pytest
 
-from repro.simulation.engine import _COMPACT_MIN_PENDING, Simulator
+from repro.simulation.engine import Simulator
 
 #: The event kernels under test (the binary heap is the only one); the
 #: fixture id keeps each test's name, ``test_x[heap]``, stable.
@@ -73,94 +74,82 @@ class TestScheduling:
             sim.schedule_at(0.5, lambda: None)
 
 
-class TestCancellation:
-    def test_cancelled_event_skipped(self, sim):
+class _Incomparable:
+    """A callback or payload that fails loudly if the heap compares it."""
+
+    def __init__(self, log=None, name=None):
+        self.log, self.name = log, name
+
+    def __call__(self, *args):
+        self.log.append((self.name, *args))
+
+    def _refuse(self, other):
+        raise AssertionError("event callbacks and payloads must never be compared")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+    __hash__ = object.__hash__
+
+
+class TestEventContract:
+    def test_one_argument_callback_receives_its_payload(self, sim):
+        got = []
+        payload = object()
+        sim.schedule(1.0, got.append, payload)
+        sim.schedule_at(2.0, got.append, None)
+        sim.run()
+        assert got[0] is payload
+        assert got[1] is None  # None is a payload, not "no argument"
+        assert sim.events_processed == 2
+
+    def test_mixed_arity_ties_fire_in_insertion_order(self, sim):
         fired = []
-        handle = sim.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
+        sim.schedule(1.0, lambda: fired.append("a"))
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.schedule_at(1.0, lambda: fired.append("c"))
+        sim.schedule(1.0, fired.append, "d")
+        sim.schedule(0.5, lambda: sim.schedule(0.5, fired.append, "e"))
         sim.run()
-        assert fired == []
-        assert sim.events_processed == 0
+        assert fired == list("abcde")
 
-    def test_double_cancel_is_idempotent(self, sim):
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+    def test_callbacks_and_payloads_are_never_compared(self, sim):
+        log = []
+        for i in range(50):
+            # Many exact ties: only ``seq`` may break them.
+            t = float(i % 3)
+            sim.schedule(t, _Incomparable(log, i), _Incomparable())
+            sim.schedule_at(t, _Incomparable(log, -i))
         sim.run()
-        assert sim.events_processed == 0
-
-
-class TestCompaction:
-    """Cancelling most of the queue must shrink it, not leak (satellite:
-    heap-leak fix)."""
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_mass_cancellation_compacts_queue(self, kernel):
-        sim = Simulator()
-        n = 4 * _COMPACT_MIN_PENDING
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(n)]
-        assert sim.pending == n
-        # Cancel ~75% of the events: compaction should trigger once the
-        # cancelled fraction crosses one half, so the store must not
-        # retain all the dead entries.
-        survivors = []
-        for i, h in enumerate(handles):
-            if i % 4 == 0:
-                survivors.append(h)
-            else:
-                h.cancel()
-        assert sim.pending < n // 2
-        assert sim.pending >= len(survivors)
-        sim.run()
-        assert sim.events_processed == len(survivors)
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_small_queues_skip_compaction(self, kernel):
-        sim = Simulator()
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
-        for h in handles:
-            h.cancel()
-        # Below _COMPACT_MIN_PENDING nothing compacts eagerly; the pops
-        # still skip every cancelled event.
-        sim.run()
-        assert sim.events_processed == 0
-        assert sim.pending == 0
-
-    def test_compaction_preserves_order_and_results(self):
-        sim = Simulator()
-        fired = []
-        n = 4 * _COMPACT_MIN_PENDING
-        handles = [
-            sim.schedule(float(i + 1) * 0.125, lambda i=i: fired.append(i))
-            for i in range(n)
-        ]
-        for i, h in enumerate(handles):
-            if i % 3:
-                h.cancel()
-        sim.run()
-        assert fired == [i for i in range(n) if i % 3 == 0]
-
-    def test_compaction_inside_a_running_callback(self):
-        # run() keeps the heap across callbacks, so a compaction that a
-        # callback's cancellations trigger must happen in place.
-        sim = Simulator()
-        fired = []
-        n = 4 * _COMPACT_MIN_PENDING
-        handles = [
-            sim.schedule(float(i + 2), lambda i=i: fired.append(i))
-            for i in range(n)
+        assert sim.events_processed == 100
+        assert [entry[0] for entry in log] == [
+            n for t in range(3) for i in range(50) if i % 3 == t
+            for n in (i, -i)
         ]
 
-        def cancel_most():
-            for i, h in enumerate(handles):
-                if i % 4:
-                    h.cancel()
-            sim.schedule(0.5, lambda: fired.append("added"))
+    def test_schedule_returns_no_handle(self, sim):
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_at(2.0, lambda: None) is None
 
-        sim.schedule(1.0, cancel_most)
+    def test_events_processed_exact_after_capped_reentrant_run(self, sim):
+        counts = []
+        for t in (0.005, 0.008):
+            sim.schedule(t, lambda: None)
+
+        def greedy():
+            sim.schedule(0.001, lambda: None)   # inside the window
+            sim.schedule(0.05, lambda: None)    # beyond the horizon
+            sim.run(until=1.0)                  # capped at 0.02
+            counts.append(sim.events_processed)
+
+        sim.schedule(0.01, greedy)
+        sim.schedule(0.03, lambda: None)
+        assert sim.run_window(0.02) == 4
+        # The nested run returned with the two earlier events and the
+        # one it ran counted; the outer event is counted once it ends.
+        assert counts == [3]
+        assert sim.events_processed == 4
+        assert sim.now == 0.02
         sim.run()
-        assert fired == ["added"] + [i for i in range(n) if i % 4 == 0]
-        assert sim.pending == 0
+        assert sim.events_processed == 6
 
 
 class TestRunControl:

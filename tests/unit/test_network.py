@@ -71,6 +71,15 @@ class TestDumbbell:
         with pytest.raises(ValueError, match="duration"):
             net.run(duration)
 
+    def test_utilization_is_over_the_whole_run(self):
+        res = BCNNetworkSimulator(small_params(), frame_bits=8000).run(0.05)
+        assert res.utilization() == (
+            res.delivered_bits / (res.capacity * res.duration))
+        # A windowed utilisation cannot be computed from the totals the
+        # result keeps, so the method takes no window.
+        with pytest.raises(TypeError):
+            res.utilization(settle=0.01)
+
     def test_queue_mean_and_std_settle_window(self):
         net = BCNNetworkSimulator(small_params(), frame_bits=8000)
         res = net.run(0.1)
@@ -145,6 +154,18 @@ class TestMultiHop:
     def test_requires_flows(self):
         with pytest.raises(ValueError):
             MultiHopNetwork(dumbbell(2), [], self.config())
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_duration(self, shards, duration):
+        # Checked before the sharded branch, so both paths fail early
+        # rather than in recorder sizing.
+        g = dumbbell(2, capacity=1e8)
+        flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+        net = MultiHopNetwork(g, flows, self.config(), shards=shards,
+                              workers=1)
+        with pytest.raises(ValueError, match="duration"):
+            net.run(duration)
 
     def test_jain_fairness_range(self):
         g = dumbbell(3, capacity=1e8)
