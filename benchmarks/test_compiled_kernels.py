@@ -18,6 +18,11 @@ not compiled-vs-interpreted:
   integrator.  An ungated ``compiled-f32`` row records the float32
   variant for the trajectory-bundle use case where ~1e-7 relative
   error is acceptable.
+* **compiled_ensemble** — a 1024-orbit seeded ensemble (CASE3,
+  nonlinear, 40 s horizon: 16,001 grid steps), the shape of the
+  benchmark's fluid bundles.  At this width one grid step of samples
+  spans 8 KB, so the row says whether the kernel's stores stay
+  contiguous (step-major) rather than striding a step per store.
 
 Both compiled rows tag ``extra_info["event_counts"]`` (packet) or the
 bundle's switch totals (fluid) so the committed ``BENCH_compiled.json``
@@ -37,7 +42,7 @@ Regenerate the committed report with::
 import numpy as np
 import pytest
 
-from repro.experiments.presets import CASE1
+from repro.experiments.presets import CASE1, CASE3
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.batch import simulate_fluid_batch
 from repro.kernels import get_backend, simulate_fluid_batch_compiled
@@ -63,6 +68,11 @@ V2_KWARGS = dict(
 
 FLUID_X0 = np.linspace(-0.9, 0.9, 64) * CASE1.q0
 FLUID_KWARGS = dict(t_max=40.0, mode="nonlinear", max_switches=200)
+
+_ENSEMBLE_RNG = np.random.default_rng(2010)
+ENSEMBLE_X0 = _ENSEMBLE_RNG.uniform(-0.5, 0.4, 1024) * CASE3.q0
+ENSEMBLE_Y0 = _ENSEMBLE_RNG.uniform(-0.1, 0.1, 1024) * CASE3.capacity
+ENSEMBLE_KWARGS = dict(t_max=40.0, mode="nonlinear")
 
 
 def _run_v2(engine, obs=None):
@@ -148,3 +158,35 @@ def test_bench_portrait_bundle_float32(benchmark):
         trajectory_seconds=40.0 * FLUID_X0.size,
         kernel_backend=get_backend().name)
     assert res.x.dtype == np.float32
+
+
+# -- 1024-orbit ensemble: the width where store stride shows --------------
+
+
+def _ensemble(**kw):
+    return simulate_fluid_batch_compiled(CASE3, ENSEMBLE_X0, ENSEMBLE_Y0,
+                                         **ENSEMBLE_KWARGS, **kw)
+
+
+def test_bench_ensemble_compiled(benchmark):
+    _ensemble()
+    res = benchmark.pedantic(_ensemble, rounds=5, iterations=1)
+    benchmark.extra_info.update(
+        workload="compiled_ensemble", engine="compiled",
+        trajectory_seconds=40.0 * ENSEMBLE_X0.size,
+        kernel_backend=get_backend().name,
+        grid_steps=int(res.t.size - 1),
+        switch_total=int(res.switch_counts.sum()),
+        converged=int(res.converged.sum()))
+    assert res.x.shape == (res.t.size, ENSEMBLE_X0.size)
+
+
+def test_bench_ensemble_numpy_baseline(benchmark):
+    res = benchmark.pedantic(
+        lambda: simulate_fluid_batch(CASE3, ENSEMBLE_X0, ENSEMBLE_Y0,
+                                     fluid_method="numpy", **ENSEMBLE_KWARGS),
+        rounds=3, iterations=1)
+    benchmark.extra_info.update(
+        workload="compiled_ensemble", engine="reference",
+        trajectory_seconds=40.0 * ENSEMBLE_X0.size)
+    assert res.x.shape[1] == ENSEMBLE_X0.size

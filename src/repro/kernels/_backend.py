@@ -5,8 +5,10 @@ Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
 
 ``cffi``
     The out-of-line C extension from :mod:`repro.kernels._cbuild` — a
-    line-for-line C translation of the pure-python bodies in
-    :mod:`repro.kernels._scalar`, compiled once into a
+    C translation of the pure-python bodies in
+    :mod:`repro.kernels._scalar` with the same float64 operation order
+    (the fluid kernel interleaves its independent rows step by step),
+    compiled once into a
     content-addressed cache directory.  ``auto`` picks it whenever cffi
     and a C compiler are available.
 ``numpy``

@@ -1,11 +1,20 @@
 """cffi build recipe for the C translation of :mod:`repro.kernels._scalar`.
 
-The C source below is a line-for-line translation of the scalar kernel
-bodies (same float64 operation order, same libm transcendentals), so
-the float64 entry points are bit-identical to the python bodies —
-``tests/unit/test_kernels.py`` asserts exact equality.  The fluid
-kernel is instantiated twice from one template (``double`` and
-``float``) to provide the float32 ensemble mode.
+The C source below translates the scalar kernel bodies with the same
+float64 operation order and the same libm transcendentals, so the
+float64 entry points are bit-identical to the python bodies —
+``tests/unit/test_kernels.py`` asserts exact equality.  The packet
+kernels follow their bodies statement by statement.  The fluid kernel
+changes only the loop order: ``_scalar.fluid_rows`` integrates one row
+to the end before starting the next, while ``k_fluid_*`` keeps an array
+of per-row states and advances every row by one grid step before taking
+the next, so each step's samples are stored side by side instead of
+``m`` elements apart.  That reordering is exact because the rows
+are independent: each row reads only its own state and the shared
+read-only parameters, and writes only its own samples and event slots,
+so it commits the same float operations in the same order either way.
+The fluid kernel is instantiated twice from one template (``double``
+and ``float``) to provide the float32 ensemble mode.
 
 Builds are out-of-line cffi API-mode extensions, keyed by a content
 hash of the declarations + source, cached under
@@ -815,8 +824,22 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i)
 {
+    /* Step-major: every row advances one grid step before any row takes
+       the next, so each step's samples land in one contiguous run of
+       xs/ys.  Rows share nothing but the read-only parameters (each has
+       its own event slots), so every row still commits the same float
+       operations in the same order as a row-at-a-time sweep. */
     fparams_$SFX$ p;
-    int64_t r, last = 0;
+    frow_$SFX$ *rows;
+    $REAL$ K = ($REAL$)kk, XF = ($REAL$)x_full, XE = ($REAL$)x_empty;
+    int64_t r, i, last = 0;
+
+    out_i[1] = 0;
+    if (m <= 0) { out_i[0] = 1; return; }
+    rows = (uint64_t)m > SIZE_MAX / sizeof(frow_$SFX$) ? NULL
+           : (frow_$SFX$ *)malloc((size_t)m * sizeof(frow_$SFX$));
+    if (rows == NULL) { out_i[0] = -1; return; }  /* caller raises */
+
     p.a = a; p.b = b; p.cap = cap; p.k = kk; p.q0 = q0;
     p.x_full = x_full; p.x_empty = x_empty;
     p.conv_rtol = conv_rtol; p.t_max = t_max;
@@ -826,88 +849,92 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
     p.overflow = 0;
 
     for (r = 0; r < m; r++) {
-        frow_$SFX$ rs;
-        $REAL$ K = ($REAL$)kk, XF = ($REAL$)x_full, XE = ($REAL$)x_empty;
+        frow_$SFX$ *rs = &rows[r];
         $REAL$ s;
-        int64_t i, i2;
-        rs.x = x0[r]; rs.y = y0[r];
-        s = rs.x + K * rs.y;
-        rs.dec = (s > ($REAL$)0.0)
-                 || (s == ($REAL$)0.0 && rs.y > ($REAL$)0.0);
-        rs.alive = 1; rs.pinned = 0; rs.rsn = 0;
-        rs.pin_t = 0.0; rs.pin_y = 0.0; rs.unpin_t = INFINITY;
-        rs.sw_count = 0; rs.n_ev = 0;
-        rs.te = 0.0; rs.xe_final = rs.x; rs.ye_final = rs.y;
-        rs.dead_step = n_steps;
+        rs->x = x0[r]; rs->y = y0[r];
+        s = rs->x + K * rs->y;
+        rs->dec = (s > ($REAL$)0.0)
+                  || (s == ($REAL$)0.0 && rs->y > ($REAL$)0.0);
+        rs->alive = 1; rs->pinned = 0; rs->rsn = 0;
+        rs->pin_t = 0.0; rs->pin_y = 0.0; rs->unpin_t = INFINITY;
+        rs->sw_count = 0; rs->n_ev = 0;
+        rs->te = 0.0; rs->xe_final = rs->x; rs->ye_final = rs->y;
+        rs->dead_step = n_steps;
 
-        if (fabs((double)rs.x) / q0 <= conv_rtol
-            && fabs((double)rs.y) / cap <= conv_rtol) {
-            rs.alive = 0;
-            rs.rsn = 1;
-            rs.dead_step = 0;
-        } else if (physical && rs.x <= XE && rs.y < ($REAL$)0.0) {
+        if (fabs((double)rs->x) / q0 <= conv_rtol
+            && fabs((double)rs->y) / cap <= conv_rtol) {
+            rs->alive = 0;
+            rs->rsn = 1;
+            rs->dead_step = 0;
+        } else if (physical && rs->x <= XE && rs->y < ($REAL$)0.0) {
             double duration;
-            record_$SFX$(&p, &rs, r, 0.0, 3, (double)XE, (double)rs.y);
-            rs.pinned = 2;
-            rs.pin_t = 0.0;
-            rs.pin_y = rs.y;
-            duration = -(double)rs.y / (a * q0);
-            rs.unpin_t = duration < t_max ? duration : t_max;
-            rs.x = XE;
+            record_$SFX$(&p, rs, r, 0.0, 3, (double)XE, (double)rs->y);
+            rs->pinned = 2;
+            rs->pin_t = 0.0;
+            rs->pin_y = rs->y;
+            duration = -(double)rs->y / (a * q0);
+            rs->unpin_t = duration < t_max ? duration : t_max;
+            rs->x = XE;
         }
-        xs[r] = rs.x;
-        ys[r] = rs.y;
+        xs[r] = rs->x;
+        ys[r] = rs->y;
+    }
 
-        for (i = 0; i < n_steps; i++) {
-            double t0 = t_grid[i], t1 = t_grid[i + 1];
-            if (rs.alive && rs.pinned == 0)
-                advance_$SFX$(&p, &rs, r, t0, t1 - t0, i);
-            if (physical && rs.alive && rs.pinned != 0
-                && rs.unpin_t <= t1 && rs.unpin_t < t_max) {
-                $REAL$ x_pin = rs.pinned == 1 ? XF : XE;
-                double t_up = rs.unpin_t;
-                rs.x = x_pin; rs.y = 0.0;
-                rs.pinned = 0;
-                rs.unpin_t = INFINITY;
-                rs.dec = x_pin > ($REAL$)0.0;
-                advance_$SFX$(&p, &rs, r, t_up, t1 - t_up, i);
+    for (i = 0; i < n_steps; i++) {
+        double t0 = t_grid[i], t1 = t_grid[i + 1];
+        $REAL$ *xs_i = xs + (i + 1) * m, *ys_i = ys + (i + 1) * m;
+        for (r = 0; r < m; r++) {
+            frow_$SFX$ *rs = &rows[r];
+            if (rs->alive && rs->pinned == 0)
+                advance_$SFX$(&p, rs, r, t0, t1 - t0, i);
+            if (physical && rs->alive && rs->pinned != 0
+                && rs->unpin_t <= t1 && rs->unpin_t < t_max) {
+                $REAL$ x_pin = rs->pinned == 1 ? XF : XE;
+                double t_up = rs->unpin_t;
+                rs->x = x_pin; rs->y = 0.0;
+                rs->pinned = 0;
+                rs->unpin_t = INFINITY;
+                rs->dec = x_pin > ($REAL$)0.0;
+                advance_$SFX$(&p, rs, r, t_up, t1 - t_up, i);
             }
-            if (physical && rs.alive && rs.pinned != 0) {
-                double dt = t1 - rs.pin_t;
-                if (rs.pinned == 1) {
-                    rs.x = XF;
-                    rs.y = ($REAL$)(((double)rs.pin_y + cap)
-                           * exp(-b * x_full * dt) - cap);
+            if (physical && rs->alive && rs->pinned != 0) {
+                double dt = t1 - rs->pin_t;
+                if (rs->pinned == 1) {
+                    rs->x = XF;
+                    rs->y = ($REAL$)(((double)rs->pin_y + cap)
+                            * exp(-b * x_full * dt) - cap);
                 } else {
-                    rs.x = XE;
-                    rs.y = ($REAL$)((double)rs.pin_y + a * q0 * dt);
+                    rs->x = XE;
+                    rs->y = ($REAL$)((double)rs->pin_y + a * q0 * dt);
                 }
             }
-            xs[(i + 1) * m + r] = rs.x;
-            ys[(i + 1) * m + r] = rs.y;
+            /* a dead row repeats its frozen end state */
+            xs_i[r] = rs->x;
+            ys_i[r] = rs->y;
         }
-        if (rs.alive) {
-            int conv = rs.pinned == 0
-                && fabs((double)rs.x) / q0 <= conv_rtol
-                && fabs((double)rs.y) / cap <= conv_rtol;
-            rs.rsn = conv ? 1 : 2;
-            rs.te = t_max;
-            rs.xe_final = rs.x;
-            rs.ye_final = rs.y;
-            rs.dead_step = n_steps;
-        }
-        reason[r] = (int8_t)rs.rsn;
-        switches[r] = rs.sw_count;
-        t_endv[r] = rs.te;
-        x_endv[r] = (double)rs.xe_final;
-        y_endv[r] = (double)rs.ye_final;
-        n_events[r] = rs.n_ev;
-        for (i2 = rs.dead_step; i2 < n_steps; i2++) {
-            xs[(i2 + 1) * m + r] = rs.x;
-            ys[(i2 + 1) * m + r] = rs.y;
-        }
-        if (rs.dead_step > last) last = rs.dead_step;
     }
+
+    for (r = 0; r < m; r++) {
+        frow_$SFX$ *rs = &rows[r];
+        if (rs->alive) {
+            int conv = rs->pinned == 0
+                && fabs((double)rs->x) / q0 <= conv_rtol
+                && fabs((double)rs->y) / cap <= conv_rtol;
+            rs->rsn = conv ? 1 : 2;
+            rs->te = t_max;
+            rs->xe_final = rs->x;
+            rs->ye_final = rs->y;
+            rs->dead_step = n_steps;
+        }
+        reason[r] = (int8_t)rs->rsn;
+        switches[r] = rs->sw_count;
+        t_endv[r] = rs->te;
+        x_endv[r] = (double)rs->xe_final;
+        y_endv[r] = (double)rs->ye_final;
+        n_events[r] = rs->n_ev;
+        if (rs->dead_step > last) last = rs->dead_step;
+    }
+    free(rows);
     if (last < 1) last = 1;
     out_i[0] = last;
     out_i[1] = p.overflow;

@@ -5,9 +5,13 @@ hot paths: each one is written in plain scalar style (numpy arrays,
 scalar arithmetic, no python objects) so the same body serves two
 tiers:
 
-* ``cffi`` (C) — :mod:`repro.kernels._cbuild` carries a line-for-line C
-  translation, differentially tested for bit-identical float64 output
-  against these bodies in ``tests/unit/test_kernels.py``;
+* ``cffi`` (C) — :mod:`repro.kernels._cbuild` carries a C translation
+  with the same float64 operation order, differentially tested for
+  bit-identical float64 output against these bodies in
+  ``tests/unit/test_kernels.py``.  The packet kernels follow their
+  bodies statement by statement; the C fluid kernel runs step-major
+  over an array of row states where :func:`fluid_rows` runs one row at
+  a time, which is exact because the rows are independent;
 * plain python — the numpy tier runs the bodies as-is (slowly) where it
   has no vectorized closure of its own, which is also what the unit
   tests exercise on machines without a C compiler.
@@ -763,6 +767,10 @@ def fluid_rows(
     ``ev_* [row*ev_cap + j]`` with kind codes 0 switch / 1 extremum /
     2 buffer_full / 3 buffer_empty.
 
+    Rows run one after another here; the C kernel interleaves them one
+    grid step at a time, with the same result bit for bit because no
+    row reads another's state.
+
     ``out_i = [last_grid_index, event_overflow]``.
     """
     m = x0.shape[0]
@@ -1194,6 +1202,8 @@ def fluid_rows(
                 else:
                     x = x_empty
                     y = pin_y + a * q0 * dt
+            # a dead row repeats its frozen end state, as the numpy
+            # kernel does
             xs[(i + 1) * m + r] = x
             ys[(i + 1) * m + r] = y
 
@@ -1214,11 +1224,6 @@ def fluid_rows(
         x_end[r] = xe_final
         y_end[r] = ye_final
         n_events[r] = n_ev
-        # hold the frozen state on the remaining samples (rows that froze
-        # early repeat their end state, as the numpy kernel does)
-        for i2 in range(dead_step, n_steps):
-            xs[(i2 + 1) * m + r] = x
-            ys[(i2 + 1) * m + r] = y
         if dead_step > last:
             last = dead_step
 

@@ -4,13 +4,18 @@
 :func:`repro.fluid.batch.simulate_fluid_batch` — same signature, same
 :class:`~repro.fluid.batch.BatchFluidResult` — but runs the per-row
 switched RK4 + cubic-Hermite event refinement as one compiled kernel
-call instead of a python stepping loop over numpy temporaries.  In
-float64 the kernel commits the same floating-point operations in the
-same order as the numpy implementation, so trajectories match
-bit-for-bit in the ``nonlinear``/``linearized`` modes (``physical``
-mode's pinned closed forms call ``exp``/``log``, identical through
-libm but allowed a ~1e-12 relative tolerance against numpy's SIMD
-vectorized transcendentals).
+call instead of a python stepping loop over numpy temporaries.  The
+kernel runs step-major over an array of per-row states: every row
+advances one grid step, and that step's samples are stored side by
+side, before any row takes the next.  Rows are independent, so each
+row's arithmetic is unchanged by the interleaving.  In float64 the
+kernel commits the same floating-point operations in the same order
+as the numpy implementation, so trajectories match bit-for-bit in the
+``nonlinear``/``linearized`` modes (``physical`` mode's pinned closed
+forms call ``exp``/``log``, identical through libm but allowed a
+~1e-12 relative tolerance against numpy's SIMD vectorized
+transcendentals).  If the kernel cannot allocate its row states it
+reports that and this wrapper raises :class:`MemoryError`.
 
 ``precision="float32"`` halves the state memory for ensemble work —
 appropriate for statistics over many trajectories (portraits, sweeps,
@@ -113,6 +118,9 @@ def simulate_fluid_batch_compiled(
     )
     kernel_seconds = time.perf_counter() - started  # repro-lint: disable=wall-clock -- kernel span timing
 
+    if out_i[0] < 0:
+        raise MemoryError(
+            f"compiled fluid kernel could not allocate state for {m} rows")
     if out_i[1]:
         # Pathological event density blew the preallocated buffers —
         # redo on the numpy path, which allocates dynamically.

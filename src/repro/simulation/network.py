@@ -448,9 +448,10 @@ class BCNNetworkSimulator:
 
         The run advances in control-quantum windows.  Within a window
         every regulator's rate is frozen, so each source contributes an
-        arithmetic emission train (the maths of
-        :meth:`~repro.simulation.source.TrafficSource.plan_train`, held
-        across sources in struct-of-array state); the trains merge into
+        arithmetic emission train (its pending emission, then one frame
+        gap apart, deferred past a PAUSE and capped at a finite flow's
+        remaining frames; held across sources in struct-of-array state,
+        see the backend's ``bind_pacing_plan``); the trains merge into
         one sorted train that goes through the switch window kernel,
         which returns the BCN messages (and possibly a PAUSE) the window
         generated.  Control is delivered to the sources at the window
@@ -738,7 +739,6 @@ class BCNNetworkSimulator:
         for i, source in enumerate(self.sources):
             source.frames_sent += int(frames_acc[i])
             source.bits_sent += float(frames_acc[i]) * L
-            source._train_next = float(next_emit[i])
         if fast_msgs:
             # Fold the struct-of-array regulator state back into the
             # RateRegulator objects so post-run inspection matches the

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .engine import Simulator
 from .frames import BCNMessage, EthernetFrame, PauseFrame
 
@@ -176,9 +174,6 @@ class TrafficSource:
         self.muted = False  # on/off workloads toggle this
         #: Emission time of a finite flow's last frame (None until then).
         self.finish_time: float | None = None
-        #: Pending-emission time for the batched frame-train path
-        #: (None until the first train is planned).
-        self._train_next: float | None = None
 
     # -- data plane -------------------------------------------------------
 
@@ -226,59 +221,6 @@ class TrafficSource:
             self.finish_time = now
             return
         self.sim.schedule(self._gap(), self._emit)
-
-    # -- frame-train batching (used by the batched packet engine) ---------
-
-    def plan_train(self, until: float) -> np.ndarray:
-        """Emission times of the pending frame train up to ``until``.
-
-        Between control events (BCN messages, PAUSE expiry, rate
-        updates) the source's rate is constant, so its emissions form an
-        arithmetic sequence: the pending emission, then one frame gap
-        apart.  This is the pure *planning* half of train batching —
-        counters and the pending-emission pointer move only when the
-        orchestrator calls :meth:`commit_train` with the prefix that was
-        actually processed (a train may be cut short at a control
-        boundary such as a PAUSE).
-
-        Mirrors the event-driven pacing loop: the first emission is the
-        scheduled one (one gap after the previous frame, or after
-        ``start``), deferred to ``paused_until`` when PAUSEd; finite
-        flows stop after ``total_bits``; a muted source emits nothing.
-        """
-        if self.muted or self.finished:
-            return np.empty(0)
-        gap = self._gap()
-        first = self._train_next if self._train_next is not None else (
-            self.sim.now + gap
-        )
-        first = max(first, self.paused_until)
-        if first > until:
-            return np.empty(0)
-        count = int(math.floor((until - first) / gap)) + 1
-        if self.total_bits is not None:
-            remaining = int(
-                math.ceil((self.total_bits - self.bits_sent) / self.frame_bits)
-            )
-            count = min(count, max(remaining, 0))
-        return first + gap * np.arange(count)
-
-    def commit_train(self, times: np.ndarray, committed: int) -> None:
-        """Account for the first ``committed`` emissions of a planned train.
-
-        Must be called before any control update alters the rate the
-        train was planned at: the next pending emission sits one current
-        frame gap after the last committed one.
-        """
-        if committed:
-            self.frames_sent += committed
-            self.bits_sent += committed * self.frame_bits
-            if self.finished and self.finish_time is None:
-                self.finish_time = float(times[committed - 1])
-            self._train_next = float(times[committed - 1]) + self._gap()
-        elif times.size:
-            # Nothing committed: the planned first emission stays pending.
-            self._train_next = float(times[0])
 
     # -- control plane ------------------------------------------------------
 

@@ -9,7 +9,7 @@ the return map contracts.
 
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.limit_cycle import linearized_contraction, return_map
@@ -85,16 +85,31 @@ def test_case_bounds_match_composition(a, b, k):
         assert traj.max_x() <= 1e-9 * p.q0
 
 
-@given(a=a_values, b=b_values, k=k_values,
-       y=st.floats(min_value=0.1, max_value=80.0))
+@st.composite
+def case1_points(draw):
+    """``(a, b, k)`` with ``k^2 a`` and ``k^2 bC`` below 3.5 (C = 100).
+
+    That is Case 1 (both below the focus threshold 4) and clear of the
+    focus/node boundary, where beta -> 0 makes the half-turn time
+    diverge and the numeric map ill-conditioned.  ``a`` and ``b`` are
+    drawn inside the shared ``a_values``/``b_values`` ranges.
+    """
+    k = draw(k_values)
+    edge = 3.5 / (k * k)
+    a = draw(st.floats(min_value=0.1, max_value=min(50.0, edge),
+                       exclude_max=edge <= 50.0))
+    b_edge = edge / 100.0
+    b = draw(st.floats(min_value=0.002, max_value=min(0.5, b_edge),
+                       exclude_max=b_edge <= 0.5))
+    return a, b, k
+
+
+@given(point=case1_points(), y=st.floats(min_value=0.1, max_value=80.0))
 @settings(max_examples=40, deadline=None)
-def test_return_map_contracts(a, b, k, y):
+def test_return_map_contracts(point, y):
+    a, b, k = point
     p = norm(a, b, k)
-    assume(classify_case(p) is PaperCase.CASE1)
-    # stay clear of the focus/node boundary, where beta -> 0 makes the
-    # half-turn time diverge and the numeric map ill-conditioned
-    assume(k * k * p.n_increase < 3.5)
-    assume(k * k * p.n_decrease < 3.5)
+    assert classify_case(p) is PaperCase.CASE1
     rho = linearized_contraction(p)
     assert rho < 1.0
     assert return_map(p, y, mode="linearized") == pytest.approx(

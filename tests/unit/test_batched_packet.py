@@ -13,7 +13,6 @@ import pytest
 
 from repro.simulation.engine import Simulator
 from repro.simulation.frames import EthernetFrame
-from repro.simulation.source import RateRegulator, TrafficSource
 from repro.simulation.switch import BatchedSwitchKernel, CoreSwitch
 
 
@@ -201,60 +200,3 @@ class TestPauseTruncation:
         if w2.pause_at is not None:
             assert w2.pause_at >= w1.pause_at + 30e-6
         assert sw.stats.pauses_sent >= 1
-
-
-class TestFrameTrainPlanning:
-    def _source(self, rate=1e8, **kw):
-        sim = Simulator()
-        reg = RateRegulator(gi=4.0, gd=1 / 128, ru=8e6, initial_rate=rate,
-                            min_rate=1e6, line_rate=1e9)
-        return TrafficSource(sim, address=0, regulator=reg,
-                             send=lambda f: None, frame_bits=FRAME, **kw)
-
-    def test_plan_is_arithmetic_from_one_gap(self):
-        src = self._source(rate=1.2e8)  # gap = 1e-4 s
-        gap = FRAME / 1.2e8
-        train = src.plan_train(until=10.5 * gap)
-        np.testing.assert_allclose(train, gap * np.arange(1, 11), rtol=1e-12)
-
-    def test_commit_full_then_continue(self):
-        src = self._source(rate=1.2e8)
-        gap = FRAME / 1.2e8
-        train = src.plan_train(until=5.5 * gap)
-        src.commit_train(train, len(train))
-        assert src.frames_sent == 5
-        assert src.bits_sent == 5 * FRAME
-        nxt = src.plan_train(until=8.5 * gap)
-        assert nxt[0] == pytest.approx(train[-1] + gap)
-
-    def test_commit_partial_resumes_at_cut(self):
-        src = self._source(rate=1.2e8)
-        gap = FRAME / 1.2e8
-        train = src.plan_train(until=9.5 * gap)
-        src.commit_train(train, 3)
-        assert src.frames_sent == 3
-        nxt = src.plan_train(until=9.5 * gap)
-        assert nxt[0] == pytest.approx(train[2] + gap)
-
-    def test_commit_none_keeps_first_pending(self):
-        src = self._source(rate=1.2e8)
-        train = src.plan_train(until=4.5 * FRAME / 1.2e8)
-        src.commit_train(train, 0)
-        again = src.plan_train(until=4.5 * FRAME / 1.2e8)
-        assert again[0] == pytest.approx(train[0])
-
-    def test_finite_flow_truncates_train(self):
-        src = self._source(rate=1.2e8, total_bits=3 * FRAME)
-        train = src.plan_train(until=1.0)
-        assert len(train) == 3
-
-    def test_muted_source_plans_nothing(self):
-        src = self._source()
-        src.muted = True
-        assert src.plan_train(until=1.0).size == 0
-
-    def test_pause_defers_first_emission(self):
-        src = self._source(rate=1.2e8)
-        src.paused_until = 0.01
-        train = src.plan_train(until=0.02)
-        assert train[0] >= 0.01

@@ -624,3 +624,164 @@ def test_fluid_numpy_fallback_casts_float32():
     out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
                                fluid_method="numpy", precision="float32")
     assert out.x.dtype == np.float32
+
+
+# -- fluid kernel: C against the scalar spec body ----------------------------
+#
+# ``_scalar.fluid_rows`` integrates one row at a time; the C kernel
+# advances every row one grid step before the next.  Rows are
+# independent, so every output buffer must match byte for byte.  The
+# output buffers start as sentinels (NaN / -1), so a sample or slot that
+# one tier writes and the other skips shows up as a difference.
+
+
+def _fluid_rows_outputs(fn, p, x0, y0, *, t_max, mode, max_switches,
+                        real=np.float64):
+    from repro.fluid import batch
+
+    x0 = np.ascontiguousarray(x0, dtype=real)
+    y0 = np.ascontiguousarray(y0, dtype=real)
+    m = x0.shape[0]
+    dt = batch.default_time_step(p)
+    t_grid = np.linspace(0.0, t_max, max(1, int(np.ceil(t_max / dt))) + 1)
+    n = t_grid.shape[0]
+    ev_cap = 8 * (max_switches + 8)
+    out = dict(
+        xs=np.full(n * m, np.nan, dtype=real),
+        ys=np.full(n * m, np.nan, dtype=real),
+        reason=np.full(m, -1, dtype=np.int8),
+        switches=np.full(m, -1, dtype=np.int64),
+        t_end=np.full(m, np.nan), x_end=np.full(m, np.nan),
+        y_end=np.full(m, np.nan),
+        n_events=np.full(m, -1, dtype=np.int64),
+        ev_t=np.full(m * ev_cap, np.nan),
+        ev_kind=np.full(m * ev_cap, -1, dtype=np.int8),
+        ev_x=np.full(m * ev_cap, np.nan), ev_y=np.full(m * ev_cap, np.nan),
+        out_i=np.full(2, -7, dtype=np.int64),
+    )
+    fn(x0, y0, t_grid, p.a, p.b, p.capacity, p.k, p.q0,
+       p.buffer_size - p.q0, -p.q0,
+       1 if mode == "linearized" else 0, 1 if mode == "physical" else 0,
+       max_switches, batch._CONVERGENCE_RTOL, t_max,
+       out["xs"], out["ys"], out["reason"], out["switches"], out["t_end"],
+       out["x_end"], out["y_end"], ev_cap, out["n_events"], out["ev_t"],
+       out["ev_kind"], out["ev_x"], out["ev_y"], out["out_i"])
+    return out
+
+
+def _assert_same_bytes(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _mixed_bundle():
+    """CASE1_SLOW rows that end every way a row can end (10.5 s, 4 switches).
+
+    Row 3 starts just after a switch, half a swing behind row 2, so it
+    is still running at ``t_max`` when rows 2 and 4 hit the switch cap.
+    """
+    from repro.experiments.presets import CASE1_SLOW
+
+    p = CASE1_SLOW
+    x0 = np.array([1e-5 * p.q0, 8e-5 * p.q0, 0.3 * p.q0, 0.3196, -0.9 * p.q0])
+    y0 = np.array([0.0, 0.0, 0.0, -3.7696, 0.0])
+    return p, x0, y0, dict(t_max=10.5, max_switches=4)
+
+
+def _physical_bundle():
+    """Row 0 starts pinned at the empty buffer and later fills it."""
+    from repro.experiments.presets import scale_free
+
+    p = scale_free(2.0, 0.02, k=0.1, buffer_size=15.0)
+    x0 = np.array([-1.2, 0.0, 0.5]) * p.q0
+    y0 = np.array([-5.0, 0.0, 0.0])
+    return p, x0, y0, dict(t_max=12.0, max_switches=20, mode="physical")
+
+
+@requires_compiled
+@pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
+def test_fluid_c_kernel_equals_scalar_spec_on_mixed_bundle(mode):
+    p, x0, y0, kw = _mixed_bundle()
+    want = _fluid_rows_outputs(_scalar.fluid_rows, p, x0, y0, mode=mode, **kw)
+    got = _fluid_rows_outputs(get_backend().fluid_rows, p, x0, y0,
+                              mode=mode, **kw)
+    _assert_same_bytes(got, want)
+    if mode == "nonlinear":
+        # the bundle covers every way a row ends
+        assert want["reason"].tolist() == [1, 1, 3, 2, 3]
+        assert want["t_end"][0] == 0.0 and want["switches"][0] == 0
+        assert 0.0 < want["t_end"][1] < kw["t_max"]
+        # rows that died early repeat their end state to the last sample
+        n = want["out_i"][0]
+        xs = want["xs"].reshape(-1, x0.size)
+        assert n == xs.shape[0] - 1  # row 3 ran to t_max
+        assert np.all(xs[:, 0] == x0[0])
+        assert np.all(xs[-5:, 2] == want["x_end"][2])
+
+
+@requires_compiled
+def test_fluid_c_kernel_equals_scalar_spec_in_physical_mode():
+    p, x0, y0, kw = _physical_bundle()
+    want = _fluid_rows_outputs(_scalar.fluid_rows, p, x0, y0, **kw)
+    got = _fluid_rows_outputs(get_backend().fluid_rows, p, x0, y0, **kw)
+    _assert_same_bytes(got, want)
+    cap = 8 * (kw["max_switches"] + 8)
+    kinds = want["ev_kind"][:want["n_events"][0]].tolist()
+    assert kinds[0] == 3 and want["ev_t"][0] == 0.0  # pinned empty at t=0
+    assert 2 in kinds  # later pinned at the full buffer
+    assert want["ev_kind"][cap:cap + 1].tolist() == [-1]  # row 1: no events
+
+
+@requires_compiled
+@pytest.mark.parametrize("rows", [slice(0, 1), slice(3, 4), slice(0, 0)],
+                         ids=["m1-converged", "m1-running", "m0"])
+def test_fluid_c_kernel_equals_scalar_spec_on_tiny_bundles(rows):
+    p, x0, y0, kw = _mixed_bundle()
+    want = _fluid_rows_outputs(_scalar.fluid_rows, p, x0[rows], y0[rows],
+                               mode="nonlinear", **kw)
+    got = _fluid_rows_outputs(get_backend().fluid_rows, p, x0[rows],
+                              y0[rows], mode="nonlinear", **kw)
+    _assert_same_bytes(got, want)
+    assert want["out_i"][0] >= 1 and want["out_i"][1] == 0
+
+
+@requires_compiled
+def test_fluid_c_kernel_float32_is_deterministic():
+    p, x0, y0, kw = _mixed_bundle()
+    runs = [_fluid_rows_outputs(get_backend().fluid_rows, p, x0, y0,
+                                mode="nonlinear", real=np.float32, **kw)
+            for _ in range(2)]
+    _assert_same_bytes(runs[1], runs[0])
+    assert runs[0]["xs"].dtype == np.float32
+    assert not np.isnan(runs[0]["xs"]).any()
+
+
+@requires_compiled
+@pytest.mark.parametrize("sfx", ["f64", "f32"])
+@pytest.mark.parametrize("m", [2**57, 2**62], ids=["malloc-fails", "size-overflows"])
+def test_fluid_c_kernel_reports_allocation_failure(sfx, m):
+    # Neither size can be allocated, so the kernel must return before it
+    # touches a single (here NULL) array argument.
+    be = get_backend()
+    null = be._ffi.NULL
+    out_i = np.zeros(2, dtype=np.int64)
+    getattr(be._lib, f"k_fluid_{sfx}")(
+        m, 10, null, null, null, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 0, 0,
+        4, 1e-4, 1.0, null, null, null, null, null, null, null, 8, null,
+        null, null, null, null, be._i(out_i))
+    assert out_i.tolist() == [-1, 0]
+
+
+def test_fluid_wrapper_raises_memory_error_on_allocation_failure():
+    class _NoMemory(KernelBackend):
+        compiled = True
+
+        def fluid_rows(self, *args):
+            args[-1][0] = -1
+
+    p, x0 = _fluid_case()
+    with pytest.raises(MemoryError, match="6 rows"):
+        simulate_fluid_batch_compiled(p, x0, 0.0, t_max=1.0,
+                                      backend=_NoMemory())
