@@ -15,9 +15,7 @@ not compiled-vs-interpreted:
 * **compiled_portrait_bundle** — a 64-trajectory phase-portrait bundle
   (CASE1, nonlinear mode, 40 s horizon) through the batch fluid RK4
   kernel, ``simulate_fluid_batch_compiled`` against the numpy
-  integrator.  An ungated ``compiled-f32`` row records the float32
-  variant for the trajectory-bundle use case where ~1e-7 relative
-  error is acceptable.
+  integrator.
 * **compiled_ensemble** — a 1024-orbit seeded ensemble (CASE3,
   nonlinear, 40 s horizon: 16,001 grid steps), the shape of the
   benchmark's fluid bundles.  At this width one grid step of samples
@@ -141,23 +139,6 @@ def test_bench_portrait_bundle_numpy_baseline(benchmark):
         workload="compiled_portrait_bundle", engine="reference",
         trajectory_seconds=40.0 * FLUID_X0.size)
     assert res.x.shape[1] == FLUID_X0.size
-
-
-def test_bench_portrait_bundle_float32(benchmark):
-    # Ungated: float32 trades ~1e-7 relative error for extra throughput;
-    # the row documents the trade, the gate stays on the exact variant.
-    simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0,
-                                  precision="float32", **FLUID_KWARGS)
-    res = benchmark.pedantic(
-        lambda: simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0,
-                                              precision="float32",
-                                              **FLUID_KWARGS),
-        rounds=5, iterations=1)
-    benchmark.extra_info.update(
-        workload="compiled_portrait_bundle_f32", engine="compiled-f32",
-        trajectory_seconds=40.0 * FLUID_X0.size,
-        kernel_backend=get_backend().name)
-    assert res.x.dtype == np.float32
 
 
 # -- 1024-orbit ensemble: the width where store stride shows --------------

@@ -579,7 +579,6 @@ def simulate_fluid_batch(
     convergence_rtol: float = _CONVERGENCE_RTOL,
     obs=None,
     fluid_method: str = "numpy",
-    precision: str = "float64",
 ) -> BatchFluidResult:
     """Integrate M trajectories of the switched BCN fluid model at once.
 
@@ -595,9 +594,8 @@ def simulate_fluid_batch(
     (this module's vectorized loop, the default), ``"compiled"`` (the
     :mod:`repro.kernels` C backend, falling back to numpy when no C
     compiler is available) or ``"auto"`` (compiled when available).
-    ``precision`` (``"float64"``/``"float32"``) selects the state dtype
-    for ensemble work; the numpy path integrates in float64 and casts,
-    so tiers stay deterministic.
+    This numpy loop is the oracle the compiled kernel is checked
+    against bit for bit.
 
     Per-row semantics match the reference integrator: convergence is
     checked at the start and after each switching crossing (not
@@ -607,8 +605,6 @@ def simulate_fluid_batch(
     """
     if fluid_method not in ("numpy", "compiled", "auto"):
         raise ValueError(f"unknown fluid_method {fluid_method!r}")
-    if precision not in ("float64", "float32"):
-        raise ValueError(f"unknown precision {precision!r}")
     if fluid_method in ("compiled", "auto"):
         from ..kernels import get_backend, simulate_fluid_batch_compiled
 
@@ -617,7 +613,6 @@ def simulate_fluid_batch(
                 params, x0, y0, t_max=t_max, mode=mode,
                 max_switches=max_switches, dt=dt, dt_scale=dt_scale,
                 convergence_rtol=convergence_rtol, obs=obs,
-                precision=precision,
             )
         # no compiled backend: fall through to the numpy loop below
     p = as_normalized(params)
@@ -702,9 +697,6 @@ def simulate_fluid_batch(
             record_fluid_obs(obs, "fluid.batch", p, st.events[row],
                              bool(st.reason[row] == 1), float(st.t_end[row]),
                              xs[: last + 1][live, row], row=row)
-    if precision == "float32":
-        xs = xs.astype(np.float32)
-        ys = ys.astype(np.float32)
     return BatchFluidResult(
         params=p,
         mode=mode,

@@ -4,16 +4,15 @@ This package provides native implementations of the two hottest paths
 the ``repro.obs`` span profiles identify — the frame-train packet
 window (source pacing, Lindley service hull + sigma sampling + PAUSE
 truncation, BCN message delivery) and the batch fluid RK4 stepper with
-cubic-Hermite event refinement (float64 and float32) — on one of two
-tiers:
+cubic-Hermite event refinement — on one of two tiers:
 
-* a **cffi**-built C translation of the pure-python bodies in
-  :mod:`repro.kernels._scalar` (any C compiler);
-* pure **numpy** — no compilation at all: the packet window loop runs
-  its numpy-vectorized closures and the numpy
-  :class:`~repro.simulation.switch.BatchedSwitchKernel`, and the fluid
-  entry point delegates to the numpy batch integrator; the scalar
-  bodies mirror both bit-for-bit.
+* pure **numpy** — no compilation at all, and the oracle of the C
+  tier: the packet window loop runs its numpy-vectorized closures and
+  the numpy :class:`~repro.simulation.switch.BatchedSwitchKernel`, and
+  the fluid entry point runs the numpy batch integrator;
+* **cffi** — C kernels (any C compiler) that run the same float64
+  operations in the same order, so they agree with the numpy tier bit
+  for bit (:mod:`repro.kernels._cbuild` lists each kernel's oracle).
 
 Select explicitly with ``REPRO_KERNEL_BACKEND=auto|cffi|numpy``.
 Engine selection is one flag everywhere: ``engine="compiled"`` on

@@ -3,21 +3,22 @@
 Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
 ``cffi`` / ``numpy``):
 
-``cffi``
-    The out-of-line C extension from :mod:`repro.kernels._cbuild` — a
-    C translation of the pure-python bodies in
-    :mod:`repro.kernels._scalar` with the same float64 operation order
-    (the fluid kernel interleaves its independent rows step by step),
-    compiled once into a
-    content-addressed cache directory.  ``auto`` picks it whenever cffi
-    and a C compiler are available.
 ``numpy``
-    No compiled code.  The window-loop closures (``bind_pacing_plan``,
-    ``bind_merge_trains``, ``bind_pacing_commit``, ``bind_owed_repay``)
-    are numpy-vectorized; everything else runs the ``_scalar`` bodies
-    as-is.  ``engine="batched"`` always runs on this tier, and
-    ``engine="compiled"`` falls back to it without a C compiler, so the
-    two engines stay bit-identical.
+    No compiled code, and the oracle the C tier is checked against.
+    :class:`KernelBackend` supplies the window loop's per-window
+    closures (``bind_pacing_plan``, ``bind_merge_trains``,
+    ``bind_pacing_commit``, ``bind_owed_repay``,
+    ``bind_apply_messages``); the switch window runs in the numpy
+    :class:`~repro.simulation.switch.BatchedSwitchKernel` and the fluid
+    entry point runs :func:`repro.fluid.batch.simulate_fluid_batch`.
+    ``engine="batched"`` always runs on this tier, and
+    ``engine="compiled"`` falls back to it without a C compiler.
+``cffi``
+    The C kernels of :mod:`repro.kernels._cbuild`, compiled once into
+    a content-addressed cache directory.  They run the same float64
+    operations in the same order as the numpy tier, so the two tiers
+    agree bit for bit.  ``auto`` picks this tier whenever cffi and a C
+    compiler are available.
 
 The one-time C build cost is accumulated in ``warmup_seconds`` and
 surfaced to the observability layer by :func:`consume_warmup_span`, so
@@ -27,11 +28,10 @@ kernel time.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
-
-from . import _scalar
 
 __all__ = [
     "KernelBackend",
@@ -51,38 +51,20 @@ class KernelBackend:
     """Uniform facade over one backend tier; this base class is the
     numpy tier.
 
-    Exposes the kernel entry points with the exact python signatures of
-    :mod:`repro.kernels._scalar`; ``compiled`` tells callers whether the
-    calls actually run native code.
+    The packet window loop calls the same kernels every window on the
+    same preallocated arrays.  ``bind_*`` returns a closure with the
+    persistent arrays (and per-run constants) already captured, so the
+    per-window call passes only what changes.  The cffi tier overrides
+    every ``bind_*`` with the same signatures to call C through
+    precomputed pointer casts.  Callers must re-bind after replacing
+    any captured array object.  ``compiled`` tells callers whether the
+    calls run native code.
     """
 
     name = "numpy"
     compiled = False
     #: One-time compile/warm-up cost paid constructing this backend.
     warmup_seconds = 0.0
-
-    # Pure-python bodies: semantically exact but interpreted — the
-    # executable spec the differential tests compare every tier with.
-    merge_trains = staticmethod(_scalar.merge_trains)
-    pacing_plan = staticmethod(_scalar.pacing_plan)
-    pacing_commit = staticmethod(_scalar.pacing_commit)
-    owed_repay = staticmethod(_scalar.owed_repay)
-    packet_plan = staticmethod(_scalar.packet_plan)
-    packet_commit = staticmethod(_scalar.packet_commit)
-    packet_scalar = staticmethod(_scalar.packet_scalar)
-    apply_messages = staticmethod(_scalar.apply_messages)
-    fluid_rows = staticmethod(_scalar.fluid_rows)
-
-    # -- bound fast-call closures -----------------------------------------
-    #
-    # The packet loop calls the same kernels every window on the same
-    # preallocated arrays.  ``bind_*`` returns a closure with the
-    # persistent arrays (and per-run constants) already captured, so the
-    # per-window call passes only what actually changes.  On this tier
-    # the four pacing closures are numpy-vectorized and the others close
-    # over the scalar bodies; the cffi tier overrides them all to call C
-    # through precomputed pointer casts.  Callers must re-bind after
-    # replacing any captured array object.
 
     def bind_pacing_plan(self, next_emit, paused, active, remaining, gaps,
                          first, counts):
@@ -171,45 +153,64 @@ class KernelBackend:
     def bind_apply_messages(self, mode, gi, gd, ru, max_dt, d, rate,
                             last_update, assoc8, updates, min_rate,
                             line_rate, owed, out_d):
-        fn = self.apply_messages
-
         def call(msg_t, msg_src, msg_fb, msg_sigma, t_commit):
-            return fn(msg_t, msg_src, msg_fb, msg_sigma, mode, gi, gd,
-                      ru, max_dt, d, t_commit, rate, last_update, assoc8,
-                      updates, min_rate, line_rate, owed, out_d)
-
-        return call
-
-    def bind_packet_plan(self, L, B, q_sc, pause_horizon, starts,
-                         completions, q_bits, out_d, out_i):
-        fn = self.packet_plan
-
-        def call(times, t_start, t_end, ssvc, n_res, next_free, inflight,
-                 frozen_until, pause_rearm_at):
-            return fn(times, t_start, t_end, ssvc, L, B, q_sc, n_res,
-                      next_free, inflight, frozen_until, pause_rearm_at,
-                      pause_horizon, starts, completions, q_bits,
-                      out_d, out_i)
-
-        return call
-
-    def bind_packet_commit(self, pm, q0, w, pos_only, req_assoc,
-                           sigma_unit, full_scale, q_bits, starts,
-                           completions, msg_t, msg_src, msg_sigma,
-                           msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                           out_d, out_i):
-        fn = self.packet_commit
-
-        def call(m_eff, n_res, times, srcs, assoc, t_start, t_commit,
-                 prev_inflight, prev_next_free, uniforms, use_rng,
-                 interval, since, q_prev):
-            return fn(m_eff, n_res, times, srcs, assoc, q_bits, starts,
-                      completions, t_start, t_commit, prev_inflight,
-                      prev_next_free, uniforms, use_rng, pm, interval,
-                      since, q_prev, q0, w, pos_only, req_assoc,
-                      sigma_unit, full_scale, msg_t, msg_src, msg_sigma,
-                      msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                      out_d, out_i)
+            # RateRegulator.apply over struct-of-array state (mode 0
+            # message, 1 fluid-euler, 2 fluid-exact; NaN last_update
+            # means never updated; max_dt < 0 disables the dt cap),
+            # message by message.  Each rate change accrues the
+            # owed-bits ledger for the lag to the commit boundary and
+            # moves the running total rate kept in out_d[0].
+            total_rate = out_d[0]
+            for k in range(msg_t.shape[0]):
+                i = int(msg_src[k])
+                now = msg_t[k] + d
+                r0 = rate[i]
+                r = r0
+                if mode == 0:
+                    fb = msg_fb[k]
+                    if fb > 0.0:
+                        r = r + gi * ru * fb
+                    elif fb < 0.0:
+                        factor = 1.0 + gd * fb
+                        if factor < 0.0:
+                            factor = 0.0
+                        r = r * factor
+                else:
+                    sigma = msg_sigma[k]
+                    lu = last_update[i]
+                    dt = 0.0 if lu != lu else now - lu
+                    if max_dt >= 0.0 and dt > max_dt:
+                        dt = max_dt
+                    last_update[i] = now
+                    if sigma > 0.0:
+                        r = r + gi * ru * sigma * dt
+                    elif sigma < 0.0:
+                        if mode == 2:
+                            r = r * math.exp(gd * sigma * dt)
+                        else:
+                            factor = 1.0 + gd * sigma * dt
+                            if factor < 0.0:
+                                factor = 0.0
+                            r = r * factor
+                if r < min_rate[i]:
+                    r = min_rate[i]
+                if r > line_rate[i]:
+                    r = line_rate[i]
+                rate[i] = r
+                updates[i] += 1
+                fb_sign = msg_fb[k] if mode == 0 else msg_sigma[k]
+                if fb_sign < 0.0:
+                    assoc8[i] = 1
+                elif r >= line_rate[i]:
+                    assoc8[i] = 0
+                if r != r0:
+                    delta = r - r0
+                    lag = t_commit - now
+                    if lag < 0.0:
+                        lag = 0.0
+                    owed[i] += delta * lag
+                    total_rate += delta
+            out_d[0] = total_rate
 
         return call
 
@@ -218,7 +219,12 @@ class KernelBackend:
 
 
 class _CffiKernels(KernelBackend):
-    """Wrappers over the cffi-compiled C translation."""
+    """The C tier: every ``bind_*`` closure of the numpy tier, plus the
+    C-only entry points — the switch window kernels
+    :class:`~repro.kernels.packet.CompiledSwitchKernel` drives
+    (``bind_packet_plan``, ``bind_packet_commit`` and the drop-window
+    fallback ``packet_scalar``) and the batch fluid kernel
+    ``fluid_rows``."""
 
     name = "cffi"
     compiled = True
@@ -259,9 +265,6 @@ class _CffiKernels(KernelBackend):
     def _d(self, arr):
         return self._ptr(arr, "double *")
 
-    def _f(self, arr):
-        return self._ptr(arr, "float *")
-
     def _i(self, arr):
         return self._ptr(arr, "int64_t *")
 
@@ -271,72 +274,7 @@ class _CffiKernels(KernelBackend):
     def _i8(self, arr):
         return self._ptr(arr, "int8_t *")
 
-    # -- kernels ----------------------------------------------------------
-
-    def merge_trains(self, first, gaps, counts, assoc, d, out_t, out_src,
-                     out_assoc):
-        return int(self._lib.k_merge_trains(
-            first.shape[0], self._d(first), self._d(gaps), self._i(counts),
-            self._u8(assoc), float(d), self._d(out_t), self._i(out_src),
-            self._u8(out_assoc),
-        ))
-
-    def pacing_plan(self, next_emit, paused, active, remaining, gaps,
-                    until, first, counts):
-        return int(self._lib.k_pacing_plan(
-            next_emit.shape[0], self._d(next_emit), self._d(paused),
-            self._u8(active), self._d(remaining), self._d(gaps),
-            float(until), self._d(first), self._i(counts),
-        ))
-
-    def pacing_commit(self, srcs, m_committed, first, gaps, counts,
-                      any_finite, next_emit, remaining, active, frames_acc,
-                      comm, fin_idx, fin_t):
-        return int(self._lib.k_pacing_commit(
-            next_emit.shape[0], int(m_committed), self._i(srcs),
-            self._d(first), self._d(gaps), self._i(counts),
-            int(any_finite), self._d(next_emit), self._d(remaining),
-            self._u8(active), self._i(frames_acc), self._i(comm),
-            self._i(fin_idx), self._d(fin_t),
-        ))
-
-    def owed_repay(self, owed, next_emit, rates, until, nxt):
-        self._lib.k_owed_repay(
-            owed.shape[0], self._d(owed), self._d(next_emit),
-            self._d(rates), float(until), float(nxt),
-        )
-
-    def packet_plan(self, times, t_start, t_end, ssvc, L, B, q_sc, n_res,
-                    next_free, inflight, frozen_until, pause_rearm_at,
-                    pause_horizon, starts, completions, q_bits, out_d, out_i):
-        self._lib.k_packet_plan(
-            times.shape[0], self._d(times), float(t_start), float(t_end),
-            float(ssvc), float(L), float(B), float(q_sc), int(n_res),
-            float(next_free), int(inflight), float(frozen_until),
-            float(pause_rearm_at), float(pause_horizon), self._d(starts),
-            self._d(completions), self._d(q_bits), self._d(out_d),
-            self._i(out_i),
-        )
-
-    def packet_commit(self, m_eff, n_res, times, srcs, assoc, q_bits, starts,
-                      completions, t_start, t_commit, prev_inflight,
-                      prev_next_free, uniforms, use_rng, pm, interval, since,
-                      q_prev, q0, w, pos_only, req_assoc, sigma_unit,
-                      full_scale, msg_t, msg_src, msg_sigma, msg_qoff, msg_dq,
-                      msg_fb, samp_t, samp_sigma, out_d, out_i):
-        self._lib.k_packet_commit(
-            int(m_eff), int(n_res), self._d(times), self._i(srcs),
-            self._u8(assoc), self._d(q_bits), self._d(starts),
-            self._d(completions), float(t_start), float(t_commit),
-            int(prev_inflight), float(prev_next_free), self._d(uniforms),
-            int(use_rng), float(pm), int(interval), int(since),
-            float(q_prev), float(q0), float(w), int(pos_only),
-            int(req_assoc), float(sigma_unit), float(full_scale),
-            self._d(msg_t), self._i(msg_src), self._d(msg_sigma),
-            self._d(msg_qoff), self._d(msg_dq), self._d(msg_fb),
-            self._d(samp_t), self._d(samp_sigma), self._d(out_d),
-            self._i(out_i),
-        )
+    # -- unbound kernels ---------------------------------------------------
 
     def packet_scalar(self, times, srcs, assoc, uniforms, use_rng, pm,
                       interval, since, t_start, t_end, ssvc, L, B, q_sc, q0,
@@ -362,32 +300,16 @@ class _CffiKernels(KernelBackend):
             self._d(out_d), self._i(out_i),
         )
 
-    def apply_messages(self, msg_t, msg_src, msg_fb, msg_sigma, mode, gi, gd,
-                       ru, max_dt, d, t_commit, rate, last_update, assoc8,
-                       updates, min_rate, line_rate, owed, out_d):
-        self._lib.k_apply_messages(
-            msg_t.shape[0], self._d(msg_t), self._i(msg_src),
-            self._d(msg_fb), self._d(msg_sigma), int(mode), float(gi),
-            float(gd), float(ru), float(max_dt), float(d), float(t_commit),
-            self._d(rate), self._d(last_update), self._u8(assoc8),
-            self._i(updates), self._d(min_rate), self._d(line_rate),
-            self._d(owed), self._d(out_d),
-        )
-
     def fluid_rows(self, x0, y0, t_grid, a, b, cap, k, q0, x_full, x_empty,
                    linear_dec, physical, max_switches, conv_rtol, t_max,
                    xs, ys, reason, switches, t_end, x_end, y_end,
                    ev_cap, n_events, ev_t, ev_kind, ev_x, ev_y, out_i):
-        if x0.dtype == np.float32:
-            fn, cast = self._lib.k_fluid_f32, self._f
-        else:
-            fn, cast = self._lib.k_fluid_f64, self._d
-        fn(
-            x0.shape[0], t_grid.shape[0] - 1, self._d(t_grid), cast(x0),
-            cast(y0), float(a), float(b), float(cap), float(k), float(q0),
+        self._lib.k_fluid(
+            x0.shape[0], t_grid.shape[0] - 1, self._d(t_grid), self._d(x0),
+            self._d(y0), float(a), float(b), float(cap), float(k), float(q0),
             float(x_full), float(x_empty), int(linear_dec), int(physical),
-            int(max_switches), float(conv_rtol), float(t_max), cast(xs),
-            cast(ys), self._i8(reason), self._i(switches), self._d(t_end),
+            int(max_switches), float(conv_rtol), float(t_max), self._d(xs),
+            self._d(ys), self._i8(reason), self._i(switches), self._d(t_end),
             self._d(x_end), self._d(y_end), int(ev_cap), self._i(n_events),
             self._d(ev_t), self._i8(ev_kind), self._d(ev_x), self._d(ev_y),
             self._i(out_i),

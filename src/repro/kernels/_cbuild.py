@@ -1,20 +1,24 @@
-"""cffi build recipe for the C translation of :mod:`repro.kernels._scalar`.
+"""cffi build recipe for the C kernels of the ``cffi`` tier.
 
-The C source below translates the scalar kernel bodies with the same
-float64 operation order and the same libm transcendentals, so the
-float64 entry points are bit-identical to the python bodies —
-``tests/unit/test_kernels.py`` asserts exact equality.  The packet
-kernels follow their bodies statement by statement.  The fluid kernel
-changes only the loop order: ``_scalar.fluid_rows`` integrates one row
-to the end before starting the next, while ``k_fluid_*`` keeps an array
-of per-row states and advances every row by one grid step before taking
-the next, so each step's samples are stored side by side instead of
-``m`` elements apart.  That reordering is exact because the rows
-are independent: each row reads only its own state and the shared
-read-only parameters, and writes only its own samples and event slots,
-so it commits the same float operations in the same order either way.
-The fluid kernel is instantiated twice from one template (``double``
-and ``float``) to provide the float32 ensemble mode.
+The C source below is the fast path of the two hot spots; each kernel
+is checked bit for bit against its numpy oracle, which runs the same
+float64 operations in the same order:
+
+* the packet window loop — ``k_pacing_plan``, ``k_merge_trains``,
+  ``k_pacing_commit``, ``k_owed_repay`` and ``k_apply_messages``
+  against the numpy closures of
+  :class:`~repro.kernels._backend.KernelBackend`; ``k_packet_plan``,
+  ``k_packet_commit`` and the drop-window fallback ``k_packet_scalar``
+  against :class:`~repro.simulation.switch.BatchedSwitchKernel`;
+* the batch fluid integrator ``k_fluid`` against
+  :func:`repro.fluid.batch.simulate_fluid_batch`.  It runs step-major:
+  an array of per-row states advances every row by one grid step
+  before taking the next, so each step's samples are stored side by
+  side, and it stops once no row is alive, as the numpy loop does.
+  The rows are independent, so each row's arithmetic is the same as
+  in the numpy loop.  Only ``physical`` mode's pinned closed forms
+  differ: libm ``exp`` against numpy's vectorised ``exp`` can move a
+  sample by an ulp.
 
 Builds are out-of-line cffi API-mode extensions, keyed by a content
 hash of the declarations + source, cached under
@@ -96,21 +100,12 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *rate, double *last_update, uint8_t *assoc8, int64_t *updates,
     double *min_rate, double *line_rate, double *owed, double *out_d);
 
-void k_fluid_f64(int64_t m, int64_t n_steps, double *t_grid,
+void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
     double *x0, double *y0, double a, double b, double cap, double kk,
     double q0, double x_full, double x_empty, int64_t linear_dec,
     int64_t physical, int64_t max_switches, double conv_rtol,
     double t_max, double *xs, double *ys, int8_t *reason,
-    int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
-    int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
-    double *ev_x, double *ev_y, int64_t *out_i);
-
-void k_fluid_f32(int64_t m, int64_t n_steps, double *t_grid,
-    float *x0, float *y0, double a, double b, double cap, double kk,
-    double q0, double x_full, double x_empty, int64_t linear_dec,
-    int64_t physical, int64_t max_switches, double conv_rtol,
-    double t_max, float *xs, float *ys, int8_t *reason,
-    int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
+    int64_t *switches, double *t_end, double *x_end, double *y_end,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i);
 """
@@ -131,6 +126,9 @@ static int64_t bisect_right(const double *arr, int64_t n, double v) {
     return lo;
 }
 
+/* Merge the per-source arithmetic trains first[i] + gaps[i]*k + d
+   (k < counts[i]) into one train ordered by (time, source), as the
+   numpy tier's stable argsort does.  Returns the frame count. */
 int64_t k_merge_trains(int64_t n_src, double *first, double *gaps,
     int64_t *counts, uint8_t *assoc, double d,
     double *out_t, int64_t *out_src, uint8_t *out_assoc)
@@ -200,6 +198,9 @@ int64_t k_merge_trains(int64_t n_src, double *first, double *gaps,
     return m;
 }
 
+/* Plan one window of emissions: first = max(next_emit, paused), then
+   floor((until - first) / gap) + 1 frames for each active source whose
+   train reaches the window, capped at the frames it has left. */
 int64_t k_pacing_plan(int64_t n, double *next_emit, double *paused,
     uint8_t *active, double *remaining, double *gaps, double until,
     double *first, int64_t *counts)
@@ -221,6 +222,9 @@ int64_t k_pacing_plan(int64_t n, double *next_emit, double *paused,
     return total;
 }
 
+/* Fold the committed prefix srcs[:m_committed] back into the pacing
+   state; with any_finite, retire sources that ran out and return how
+   many (their index and last emission time go to fin_idx/fin_t). */
 int64_t k_pacing_commit(int64_t n, int64_t m_committed, int64_t *srcs,
     double *first, double *gaps, int64_t *counts, int64_t any_finite,
     double *next_emit, double *remaining, uint8_t *active,
@@ -250,6 +254,9 @@ int64_t k_pacing_commit(int64_t n, int64_t m_committed, int64_t *srcs,
     return n_fin;
 }
 
+/* Repay the owed-bits ledger: a source due after `until` emits
+   owed/rate earlier, floored at nxt; the ledger is debited by the bits
+   actually moved. */
 void k_owed_repay(int64_t n, double *owed, double *next_emit,
     double *rates, double until, double nxt)
 {
@@ -265,6 +272,12 @@ void k_owed_repay(int64_t n, double *owed, double *next_emit,
     }
 }
 
+/* Plan one window without touching state: the no-drop Lindley hull
+   over n_res residual frames then the arrivals, the occupancy each
+   arrival sees, and drop-tail (hand the window to k_packet_scalar) or
+   PAUSE detection (commit only the in-flight prefix).
+   out_i = [needs_scalar, m_eff, total_eff];
+   out_d = [pause_at (NaN: none), t_commit, new_pause_rearm_at]. */
 void k_packet_plan(int64_t m, double *times, double t_start, double t_end,
     double ssvc, double L, double B, double q_sc, int64_t n_res,
     double next_free, int64_t inflight, double frozen_until,
@@ -329,6 +342,11 @@ static double quant_fb(double sigma, double sigma_unit, double full_scale) {
     return fb;
 }
 
+/* Commit the planned no-drop window: sampling (pre-drawn uniforms when
+   use_rng, else the deterministic counter), sigma, BCN messages and
+   service accounting.  sigma_unit is NaN for raw-sigma feedback.
+   out_i = [n_msg, n_samp, neg, pos, delivered, n_started, backlog,
+   inflight, since]; out_d = [next_free, q_at_last_sample]. */
 void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
     int64_t *srcs, uint8_t *assoc, double *q_bits, double *starts,
     double *completions, double t_start, double t_commit,
@@ -403,6 +421,13 @@ void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
     out_d[1] = prev;
 }
 
+/* Per-frame window loop for windows where drop-tail engages
+   (BatchedSwitchKernel._process_scalar).  uniforms holds one draw per
+   arrival; the caller rewinds its generator to the committed count.
+   out_i = [committed, n_msg, n_samp, n_drop, delivered, backlog,
+   inflight, since, n_starts, n_acc, neg, pos, any_started, n_pause];
+   out_d = [pause_at, t_commit, next_free, q_at_last_sample,
+   pause_rearm_at]; pause_ts[:n_pause] holds every PAUSE firing. */
 void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     uint8_t *assoc, double *uniforms, int64_t use_rng, double pm,
     int64_t interval, int64_t since, double t_start, double t_end,
@@ -536,6 +561,11 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     out_d[4] = pause_rearm_at;
 }
 
+/* Apply one window's BCN messages to struct-of-array regulator state
+   (RateRegulator.apply; mode 0 message, 1 fluid-euler, 2 fluid-exact;
+   NaN last_update means never updated; max_dt < 0 disables the cap),
+   accrue the owed-bits ledger and keep the running total rate in
+   out_d[0]. */
 void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *msg_fb, double *msg_sigma, int64_t mode, double gi, double gd,
     double ru, double max_dt, double d, double t_commit,
@@ -591,27 +621,28 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
 }
 """
 
-_FLUID_TEMPLATE = r"""
-/* ---- switched-fluid row integrator, REAL = $REAL$ ---------------------- */
+_FLUID = r"""
+/* ---- switched-fluid RK4 with cubic-Hermite event refinement ------------ */
+/* The numpy oracle is repro.fluid.batch.simulate_fluid_batch: every row
+   runs the same float operations in the same order as its vectorised
+   step, so samples, events and end states match it bit for bit. */
 
 typedef struct {
     double a, b, cap, k, q0, x_full, x_empty, conv_rtol, t_max;
     int64_t linear_dec, physical, max_switches, ev_cap, m;
     double *ev_t; int8_t *ev_kind; double *ev_x, *ev_y;
     int64_t overflow;
-} fparams_$SFX$;
+} fparams;
 
 typedef struct {
-    $REAL$ x, y;
+    double x, y;
     int dec, alive, pinned, rsn;
-    double pin_t, unpin_t;
-    $REAL$ pin_y;
-    int64_t sw_count, n_ev, dead_step;
-    double te;
-    $REAL$ xe_final, ye_final;
-} frow_$SFX$;
+    double pin_t, unpin_t, pin_y;
+    int64_t sw_count, n_ev;
+    double te, xe_final, ye_final;
+} frow;
 
-static void record_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
+static void fluid_record(fparams *p, frow *rs, int64_t r,
     double t, int8_t kind, double xv, double yv)
 {
     if (rs->n_ev < p->ev_cap) {
@@ -624,189 +655,186 @@ static void record_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
     } else p->overflow = 1;
 }
 
-static void refine_$SFX$(fparams_$SFX$ *p, $REAL$ x0, $REAL$ y0, int dec,
-    $REAL$ h, $REAL$ x1, $REAL$ y1, $REAL$ alpha, $REAL$ beta, $REAL$ gamma,
-    $REAL$ *th_out, $REAL$ *xt_out, $REAL$ *yt_out)
+/* Root of alpha*x + beta*y + gamma on the cubic Hermite interpolant of
+   one step (batch._refine_event): safeguarded Newton, 16 iterations. */
+static void fluid_refine(fparams *p, double x0, double y0, int dec,
+    double h, double x1, double y1, double alpha, double beta, double gamma,
+    double *th_out, double *xt_out, double *yt_out)
 {
-    $REAL$ A = ($REAL$)p->a, B = ($REAL$)p->b, C = ($REAL$)p->cap;
-    $REAL$ K = ($REAL$)p->k;
-    $REAL$ s0 = x0 + K * y0;
-    $REAL$ coef0 = dec ? (p->linear_dec ? B * C : B * (y0 + C)) : A;
-    $REAL$ f0x = y0, f0y = -coef0 * s0;
-    $REAL$ s1 = x1 + K * y1;
-    $REAL$ coef1 = dec ? (p->linear_dec ? B * C : B * (y1 + C)) : A;
-    $REAL$ f1x = y1, f1y = -coef1 * s1;
-    $REAL$ u0 = alpha * x0 + beta * y0 + gamma;
-    $REAL$ u1 = alpha * x1 + beta * y1 + gamma;
-    $REAL$ d0 = h * (alpha * f0x + beta * f0y);
-    $REAL$ d1 = h * (alpha * f1x + beta * f1y);
-    $REAL$ c0 = u0, c1 = d0;
-    $REAL$ c2 = ($REAL$)3.0 * (u1 - u0) - ($REAL$)2.0 * d0 - d1;
-    $REAL$ c3 = ($REAL$)2.0 * (u0 - u1) + d0 + d1;
-    $REAL$ lo = 0.0, hi = 1.0, g_lo = u0;
-    $REAL$ b2 = ($REAL$)2.0 * c2, b3 = ($REAL$)3.0 * c3;
-    $REAL$ denom = u0 - u1, theta, t2, om, h00, h10, h01, h11;
+    double A = p->a, B = p->b, C = p->cap, K = p->k;
+    double s0 = x0 + K * y0;
+    double coef0 = dec ? (p->linear_dec ? B * C : B * (y0 + C)) : A;
+    double f0x = y0, f0y = -coef0 * s0;
+    double s1 = x1 + K * y1;
+    double coef1 = dec ? (p->linear_dec ? B * C : B * (y1 + C)) : A;
+    double f1x = y1, f1y = -coef1 * s1;
+    double u0 = alpha * x0 + beta * y0 + gamma;
+    double u1 = alpha * x1 + beta * y1 + gamma;
+    double d0 = h * (alpha * f0x + beta * f0y);
+    double d1 = h * (alpha * f1x + beta * f1y);
+    double c0 = u0, c1 = d0;
+    double c2 = 3.0 * (u1 - u0) - 2.0 * d0 - d1;
+    double c3 = 2.0 * (u0 - u1) + d0 + d1;
+    double lo = 0.0, hi = 1.0, g_lo = u0;
+    double b2 = 2.0 * c2, b3 = 3.0 * c3;
+    double denom = u0 - u1, theta, t2, om, h00, h10, h01, h11;
     int it;
-    theta = denom == ($REAL$)0.0 ? ($REAL$)NAN : u0 / denom;
-    if (!isfinite(theta)) theta = ($REAL$)0.5;
-    else if (theta < ($REAL$)0.0) theta = 0.0;
-    else if (theta > ($REAL$)1.0) theta = 1.0;
+    theta = denom == 0.0 ? NAN : u0 / denom;
+    if (!isfinite(theta)) theta = 0.5;
+    else if (theta < 0.0) theta = 0.0;
+    else if (theta > 1.0) theta = 1.0;
     for (it = 0; it < 16; it++) {
-        $REAL$ g = ((c3 * theta + c2) * theta + c1) * theta + c0;
-        $REAL$ slope, newton;
-        if (g_lo * g > ($REAL$)0.0) { lo = theta; g_lo = g; }
+        double g = ((c3 * theta + c2) * theta + c1) * theta + c0;
+        double slope, newton;
+        if (g_lo * g > 0.0) { lo = theta; g_lo = g; }
         else hi = theta;
         slope = (b3 * theta + b2) * theta + c1;
-        newton = slope != ($REAL$)0.0 ? theta - g / slope : ($REAL$)INFINITY;
+        newton = slope != 0.0 ? theta - g / slope : INFINITY;
         if (newton > lo && newton < hi) theta = newton;
-        else theta = ($REAL$)0.5 * (lo + hi);
+        else theta = 0.5 * (lo + hi);
     }
     t2 = theta * theta;
-    om = ($REAL$)1.0 - theta;
-    h00 = (($REAL$)1.0 + ($REAL$)2.0 * theta) * om * om;
+    om = 1.0 - theta;
+    h00 = (1.0 + 2.0 * theta) * om * om;
     h10 = theta * om * om;
-    h01 = t2 * (($REAL$)3.0 - ($REAL$)2.0 * theta);
-    h11 = t2 * (theta - ($REAL$)1.0);
+    h01 = t2 * (3.0 - 2.0 * theta);
+    h11 = t2 * (theta - 1.0);
     *th_out = theta;
     *xt_out = h00 * x0 + h10 * (h * f0x) + h01 * x1 + h11 * (h * f1x);
     *yt_out = h00 * y0 + h10 * (h * f0y) + h01 * y1 + h11 * (h * f1y);
 }
 
-static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
-    double t0, double h_in, int64_t step_i)
+/* Advance one free-running row by h from t0 (batch._advance): an RK4
+   step, cut at the first switching-line or buffer crossing; a switch
+   re-enters the loop on the remainder, a buffer hit pins the row. */
+static void fluid_advance(fparams *p, frow *rs, int64_t r, double t0,
+    double h)
 {
-    double t0d = t0, h = h_in;
-    $REAL$ A = ($REAL$)p->a, B = ($REAL$)p->b, C = ($REAL$)p->cap;
-    $REAL$ K = ($REAL$)p->k, Q0 = ($REAL$)p->q0;
-    $REAL$ XF = ($REAL$)p->x_full, XE = ($REAL$)p->x_empty;
+    double A = p->a, B = p->b, C = p->cap;
+    double K = p->k, Q0 = p->q0;
+    double XF = p->x_full, XE = p->x_empty;
     for (;;) {
-        $REAL$ xx0 = rs->x, yy0 = rs->y;
-        $REAL$ rsign = rs->dec ? ($REAL$)1.0 : ($REAL$)-1.0;
-        $REAL$ hr = ($REAL$)h;
-        $REAL$ s_, coef, k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y, ax, ay;
-        $REAL$ sixth, x1, y1, s1, line_tol, theta, xe, ye;
+        double xx0 = rs->x, yy0 = rs->y;
+        double rsign = rs->dec ? 1.0 : -1.0;
+        double s_, coef, k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y, ax, ay;
+        double sixth, x1, y1, s1, line_tol, theta, xe, ye;
         double t_ev;
         int term = 0;
         s_ = xx0 + K * yy0;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (yy0 + C)) : A;
         k1x = yy0; k1y = -coef * s_;
-        ax = xx0 + ($REAL$)0.5 * hr * k1x; ay = yy0 + ($REAL$)0.5 * hr * k1y;
+        ax = xx0 + 0.5 * h * k1x; ay = yy0 + 0.5 * h * k1y;
         s_ = ax + K * ay;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (ay + C)) : A;
         k2x = ay; k2y = -coef * s_;
-        ax = xx0 + ($REAL$)0.5 * hr * k2x; ay = yy0 + ($REAL$)0.5 * hr * k2y;
+        ax = xx0 + 0.5 * h * k2x; ay = yy0 + 0.5 * h * k2y;
         s_ = ax + K * ay;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (ay + C)) : A;
         k3x = ay; k3y = -coef * s_;
-        ax = xx0 + hr * k3x; ay = yy0 + hr * k3y;
+        ax = xx0 + h * k3x; ay = yy0 + h * k3y;
         s_ = ax + K * ay;
         coef = rs->dec ? (p->linear_dec ? B * C : B * (ay + C)) : A;
         k4x = ay; k4y = -coef * s_;
-        sixth = hr / ($REAL$)6.0;
-        x1 = xx0 + sixth * (k1x + ($REAL$)2.0 * (k2x + k3x) + k4x);
-        y1 = yy0 + sixth * (k1y + ($REAL$)2.0 * (k2y + k3y) + k4y);
+        sixth = h / 6.0;
+        x1 = xx0 + sixth * (k1x + 2.0 * (k2x + k3x) + k4x);
+        y1 = yy0 + sixth * (k1y + 2.0 * (k2y + k3y) + k4y);
 
         s1 = x1 + K * y1;
-        line_tol = ($REAL$)1e-12 * (($REAL$)fabs((double)x1)
-                   + K * ($REAL$)fabs((double)y1) + Q0);
+        line_tol = 1e-12 * (fabs(x1) + K * fabs(y1) + Q0);
         theta = 1.0;
         xe = x1; ye = y1;
         if (s1 * rsign < -line_tol) {
-            $REAL$ th, xt, yt;
-            refine_$SFX$(p, xx0, yy0, rs->dec, hr, x1, y1,
-                         ($REAL$)1.0, K, ($REAL$)0.0, &th, &xt, &yt);
+            double th, xt, yt;
+            fluid_refine(p, xx0, yy0, rs->dec, h, x1, y1,
+                         1.0, K, 0.0, &th, &xt, &yt);
             if (th < theta) { theta = th; xe = xt; ye = yt; term = 1; }
         }
         if (p->physical) {
             if (xx0 < XF && x1 >= XF) {
-                $REAL$ th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hr, x1, y1,
-                             ($REAL$)1.0, ($REAL$)0.0, -XF, &th, &xt, &yt);
+                double th, xt, yt;
+                fluid_refine(p, xx0, yy0, rs->dec, h, x1, y1,
+                             1.0, 0.0, -XF, &th, &xt, &yt);
                 if (th < theta) { theta = th; xe = xt; ye = yt; term = 2; }
             }
             if (xx0 > XE && x1 <= XE) {
-                $REAL$ th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hr, x1, y1,
-                             ($REAL$)1.0, ($REAL$)0.0, -XE, &th, &xt, &yt);
+                double th, xt, yt;
+                fluid_refine(p, xx0, yy0, rs->dec, h, x1, y1,
+                             1.0, 0.0, -XE, &th, &xt, &yt);
                 if (th < theta) { theta = th; xe = xt; ye = yt; term = 3; }
             }
         }
-        t_ev = t0d + (double)theta * h;
+        t_ev = t0 + theta * h;
 
-        if (yy0 * ye < ($REAL$)0.0) {
-            $REAL$ hk = hr * theta, th, xt, yt;
-            refine_$SFX$(p, xx0, yy0, rs->dec, hk, xe, ye,
-                         ($REAL$)0.0, ($REAL$)1.0, ($REAL$)0.0, &th, &xt, &yt);
-            record_$SFX$(p, rs, r, t0d + (double)th * (double)hk, 1,
-                         (double)xt, (double)yt);
+        if (yy0 * ye < 0.0) {
+            double hk = h * theta, th, xt, yt;
+            fluid_refine(p, xx0, yy0, rs->dec, hk, xe, ye,
+                         0.0, 1.0, 0.0, &th, &xt, &yt);
+            fluid_record(p, rs, r, t0 + th * hk, 1, xt, yt);
         }
         if (!p->physical) {
             if (xx0 < XF && xe >= XF) {
-                $REAL$ hk = hr * theta, th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hk, xe, ye,
-                             ($REAL$)1.0, ($REAL$)0.0, -XF, &th, &xt, &yt);
-                record_$SFX$(p, rs, r, t0d + (double)th * (double)hk, 2,
-                             (double)xt, (double)yt);
+                double hk = h * theta, th, xt, yt;
+                fluid_refine(p, xx0, yy0, rs->dec, hk, xe, ye,
+                             1.0, 0.0, -XF, &th, &xt, &yt);
+                fluid_record(p, rs, r, t0 + th * hk, 2, xt, yt);
             }
             if (xx0 > XE && xe <= XE) {
-                $REAL$ hk = hr * theta, th, xt, yt;
-                refine_$SFX$(p, xx0, yy0, rs->dec, hk, xe, ye,
-                             ($REAL$)1.0, ($REAL$)0.0, -XE, &th, &xt, &yt);
-                record_$SFX$(p, rs, r, t0d + (double)th * (double)hk, 3,
-                             (double)xt, (double)yt);
+                double hk = h * theta, th, xt, yt;
+                fluid_refine(p, xx0, yy0, rs->dec, hk, xe, ye,
+                             1.0, 0.0, -XE, &th, &xt, &yt);
+                fluid_record(p, rs, r, t0 + th * hk, 3, xt, yt);
             }
         }
 
         if (term == 0) { rs->x = xe; rs->y = ye; return; }
         if (term == 1) {
             int over, conv;
-            record_$SFX$(p, rs, r, t_ev, 0, (double)xe, (double)ye);
+            fluid_record(p, rs, r, t_ev, 0, xe, ye);
             rs->sw_count++;
             over = rs->sw_count > p->max_switches;
             conv = !over
-                && fabs((double)xe) / p->q0 <= p->conv_rtol
-                && fabs((double)ye) / p->cap <= p->conv_rtol;
+                && fabs(xe) / p->q0 <= p->conv_rtol
+                && fabs(ye) / p->cap <= p->conv_rtol;
             if (over || conv) {
                 rs->alive = 0;
-                rs->dead_step = step_i + 1;
                 rs->te = t_ev;
                 rs->xe_final = xe; rs->ye_final = ye;
                 rs->x = xe; rs->y = ye;
                 rs->rsn = over ? 3 : 1; /* max_switches : converged */
                 return;
             }
-            rs->dec = ye > ($REAL$)0.0;
+            rs->dec = ye > 0.0;
             rs->x = xe; rs->y = ye;
-            t0d = t_ev;
-            h = h * (1.0 - (double)theta);
+            t0 = t_ev;
+            h = h * (1.0 - theta);
             continue;
         }
         {
             int is_full = term == 2;
             double duration, t_step_end;
-            record_$SFX$(p, rs, r, t_ev, is_full ? 2 : 3,
-                         is_full ? (double)XF : (double)XE, (double)ye);
+            fluid_record(p, rs, r, t_ev, is_full ? 2 : 3,
+                         is_full ? XF : XE, ye);
             rs->pinned = is_full ? 1 : 2;
             rs->pin_t = t_ev;
             rs->pin_y = ye;
             if (is_full)
-                duration = log(((double)ye + p->cap) / p->cap)
+                duration = log((ye + p->cap) / p->cap)
                            / (p->b * p->x_full);
             else
-                duration = -(double)ye / (p->a * p->q0);
+                duration = -ye / (p->a * p->q0);
             rs->unpin_t = t_ev + duration;
             if (p->t_max < rs->unpin_t) rs->unpin_t = p->t_max;
             rs->x = is_full ? XF : XE;
             rs->y = ye;
-            t_step_end = t0d + h;
+            t_step_end = t0 + h;
             if (rs->unpin_t <= t_step_end) {
                 double t_up = rs->unpin_t;
-                $REAL$ x_pin = is_full ? XF : XE;
+                double x_pin = is_full ? XF : XE;
                 rs->x = x_pin; rs->y = 0.0;
                 rs->pinned = 0;
                 rs->unpin_t = INFINITY;
-                rs->dec = x_pin > ($REAL$)0.0;
-                t0d = t_up;
+                rs->dec = x_pin > 0.0;
+                t0 = t_up;
                 h = t_step_end - t_up;
                 continue;
             }
@@ -815,29 +843,33 @@ static void advance_$SFX$(fparams_$SFX$ *p, frow_$SFX$ *rs, int64_t r,
     }
 }
 
-void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
-    $REAL$ *x0, $REAL$ *y0, double a, double b, double cap, double kk,
+/* out_i = [last, overflow]: rows 0..last of xs/ys are written (the step
+   after which no row was alive, else n_steps), -1 if the row states
+   cannot be allocated; overflow is set when a row outgrew ev_cap. */
+void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
+    double *x0, double *y0, double a, double b, double cap, double kk,
     double q0, double x_full, double x_empty, int64_t linear_dec,
     int64_t physical, int64_t max_switches, double conv_rtol,
-    double t_max, $REAL$ *xs, $REAL$ *ys, int8_t *reason,
-    int64_t *switches, double *t_endv, double *x_endv, double *y_endv,
+    double t_max, double *xs, double *ys, int8_t *reason,
+    int64_t *switches, double *t_end, double *x_end, double *y_end,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i)
 {
     /* Step-major: every row advances one grid step before any row takes
        the next, so each step's samples land in one contiguous run of
        xs/ys.  Rows share nothing but the read-only parameters (each has
-       its own event slots), so every row still commits the same float
-       operations in the same order as a row-at-a-time sweep. */
-    fparams_$SFX$ p;
-    frow_$SFX$ *rows;
-    $REAL$ K = ($REAL$)kk, XF = ($REAL$)x_full, XE = ($REAL$)x_empty;
-    int64_t r, i, last = 0;
+       its own event slots), so the interleaving changes no row's
+       arithmetic.  Once no row is alive the loop stops, as the numpy
+       loop does; later samples are never written. */
+    fparams p;
+    frow *rows;
+    double K = kk, XF = x_full, XE = x_empty;
+    int64_t r, i, last = n_steps;
 
     out_i[1] = 0;
     if (m <= 0) { out_i[0] = 1; return; }
-    rows = (uint64_t)m > SIZE_MAX / sizeof(frow_$SFX$) ? NULL
-           : (frow_$SFX$ *)malloc((size_t)m * sizeof(frow_$SFX$));
+    rows = (uint64_t)m > SIZE_MAX / sizeof(frow) ? NULL
+           : (frow *)malloc((size_t)m * sizeof(frow));
     if (rows == NULL) { out_i[0] = -1; return; }  /* caller raises */
 
     p.a = a; p.b = b; p.cap = cap; p.k = kk; p.q0 = q0;
@@ -849,30 +881,27 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
     p.overflow = 0;
 
     for (r = 0; r < m; r++) {
-        frow_$SFX$ *rs = &rows[r];
-        $REAL$ s;
+        frow *rs = &rows[r];
+        double s;
         rs->x = x0[r]; rs->y = y0[r];
         s = rs->x + K * rs->y;
-        rs->dec = (s > ($REAL$)0.0)
-                  || (s == ($REAL$)0.0 && rs->y > ($REAL$)0.0);
+        rs->dec = (s > 0.0) || (s == 0.0 && rs->y > 0.0);
         rs->alive = 1; rs->pinned = 0; rs->rsn = 0;
         rs->pin_t = 0.0; rs->pin_y = 0.0; rs->unpin_t = INFINITY;
         rs->sw_count = 0; rs->n_ev = 0;
         rs->te = 0.0; rs->xe_final = rs->x; rs->ye_final = rs->y;
-        rs->dead_step = n_steps;
 
-        if (fabs((double)rs->x) / q0 <= conv_rtol
-            && fabs((double)rs->y) / cap <= conv_rtol) {
+        if (fabs(rs->x) / q0 <= conv_rtol
+            && fabs(rs->y) / cap <= conv_rtol) {
             rs->alive = 0;
             rs->rsn = 1;
-            rs->dead_step = 0;
-        } else if (physical && rs->x <= XE && rs->y < ($REAL$)0.0) {
+        } else if (physical && rs->x <= XE && rs->y < 0.0) {
             double duration;
-            record_$SFX$(&p, rs, r, 0.0, 3, (double)XE, (double)rs->y);
+            fluid_record(&p, rs, r, 0.0, 3, XE, rs->y);
             rs->pinned = 2;
             rs->pin_t = 0.0;
             rs->pin_y = rs->y;
-            duration = -(double)rs->y / (a * q0);
+            duration = -rs->y / (a * q0);
             rs->unpin_t = duration < t_max ? duration : t_max;
             rs->x = XE;
         }
@@ -882,71 +911,65 @@ void k_fluid_$SFX$(int64_t m, int64_t n_steps, double *t_grid,
 
     for (i = 0; i < n_steps; i++) {
         double t0 = t_grid[i], t1 = t_grid[i + 1];
-        $REAL$ *xs_i = xs + (i + 1) * m, *ys_i = ys + (i + 1) * m;
+        double *xs_i = xs + (i + 1) * m, *ys_i = ys + (i + 1) * m;
+        int64_t live = 0;
         for (r = 0; r < m; r++) {
-            frow_$SFX$ *rs = &rows[r];
+            frow *rs = &rows[r];
             if (rs->alive && rs->pinned == 0)
-                advance_$SFX$(&p, rs, r, t0, t1 - t0, i);
+                fluid_advance(&p, rs, r, t0, t1 - t0);
             if (physical && rs->alive && rs->pinned != 0
                 && rs->unpin_t <= t1 && rs->unpin_t < t_max) {
-                $REAL$ x_pin = rs->pinned == 1 ? XF : XE;
+                double x_pin = rs->pinned == 1 ? XF : XE;
                 double t_up = rs->unpin_t;
                 rs->x = x_pin; rs->y = 0.0;
                 rs->pinned = 0;
                 rs->unpin_t = INFINITY;
-                rs->dec = x_pin > ($REAL$)0.0;
-                advance_$SFX$(&p, rs, r, t_up, t1 - t_up, i);
+                rs->dec = x_pin > 0.0;
+                fluid_advance(&p, rs, r, t_up, t1 - t_up);
             }
             if (physical && rs->alive && rs->pinned != 0) {
                 double dt = t1 - rs->pin_t;
                 if (rs->pinned == 1) {
                     rs->x = XF;
-                    rs->y = ($REAL$)(((double)rs->pin_y + cap)
-                            * exp(-b * x_full * dt) - cap);
+                    rs->y = (rs->pin_y + cap) * exp(-b * x_full * dt) - cap;
                 } else {
                     rs->x = XE;
-                    rs->y = ($REAL$)((double)rs->pin_y + a * q0 * dt);
+                    rs->y = rs->pin_y + a * q0 * dt;
                 }
             }
             /* a dead row repeats its frozen end state */
             xs_i[r] = rs->x;
             ys_i[r] = rs->y;
+            live += rs->alive;
         }
+        if (live == 0) { last = i + 1; break; }
     }
 
     for (r = 0; r < m; r++) {
-        frow_$SFX$ *rs = &rows[r];
+        frow *rs = &rows[r];
         if (rs->alive) {
             int conv = rs->pinned == 0
-                && fabs((double)rs->x) / q0 <= conv_rtol
-                && fabs((double)rs->y) / cap <= conv_rtol;
+                && fabs(rs->x) / q0 <= conv_rtol
+                && fabs(rs->y) / cap <= conv_rtol;
             rs->rsn = conv ? 1 : 2;
             rs->te = t_max;
             rs->xe_final = rs->x;
             rs->ye_final = rs->y;
-            rs->dead_step = n_steps;
         }
         reason[r] = (int8_t)rs->rsn;
         switches[r] = rs->sw_count;
-        t_endv[r] = rs->te;
-        x_endv[r] = (double)rs->xe_final;
-        y_endv[r] = (double)rs->ye_final;
+        t_end[r] = rs->te;
+        x_end[r] = rs->xe_final;
+        y_end[r] = rs->ye_final;
         n_events[r] = rs->n_ev;
-        if (rs->dead_step > last) last = rs->dead_step;
     }
     free(rows);
-    if (last < 1) last = 1;
     out_i[0] = last;
     out_i[1] = p.overflow;
 }
 """
 
-SOURCE = (
-    "#include <stdlib.h>\n"
-    + _COMMON
-    + _FLUID_TEMPLATE.replace("$REAL$", "double").replace("$SFX$", "f64")
-    + _FLUID_TEMPLATE.replace("$REAL$", "float").replace("$SFX$", "f32")
-)
+SOURCE = "#include <stdlib.h>\n" + _COMMON + _FLUID
 
 
 def _build_root() -> Path:

@@ -3,27 +3,20 @@
 :func:`simulate_fluid_batch_compiled` mirrors
 :func:`repro.fluid.batch.simulate_fluid_batch` — same signature, same
 :class:`~repro.fluid.batch.BatchFluidResult` — but runs the per-row
-switched RK4 + cubic-Hermite event refinement as one compiled kernel
-call instead of a python stepping loop over numpy temporaries.  The
-kernel runs step-major over an array of per-row states: every row
-advances one grid step, and that step's samples are stored side by
-side, before any row takes the next.  Rows are independent, so each
-row's arithmetic is unchanged by the interleaving.  In float64 the
-kernel commits the same floating-point operations in the same order
-as the numpy implementation, so trajectories match bit-for-bit in the
-``nonlinear``/``linearized`` modes (``physical`` mode's pinned closed
-forms call ``exp``/``log``, identical through libm but allowed a
-~1e-12 relative tolerance against numpy's SIMD vectorized
-transcendentals).  If the kernel cannot allocate its row states it
-reports that and this wrapper raises :class:`MemoryError`.
-
-``precision="float32"`` halves the state memory for ensemble work —
-appropriate for statistics over many trajectories (portraits, sweeps,
-stability scans) where per-sample error ~1e-7 of the natural scales is
-acceptable; event *times* remain float64.  Without a compiled backend
-this module transparently delegates to the numpy implementation
-(computing in float64 and casting, so results are deterministic across
-tiers).
+switched RK4 + cubic-Hermite event refinement as one C kernel call
+instead of a python stepping loop over numpy temporaries.  The numpy
+integrator is its oracle: the kernel commits the same floating-point
+operations in the same order, so the result matches it byte for byte
+in the ``nonlinear``/``linearized`` modes, sample count included.
+``physical`` mode's pinned closed forms call libm ``exp``/``log``,
+which may differ from numpy's vectorized transcendentals by an ulp;
+``y`` stays within 1e-13 relative there.  The kernel runs step-major
+over an array of per-row states (every row advances one grid step,
+and that step's samples are stored side by side, before any row takes
+the next) and stops once no row is alive.  If it cannot allocate its
+row states it reports that and this wrapper raises
+:class:`MemoryError`.  Without a compiled backend this module
+delegates to the numpy implementation.
 """
 
 from __future__ import annotations
@@ -53,14 +46,11 @@ def simulate_fluid_batch_compiled(
     dt_scale: float = 0.02,
     convergence_rtol: float | None = None,
     obs=None,
-    precision: str = "float64",
     backend: KernelBackend | None = None,
 ):
     """Compiled drop-in for :func:`repro.fluid.batch.simulate_fluid_batch`."""
     from ..fluid import batch as _batch
 
-    if precision not in ("float64", "float32"):
-        raise ValueError(f"unknown precision {precision!r}")
     if convergence_rtol is None:
         convergence_rtol = _batch._CONVERGENCE_RTOL
     be = backend if backend is not None else get_backend()
@@ -69,7 +59,7 @@ def simulate_fluid_batch_compiled(
             params, x0, y0, t_max=t_max, mode=mode,
             max_switches=max_switches, dt=dt, dt_scale=dt_scale,
             convergence_rtol=convergence_rtol, obs=obs,
-            fluid_method="numpy", precision=precision,
+            fluid_method="numpy",
         )
 
     p = _batch.as_normalized(params)
@@ -85,14 +75,15 @@ def simulate_fluid_batch_compiled(
     x0a = np.atleast_1d(np.asarray(x0, dtype=float))
     y0a = np.atleast_1d(np.asarray(y0, dtype=float))
     xb, yb = np.broadcast_arrays(x0a, y0a)
-    real = np.float32 if precision == "float32" else np.float64
-    xr = np.ascontiguousarray(xb, dtype=real)
-    yr = np.ascontiguousarray(yb, dtype=real)
+    xr = np.ascontiguousarray(xb)
+    yr = np.ascontiguousarray(yb)
     m = xr.size
 
     t_grid = np.linspace(0.0, t_max, n_steps + 1)
-    xs = np.zeros((n_steps + 1) * m, dtype=real)
-    ys = np.zeros((n_steps + 1) * m, dtype=real)
+    # Large zeroed buffers are mapped lazily: the pages past the step at
+    # which every row has died are never written, so never resident.
+    xs = np.zeros((n_steps + 1) * m)
+    ys = np.zeros((n_steps + 1) * m)
     reason = np.zeros(m, dtype=np.int8)
     switches = np.zeros(m, dtype=np.int64)
     t_end = np.zeros(m)
@@ -128,7 +119,7 @@ def simulate_fluid_batch_compiled(
             params, x0, y0, t_max=t_max, mode=mode,
             max_switches=max_switches, dt=dt, dt_scale=dt_scale,
             convergence_rtol=convergence_rtol, obs=obs,
-            fluid_method="numpy", precision=precision,
+            fluid_method="numpy",
         )
 
     last = int(out_i[0])

@@ -7,9 +7,10 @@
 BCN emission, service accounting) and the exact per-frame fallback for
 drop-tail windows — while keeping every observable side effect
 (switch stats, queue counters, sigma history, obs events, RNG stream
-position) identical to the batched engine.  The dumbbell window loop
-builds it on the C tier only; on the numpy tier it builds the parent
-class instead.
+position) identical to the batched engine, its oracle.  The dumbbell
+window loop builds it on the C tier only (the numpy tier has no
+packet-window kernels); on the numpy tier it builds the parent class
+instead.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class CompiledSwitchKernel(BatchedSwitchKernel):
         self._sout_d = np.empty(5)
         self._sout_i = np.empty(14, dtype=np.int64)
         # The plan/commit kernels run through bound closures (see
-        # ``KernelBackend.bind_packet_plan``) that capture the scratch
+        # ``_CffiKernels.bind_packet_plan``) that capture the scratch
         # buffers; ``_bufgen`` bumps whenever ``_buf`` reallocates one,
         # invalidating the closures so they re-bind the new arrays.
         self._bufgen = 0

@@ -1,23 +1,30 @@
 """``kernel-parity``: the two kernel tiers must agree *statically*.
 
-``repro.kernels`` keeps one scalar reference body per kernel
-(``_scalar.py``), re-exported by the numpy tier (``KernelBackend``) and
-re-exposed by the cffi tier as a python wrapper over a C translation
-(``_cbuild.py``).  Tier drift — a renamed argument, a reordered
+``repro.kernels`` runs the packet window loop on one of two tiers: the
+numpy tier (``KernelBackend`` in ``_backend.py``), whose ``bind_*``
+closures are the oracle, and the cffi tier (``_CffiKernels``), which
+overrides them to call the C kernels declared in ``_cbuild.py``'s
+``CDEF`` block.  Tier drift — a renamed argument, a reordered
 parameter, a dtype change on one side only — otherwise surfaces as a
 conformance-suite divergence after minutes of simulation.  This check
 makes drift a lint error instead:
 
-* the ``KernelBackend`` table and the cffi wrapper methods must each
-  cover exactly the scalar kernel set, under the same names;
-* every cffi wrapper's python signature must equal the scalar
-  signature, name for name, position for position;
-* every ``lib.k_*`` call must match a prototype in ``_cbuild.py``'s
-  ``CDEF`` block in arity; where the wrapper's pointer casts
-  (``self._d`` → ``double *`` …) and ``float()``/``int()`` coercions
-  make the expected C type or argument name derivable, those must match
-  the prototype too — argument *dtype* drift between python and C is a
-  lint error.
+* ``_CffiKernels`` must override every ``KernelBackend.bind_*``
+  method with the same arguments, name for name, position for
+  position, and the closures the two return must take the same call
+  arguments (``_``-prefixed parameters with defaults, which pin
+  captured arrays, do not count).  The cffi tier may add ``bind_*``
+  methods of its own: the switch-window kernels have no numpy closure
+  (their oracle is ``BatchedSwitchKernel``);
+* every ``lib.k_*`` call must match a prototype in ``CDEF`` in arity.
+  Where an argument's marshalling makes the C type derivable — a
+  pointer cast (``self._d`` → ``double *`` …, also through a local
+  alias ``_d = self._d`` or a pointer precomputed into a local such as
+  ``p_x = self._d(x)``) or a ``float()``/``int()`` coercion — it must
+  match the prototype's type, and a pointer must come from the array
+  the prototype names: argument *dtype* drift between python and C is
+  a lint error;
+* every prototype in ``CDEF`` must be called.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = ["check_kernel_parity"]
 #: cffi pointer-cast helper -> canonical C parameter type.
 _CAST_TYPES = {
     "_d": "double*",
-    "_f": "float*",
     "_i": "int64_t*",
     "_u8": "uint8_t*",
     "_i8": "int8_t*",
@@ -41,6 +47,10 @@ _CAST_TYPES = {
 
 #: python scalar coercion -> canonical C parameter type.
 _COERCE_TYPES = {"float": "double", "int": "int64_t"}
+
+#: A marshalled argument: ``(canonical_ctype, source_array_name)``.
+_Marshal = tuple[str | None, str | None]
+
 
 def _finding(file: SourceFile, node: ast.AST, message: str) -> Finding:
     return Finding(
@@ -53,12 +63,8 @@ def _finding(file: SourceFile, node: ast.AST, message: str) -> Finding:
 
 def _arg_names(fn: ast.FunctionDef) -> list[str]:
     spec = fn.args
-    return [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs]
-
-
-def _scalar_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    return {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
+    names = [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs]
+    return names[1:] if names[:1] == ["self"] else names
 
 
 def _class(tree: ast.Module, name: str) -> ast.ClassDef | None:
@@ -68,28 +74,56 @@ def _class(tree: ast.Module, name: str) -> ast.ClassDef | None:
     return None
 
 
-def _scalar_attr(node: ast.expr) -> str | None:
-    """The ``X`` in a ``_scalar.X`` reference."""
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id == "_scalar":
-        return node.attr
+def _bind_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("bind_")}
+
+
+def _closure_args(fn: ast.FunctionDef) -> list[str] | None:
+    """Call arguments of the closure ``fn`` returns, pins excluded."""
+    returned = {node.value.id for node in fn.body
+                if isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Name)}
+    for node in fn.body:
+        if isinstance(node, ast.FunctionDef) and node.name in returned:
+            spec = node.args
+            positional = spec.posonlyargs + spec.args
+            pinned = {a.arg for a in positional[len(positional)
+                                                - len(spec.defaults):]}
+            pinned |= {a.arg for a, default in zip(spec.kwonlyargs,
+                                                   spec.kw_defaults)
+                       if default is not None}
+            return [name for name in _arg_names(node)
+                    if not (name.startswith("_") and name in pinned)]
     return None
 
 
-def _base_table(cls: ast.ClassDef) -> dict[str, tuple[str, ast.AST]]:
-    """``name -> (scalar_name, node)`` for ``staticmethod(_scalar.X)``."""
-    out: dict[str, tuple[str, ast.AST]] = {}
-    for node in cls.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Call) \
-                and isinstance(node.value.func, ast.Name) \
-                and node.value.func.id == "staticmethod" \
-                and len(node.value.args) == 1:
-            scalar_name = _scalar_attr(node.value.args[0])
-            if scalar_name is not None:
-                out[node.targets[0].id] = (scalar_name, node)
-    return out
+def _check_bind_parity(file: SourceFile, base: ast.ClassDef,
+                       cffi: ast.ClassDef) -> Iterator[Finding]:
+    cffi_binds = _bind_methods(cffi)
+    for name, want_fn in sorted(_bind_methods(base).items()):
+        got_fn = cffi_binds.get(name)
+        if got_fn is None:
+            yield _finding(file, cffi,
+                           f"_CffiKernels has no wrapper for kernel "
+                           f"{name[len('bind_'):]!r}: it does not "
+                           f"override KernelBackend.{name}")
+            continue
+        want, got = _arg_names(want_fn), _arg_names(got_fn)
+        if want != got:
+            yield _finding(
+                file, got_fn,
+                f"_CffiKernels.{name} signature {got} does not match "
+                f"KernelBackend.{name} signature {want}; tier "
+                "signatures drifted")
+        want_call, got_call = _closure_args(want_fn), _closure_args(got_fn)
+        if want_call != got_call:
+            yield _finding(
+                file, got_fn,
+                f"the closure _CffiKernels.{name} returns takes "
+                f"{got_call} but KernelBackend.{name}'s takes "
+                f"{want_call}; tier signatures drifted")
 
 
 # -- CDEF prototype parsing ------------------------------------------------
@@ -129,14 +163,16 @@ def _lib_call_name(call: ast.Call) -> str | None:
     return None
 
 
-def _classify_arg(node: ast.expr) -> tuple[str | None, str | None]:
-    """``(canonical_ctype, source_name)`` for one C-call argument."""
+def _marshal(node: ast.expr) -> _Marshal:
+    """``(canonical_ctype, source_name)`` for one marshalling expression."""
     if isinstance(node, ast.Call) and len(node.args) == 1:
         func = node.func
         inner = node.args[0]
         name = inner.id if isinstance(inner, ast.Name) else None
         if isinstance(func, ast.Attribute) and func.attr in _CAST_TYPES:
             return _CAST_TYPES[func.attr], name
+        if isinstance(func, ast.Name) and func.id in _CAST_TYPES:
+            return _CAST_TYPES[func.id], name  # ``_d = self._d`` alias
         if isinstance(func, ast.Name) and func.id in _COERCE_TYPES:
             return _COERCE_TYPES[func.id], name
     if isinstance(node, ast.Subscript):  # x.shape[0]
@@ -146,13 +182,47 @@ def _classify_arg(node: ast.expr) -> tuple[str | None, str | None]:
     return None, None
 
 
+def _local_marshals(fn: ast.FunctionDef) -> dict[str, _Marshal]:
+    """Locals of ``fn`` (closures included) bound to a marshalled value."""
+    env: dict[str, _Marshal] = {}
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target, value = node.targets[0], node.value
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) \
+                and len(target.elts) == len(value.elts):
+            pairs = list(zip(target.elts, value.elts))
+        else:
+            pairs = [(target, value)]
+        for tgt, val in pairs:
+            if isinstance(tgt, ast.Name):
+                marshal = _marshal(val)
+                if marshal[0] is not None:
+                    env[tgt.id] = marshal
+    return env
+
+
 def _check_lib_calls(file: SourceFile,
                      protos: dict[str, list[tuple[str, str]]],
                      ) -> Iterator[Finding]:
-    used: set[str] = set()
-    for node in ast.walk(file.tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("k_"):
-            used.add(node.attr)
+    used = {node.attr for node in ast.walk(file.tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("k_")}
+    for top in file.tree.body:
+        body = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in body:
+            if isinstance(fn, ast.FunctionDef):
+                yield from _check_function_calls(file, fn, protos)
+    for name in sorted(set(protos) - used):
+        yield _finding(file, file.tree,
+                       f"C prototype {name} in _cbuild.py is never "
+                       "referenced by the cffi tier in _backend.py")
+
+
+def _check_function_calls(file: SourceFile, fn: ast.FunctionDef,
+                        protos: dict[str, list[tuple[str, str]]],
+                        ) -> Iterator[Finding]:
+    env = _local_marshals(fn)
+    for node in ast.walk(fn):
         if not isinstance(node, ast.Call):
             continue
         name = _lib_call_name(node)
@@ -171,7 +241,10 @@ def _check_lib_calls(file: SourceFile,
                 f"C prototype declares {len(proto)}")
             continue
         for pos, (arg, (ctype, pname)) in enumerate(zip(node.args, proto)):
-            got_type, got_name = _classify_arg(arg)
+            if isinstance(arg, ast.Name) and arg.id in env:
+                got_type, got_name = env[arg.id]
+            else:
+                got_type, got_name = _marshal(arg)
             if got_type is not None and got_type != ctype:
                 yield _finding(
                     file, arg,
@@ -184,23 +257,17 @@ def _check_lib_calls(file: SourceFile,
                     f"{name} argument {pos + 1} passes array "
                     f"{got_name!r} where the C prototype names the "
                     f"parameter {pname!r}; tier argument names drifted")
-    for name in sorted(set(protos) - used):
-        yield _finding(file, file.tree,
-                       f"C prototype {name} in _cbuild.py is never "
-                       "referenced by the cffi tier in _backend.py")
 
 
 @register("kernel-parity")
 def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
-    """Cross-check ``_scalar.py`` / ``_backend.py`` / ``_cbuild.py``."""
-    scalar = project.repro_source("kernels/_scalar.py")
+    """Cross-check the tiers in ``_backend.py`` against ``_cbuild.py``."""
     backend = project.repro_source("kernels/_backend.py")
     cbuild = project.repro_source("kernels/_cbuild.py")
-    if scalar is None or backend is None or cbuild is None:
+    if backend is None or cbuild is None:
         # Not a repro tree (fixtures without kernels): nothing to check.
         return
 
-    scalar_fns = _scalar_functions(scalar.tree)
     base_cls = _class(backend.tree, "KernelBackend")
     cffi_cls = _class(backend.tree, "_CffiKernels")
     if base_cls is None or cffi_cls is None:
@@ -208,45 +275,8 @@ def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
                        "_backend.py must define KernelBackend and "
                        "_CffiKernels")
         return
+    yield from _check_bind_parity(backend, base_cls, cffi_cls)
 
-    base = _base_table(base_cls)
-    kernel_names = set(base)
-
-    # 1. the fallback table must re-export scalar functions by name.
-    for name, (scalar_name, node) in sorted(base.items()):
-        if name != scalar_name:
-            yield _finding(backend, node,
-                           f"KernelBackend.{name} re-exports "
-                           f"_scalar.{scalar_name}; tier names drifted")
-        if scalar_name not in scalar_fns:
-            yield _finding(backend, node,
-                           f"KernelBackend.{name} references "
-                           f"_scalar.{scalar_name}, which does not exist")
-
-    # 2. cffi wrappers: python signature parity with the scalar bodies.
-    cffi_methods = {node.name: node for node in cffi_cls.body
-                    if isinstance(node, ast.FunctionDef)}
-    for name in sorted(kernel_names):
-        scalar_fn = scalar_fns.get(name)
-        wrapper = cffi_methods.get(name)
-        if scalar_fn is None:
-            continue  # already reported against the base table
-        if wrapper is None:
-            yield _finding(backend, cffi_cls,
-                           f"_CffiKernels has no wrapper for kernel "
-                           f"{name!r}")
-            continue
-        want = _arg_names(scalar_fn)
-        got = _arg_names(wrapper)
-        got = got[1:] if got[:1] == ["self"] else got
-        if want != got:
-            yield _finding(
-                backend, wrapper,
-                f"_CffiKernels.{name} signature {got} does not match "
-                f"the scalar reference signature {want}; tier "
-                "signatures drifted")
-
-    # 3. C prototypes vs the marshalling the wrappers actually do.
     cdef_text: str | None = None
     for node in cbuild.tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -260,6 +290,4 @@ def check_kernel_parity(project: LintProject) -> Iterator[Finding]:
                        "_cbuild.py has no module-level CDEF string "
                        "literal to check prototypes against")
     else:
-        protos = _parse_cdef(cdef_text)
-        yield from _check_lib_calls(backend, protos)
-
+        yield from _check_lib_calls(backend, _parse_cdef(cdef_text))

@@ -1,11 +1,15 @@
 """Unit tests for the compiled kernel package (:mod:`repro.kernels`).
 
-Backend selection, the differential guarantees of the individual
-kernels and of each tier's bound window-loop closures against their
-pure-python reference bodies, the fluid precision modes, and the
-one-time warm-up span.  Tests marked ``requires_compiled`` exercise the
-C tier and skip on the pure-numpy fallback; everything else runs on
-every tier.
+Backend selection, the one-time warm-up span, and the differential
+guarantees of the C tier against its oracle, the numpy tier: each
+``bind_*`` window-loop closure against the numpy closure of the same
+name, the C switch window (:class:`CompiledSwitchKernel`) against
+:class:`BatchedSwitchKernel` window by window, and the C fluid kernel
+against the numpy batch integrator.  Independent references back the
+numpy tier itself: an argsort train merge, the :class:`RateRegulator`
+objects, and invariants of the pacing arithmetic.  Tests marked
+``requires_compiled`` exercise the C tier and skip on the pure-numpy
+fallback; everything else runs on every tier.
 """
 
 import numpy as np
@@ -13,10 +17,12 @@ import pytest
 
 from repro.kernels import (get_backend, reset_backend,
                            simulate_fluid_batch_compiled)
-from repro.kernels import _scalar
 from repro.kernels._backend import KernelBackend, consume_warmup_span
+from repro.kernels.packet import CompiledSwitchKernel
+from repro.simulation.engine import Simulator
 from repro.simulation.frames import BCNMessage
 from repro.simulation.source import RateRegulator
+from repro.simulation.switch import BatchedSwitchKernel, CoreSwitch
 
 requires_compiled = pytest.mark.skipif(
     not get_backend().compiled,
@@ -38,11 +44,20 @@ def tier(request):
 # -- backend selection ------------------------------------------------------
 
 
+#: The numpy tier: the oracle every C closure is compared with.
+ORACLE = KernelBackend()
+
+
 def test_numpy_tier_is_the_scalar_reference():
     be = KernelBackend()
     assert be.name == "numpy"
     assert not be.compiled
     assert be.warmup_seconds == 0.0
+    # the switch-window and fluid kernels are C-only: their numpy
+    # oracles are BatchedSwitchKernel and simulate_fluid_batch
+    for attr in ("bind_packet_plan", "bind_packet_commit",
+                 "packet_scalar", "fluid_rows"):
+        assert not hasattr(be, attr)
 
 
 def test_unknown_backend_env_is_rejected(monkeypatch):
@@ -119,7 +134,15 @@ def _reference_merge(first, gaps, counts, assoc, d):
     return times[order], srcs[order], assoc[srcs[order]]
 
 
-@requires_compiled
+def _bound_merge(be, first, gaps, counts, assoc, d):
+    total = int(counts.sum())
+    out = (np.empty(total), np.empty(total, dtype=np.int64),
+           np.empty(total, dtype=np.uint8))
+    bound = be.bind_merge_trains(first, gaps, counts, assoc, *out)
+    assert int(bound(d)) == total
+    return out
+
+
 def test_merge_trains_matches_argsort_merge():
     rng = np.random.default_rng(3)
     n = 8
@@ -128,33 +151,21 @@ def test_merge_trains_matches_argsort_merge():
     counts = rng.integers(0, 50, n).astype(np.int64)
     assoc = rng.integers(0, 2, n).astype(np.uint8)
     d = 5e-6
-    exp_t, exp_src, exp_assoc = _reference_merge(first, gaps, counts,
-                                                 assoc, d)
-    total = int(counts.sum())
-    out_t = np.empty(total)
-    out_src = np.empty(total, dtype=np.int64)
-    out_assoc = np.empty(total, dtype=np.uint8)
-    get_backend().merge_trains(first, gaps, counts, assoc, d,
-                               out_t, out_src, out_assoc)
-    np.testing.assert_array_equal(out_t, exp_t)
-    np.testing.assert_array_equal(out_src, exp_src)
-    np.testing.assert_array_equal(out_assoc, exp_assoc)
+    got = _bound_merge(get_backend(), first, gaps, counts, assoc, d)
+    for g, want in zip(got, _reference_merge(first, gaps, counts, assoc, d)):
+        np.testing.assert_array_equal(g, want)
 
 
-@requires_compiled
 def test_merge_trains_breaks_time_ties_by_source():
     # Identical trains: every emission time collides across sources, and
     # the stable argsort the batched engine uses resolves each tie in
-    # ascending source order — merge_trains must do the same.
+    # ascending source order — every tier must do the same.
     first = np.array([1e-3, 1e-3])
     gaps = np.array([1e-5, 1e-5])
     counts = np.array([3, 3], dtype=np.int64)
     assoc = np.array([1, 0], dtype=np.uint8)
-    out_t = np.empty(6)
-    out_src = np.empty(6, dtype=np.int64)
-    out_assoc = np.empty(6, dtype=np.uint8)
-    get_backend().merge_trains(first, gaps, counts, assoc, 0.0,
-                               out_t, out_src, out_assoc)
+    _, out_src, out_assoc = _bound_merge(get_backend(), first, gaps, counts,
+                                         assoc, 0.0)
     np.testing.assert_array_equal(out_src, [0, 1, 0, 1, 0, 1])
     np.testing.assert_array_equal(out_assoc, [1, 0, 1, 0, 1, 0])
 
@@ -165,10 +176,14 @@ def test_merge_trains_breaks_time_ties_by_source():
 _MODES = [("message", 0), ("fluid-euler", 1), ("fluid-exact", 2)]
 
 
-def _apply_case(mode):
+def _apply_case(mode, n_windows=1):
     """Random BCN messages applied the object way (RateRegulator.apply
-    plus the window loop's owed-bits bookkeeping); returns the message
-    arrays, the constants and the expected per-source outcome."""
+    plus the window loop's owed-bits bookkeeping), delivered in
+    ``n_windows`` consecutive windows; returns the message arrays, the
+    constants, the expected per-source outcome and the windows as
+    ``(message slice, t_commit)``.  Past the first window each commit
+    boundary falls just short of its last message's arrival, so the
+    lag clamp is exercised too."""
     rng = np.random.default_rng(7)
     n, n_msg = 6, 400
     const = dict(gi=4.0, gd=1 / 128, ru=8e6, max_dt=5e-4, d=5e-6,
@@ -185,25 +200,32 @@ def _apply_case(mode):
         msg_fb=rng.uniform(-128.0, 127.0, n_msg),
         msg_sigma=rng.uniform(-3e6, 3e6, n_msg),
     )
+    edges = np.linspace(0, n_msg, n_windows + 1).astype(int)
+    windows = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t_commit = (const["t_commit"] if n_windows == 1
+                    else float(msgs["msg_t"][hi - 1]) + 2e-6)
+        windows.append((slice(lo, hi), t_commit))
     owed = np.zeros(n)
     total = float(sum(r.rate for r in regs))
-    for k in range(n_msg):
-        i = int(msgs["msg_src"][k])
-        now = float(msgs["msg_t"][k]) + const["d"]
-        before = regs[i].rate
-        regs[i].apply(
-            BCNMessage(da=i, sa="cp", cpid="cp",
-                       fb=float(msgs["msg_fb"][k]), q_off=0.0, q_delta=0.0,
-                       fb_raw=float(msgs["msg_sigma"][k]),
-                       sent_at=float(msgs["msg_t"][k])),
-            now,
-        )
-        after = regs[i].rate
-        if after != before:
-            delta = after - before
-            owed[i] += delta * max(const["t_commit"] - now, 0.0)
-            total += delta
-    return msgs, const, regs, owed, total
+    for sl, t_commit in windows:
+        for k in range(sl.start, sl.stop):
+            i = int(msgs["msg_src"][k])
+            now = float(msgs["msg_t"][k]) + const["d"]
+            before = regs[i].rate
+            regs[i].apply(
+                BCNMessage(da=i, sa="cp", cpid="cp",
+                           fb=float(msgs["msg_fb"][k]), q_off=0.0,
+                           q_delta=0.0, fb_raw=float(msgs["msg_sigma"][k]),
+                           sent_at=float(msgs["msg_t"][k])),
+                now,
+            )
+            after = regs[i].rate
+            if after != before:
+                delta = after - before
+                owed[i] += delta * max(t_commit - now, 0.0)
+                total += delta
+    return msgs, const, regs, owed, total, windows
 
 
 def _soa_state(n):
@@ -212,6 +234,19 @@ def _soa_state(n):
                 assoc8=np.zeros(n, dtype=np.uint8),
                 updates=np.zeros(n, dtype=np.int64), owed=np.zeros(n),
                 out_d=np.array([n * 2e7]))
+
+
+def _bind_apply(be, code, c, st):
+    n = st["rate"].size
+    return be.bind_apply_messages(
+        code, c["gi"], c["gd"], c["ru"], c["max_dt"], c["d"], st["rate"],
+        st["last_update"], st["assoc8"], st["updates"], np.full(n, 1e5),
+        np.full(n, 1e9), st["owed"], st["out_d"])
+
+
+def _deliver(bound, msgs, sl, t_commit):
+    bound(msgs["msg_t"][sl], msgs["msg_src"][sl], msgs["msg_fb"][sl],
+          msgs["msg_sigma"][sl], t_commit)
 
 
 def _assert_soa_matches(st, regs, owed, total):
@@ -229,37 +264,34 @@ def _assert_soa_matches(st, regs, owed, total):
             assert lu == reg._last_update
 
 
-@requires_compiled
 @pytest.mark.parametrize("mode, code", _MODES)
 def test_apply_messages_matches_regulator_objects(mode, code):
-    msgs, c, regs, owed, total = _apply_case(mode)
+    # One binding per tier, five windows: the selected backend's state
+    # equals the numpy tier's after every window and the regulator
+    # objects' at the end.
+    msgs, c, regs, owed, total, windows = _apply_case(mode, n_windows=5)
     n = len(regs)
-    st = _soa_state(n)
-    get_backend().apply_messages(
-        msgs["msg_t"], msgs["msg_src"], msgs["msg_fb"], msgs["msg_sigma"],
-        code, c["gi"], c["gd"], c["ru"], c["max_dt"], c["d"],
-        c["t_commit"], st["rate"], st["last_update"], st["assoc8"],
-        st["updates"], np.full(n, 1e5), np.full(n, 1e9), st["owed"],
-        st["out_d"],
-    )
-    _assert_soa_matches(st, regs, owed, total)
+    got, want = _soa_state(n), _soa_state(n)
+    bound_got = _bind_apply(get_backend(), code, c, got)
+    bound_want = _bind_apply(ORACLE, code, c, want)
+    for sl, t_commit in windows:
+        _deliver(bound_got, msgs, sl, t_commit)
+        _deliver(bound_want, msgs, sl, t_commit)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+    _assert_soa_matches(got, regs, owed, total)
 
 
 @pytest.mark.parametrize("mode, code", _MODES)
 def test_bound_apply_messages_matches_regulator_objects(tier, mode, code):
-    msgs, c, regs, owed, total = _apply_case(mode)
-    n = len(regs)
-    st = _soa_state(n)
-    bound = tier.bind_apply_messages(
-        code, c["gi"], c["gd"], c["ru"], c["max_dt"], c["d"], st["rate"],
-        st["last_update"], st["assoc8"], st["updates"], np.full(n, 1e5),
-        np.full(n, 1e9), st["owed"], st["out_d"])
-    bound(msgs["msg_t"], msgs["msg_src"], msgs["msg_fb"],
-          msgs["msg_sigma"], c["t_commit"])
+    msgs, c, regs, owed, total, windows = _apply_case(mode)
+    st = _soa_state(len(regs))
+    (sl, t_commit), = windows
+    _deliver(_bind_apply(tier, code, c, st), msgs, sl, t_commit)
     _assert_soa_matches(st, regs, owed, total)
 
 
-# -- pacing kernels ---------------------------------------------------------
+# -- pacing closures: the C tier against the numpy tier ---------------------
 
 
 def _pacing_case(seed=5, n=7):
@@ -274,210 +306,95 @@ def _pacing_case(seed=5, n=7):
     return next_emit, paused, active, remaining, gaps
 
 
+def _plan(be, next_emit, paused, active, remaining, gaps, until):
+    n = next_emit.size
+    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
+    bound = be.bind_pacing_plan(next_emit, paused, active, remaining, gaps,
+                                first, counts)
+    return int(bound(until)), first, counts
+
+
+def _assert_plan_invariants(next_emit, paused, active, remaining, gaps,
+                            until, total, first, counts):
+    """The planning arithmetic, checked from its definition."""
+    assert total == int(counts.sum())
+    # a train starts at the pending emission, deferred past a PAUSE
+    np.testing.assert_array_equal(first, np.maximum(next_emit, paused))
+    assert np.all(counts[~active] == 0)
+    assert np.all(counts <= remaining)
+    planned = counts > 0
+    # every planned frame fits before ``until``; one more would not,
+    # unless the flow has no frames left
+    assert np.all(first[planned] + gaps[planned] * (counts[planned] - 1)
+                  <= until)
+    open_ended = active & (first <= until) & (counts < remaining)
+    assert np.all(first[open_ended] + gaps[open_ended] * counts[open_ended]
+                  > until)
+
+
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_pacing_plan_matches_scalar_reference(seed):
-    next_emit, paused, active, remaining, gaps = _pacing_case(seed)
+    case = _pacing_case(seed)
     until = 1.5e-3
+    want = _plan(ORACLE, *case, until)
+    got = _plan(get_backend(), *case, until)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(got[2], want[2])
+    _assert_plan_invariants(*case, until, *got)
+
+
+def _commit_state(next_emit, remaining, active):
     n = next_emit.size
-    ref_first, ref_counts = np.empty(n), np.empty(n, dtype=np.int64)
-    ref_total = _scalar.pacing_plan(next_emit, paused, active, remaining,
-                                    gaps, until, ref_first, ref_counts)
-    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
-    total = get_backend().pacing_plan(next_emit, paused, active, remaining,
-                                      gaps, until, first, counts)
-    assert int(total) == ref_total == int(counts.sum())
-    np.testing.assert_array_equal(first, ref_first)
-    np.testing.assert_array_equal(counts, ref_counts)
-    # a paused or inactive source never plans emissions before resume
-    assert np.all(first >= next_emit)
-    assert np.all(counts[~active] == 0)
-    assert np.all(counts <= np.where(np.isfinite(remaining),
-                                     remaining, np.inf))
+    return dict(ne=next_emit.copy(), rem=remaining.copy(),
+                act=active.astype(np.uint8), fa=np.zeros(n, dtype=np.int64),
+                comm=np.empty(n, dtype=np.int64),
+                fin_idx=np.empty(n, dtype=np.int64), fin_t=np.empty(n))
+
+
+def _commit(be, st, srcs, first, gaps, counts, any_finite, m_committed):
+    bound = be.bind_pacing_commit(
+        srcs, first, gaps, counts, any_finite, st["ne"], st["rem"],
+        st["act"], st["fa"], st["comm"], st["fin_idx"], st["fin_t"])
+    return int(bound(m_committed))
+
+
+def _assert_commits_equal(got, want, n_fin):
+    for key in ("ne", "rem", "act", "fa", "comm"):
+        np.testing.assert_array_equal(got[key], want[key])
+    for key in ("fin_idx", "fin_t"):
+        np.testing.assert_array_equal(got[key][:n_fin], want[key][:n_fin])
 
 
 @pytest.mark.parametrize("truncate", [False, True])
 def test_pacing_commit_matches_scalar_reference(truncate):
     next_emit, paused, _, remaining, gaps = _pacing_case(9)
-    until = 1.5e-3
     n = next_emit.size
     active = np.ones(n, dtype=bool)  # everyone emits: exercise finishes
     remaining[:3] = [1.0, 2.0, 3.0]  # force some sources to run out
-    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
-    total = int(get_backend().pacing_plan(
-        next_emit, paused, active, remaining, gaps, until, first, counts))
+    total, first, counts = _plan(ORACLE, next_emit, paused, active,
+                                 remaining, gaps, 1.5e-3)
     assert total > 0
     srcs = np.repeat(np.arange(n, dtype=np.int64), counts)
     m_committed = total // 2 if truncate else total
 
-    def run(fn):
-        ne, rem = next_emit.copy(), remaining.copy()
-        act = active.copy().astype(np.uint8)
-        fa = np.zeros(n, dtype=np.int64)
-        comm = np.empty(n, dtype=np.int64)
-        fin_idx = np.empty(n, dtype=np.int64)
-        fin_t = np.empty(n)
-        n_fin = fn(srcs, m_committed, first, gaps, counts, 1,
-                   ne, rem, act, fa, comm, fin_idx, fin_t)
-        return ne, rem, act, fa, int(n_fin), fin_idx, fin_t
-
-    r = run(_scalar.pacing_commit)
-    k = run(get_backend().pacing_commit)
-    for ref, got in zip(r[:5], k[:5]):
-        np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(k[5][:k[4]], r[5][:r[4]])
-    np.testing.assert_array_equal(k[6][:k[4]], r[6][:r[4]])
+    want = _commit_state(next_emit, remaining, active)
+    got = _commit_state(next_emit, remaining, active)
+    n_fin = _commit(ORACLE, want, srcs, first, gaps, counts, 1, m_committed)
+    assert _commit(get_backend(), got, srcs, first, gaps, counts, 1,
+                   m_committed) == n_fin
+    _assert_commits_equal(got, want, n_fin)
+    comm = np.bincount(srcs[:m_committed], minlength=n)
+    np.testing.assert_array_equal(got["comm"], comm)
+    np.testing.assert_array_equal(got["fa"], comm)
     # finished sources really ran out, and their finish time is the
     # instant their last committed frame was emitted
-    for j in range(k[4]):
-        i = int(k[5][j])
-        assert k[1][i] <= 0.0 and not k[2][i]
+    for j, i in enumerate(got["fin_idx"][:n_fin]):
+        assert got["rem"][i] <= 0.0 and not got["act"][i]
+        assert got["fin_t"][j] == first[i] + gaps[i] * (comm[i] - 1)
 
 
-def test_owed_repay_matches_scalar_reference():
-    rng = np.random.default_rng(21)
-    n = 8
-    owed = np.where(rng.random(n) < 0.5, rng.uniform(-2e4, 2e4, n), 0.0)
-    rates = rng.uniform(1e6, 1e9, n)
-    until = 1e-3
-    next_emit = np.where(rng.random(n) < 0.7,
-                         until + rng.uniform(0.0, 1e-3, n),
-                         rng.uniform(0.0, until, n))
-    nxt = float(np.nextafter(until, np.inf))
-    ref_owed, ref_ne = owed.copy(), next_emit.copy()
-    _scalar.owed_repay(ref_owed, ref_ne, rates, until, nxt)
-    got_owed, got_ne = owed.copy(), next_emit.copy()
-    get_backend().owed_repay(got_owed, got_ne, rates, until, nxt)
-    np.testing.assert_array_equal(got_owed, ref_owed)
-    np.testing.assert_array_equal(got_ne, ref_ne)
-    # sources already due before ``until`` are untouched
-    before = next_emit <= until
-    np.testing.assert_array_equal(got_ne[before], next_emit[before])
-    np.testing.assert_array_equal(got_owed[before], owed[before])
-    # repayment never reschedules a deferred source into the closed window
-    assert np.all(got_ne[~before] >= nxt)
-
-
-# -- each tier's bound window-loop closures vs the scalar bodies ----------
-
-
-def _merge_case(seed, n, max_count):
-    rng = np.random.default_rng(seed)
-    first = rng.uniform(0.0, 1e-3, n)
-    gaps = rng.uniform(1e-6, 1e-4, n)
-    counts = rng.integers(0, max_count, n).astype(np.int64)
-    assoc = rng.integers(0, 2, n).astype(np.uint8)
-    return first, gaps, counts, assoc
-
-
-def _scalar_merge(first, gaps, counts, assoc, d):
-    total = int(counts.sum())
-    out = (np.empty(total), np.empty(total, dtype=np.int64),
-           np.empty(total, dtype=np.uint8))
-    assert _scalar.merge_trains(first, gaps, counts, assoc, d, *out) == total
-    return out
-
-
-def test_bound_merge_trains_matches_scalar_with_growth_and_rebind(tier):
-    # The window loop's buffer life cycle: bind over small persistent
-    # buffers, then a window that outgrows them — reallocate, re-bind,
-    # merge again — all against the same captured per-source arrays.
-    n, d = 8, 5e-6
-    first, gaps, counts, assoc = _merge_case(3, n, 6)
-    cap = 64
-    out_t, out_src = np.empty(cap), np.empty(cap, dtype=np.int64)
-    out_assoc = np.empty(cap, dtype=np.uint8)
-    bound = tier.bind_merge_trains(first, gaps, counts, assoc,
-                                   out_t, out_src, out_assoc)
-    total = int(bound(d))
-    assert total == int(counts.sum()) <= cap
-    for got, want in zip((out_t, out_src, out_assoc),
-                         _scalar_merge(first, gaps, counts, assoc, d)):
-        np.testing.assert_array_equal(got[:total], want)
-
-    # next window: new plan written in place, too big for the buffers;
-    # two identical trains collide at every emission time, and ties
-    # must resolve in ascending source order
-    f2, g2, c2, a2 = _merge_case(4, n, 50)
-    first[:], gaps[:], counts[:], assoc[:] = f2, g2, c2, a2
-    first[1], gaps[1] = first[0], gaps[0]
-    counts[:2], assoc[:2] = 30, [1, 0]
-    total = int(counts.sum())
-    assert total > cap
-    out_t, out_src = np.empty(2 * total), np.empty(2 * total, dtype=np.int64)
-    out_assoc = np.empty(2 * total, dtype=np.uint8)
-    bound = tier.bind_merge_trains(first, gaps, counts, assoc,
-                                   out_t, out_src, out_assoc)
-    assert int(bound(d)) == total
-    for got, want in zip((out_t, out_src, out_assoc),
-                         _scalar_merge(first, gaps, counts, assoc, d)):
-        np.testing.assert_array_equal(got[:total], want)
-
-
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_bound_pacing_plan_matches_scalar(tier, seed):
-    next_emit, paused, active, remaining, gaps = _pacing_case(seed)
-    until = 1.5e-3
-    n = next_emit.size
-    ref_first, ref_counts = np.empty(n), np.empty(n, dtype=np.int64)
-    ref_total = _scalar.pacing_plan(next_emit, paused, active, remaining,
-                                    gaps, until, ref_first, ref_counts)
-    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
-    bound = tier.bind_pacing_plan(next_emit, paused, active, remaining,
-                                  gaps, first, counts)
-    assert int(bound(until)) == ref_total
-    np.testing.assert_array_equal(first, ref_first)
-    np.testing.assert_array_equal(counts, ref_counts)
-
-
-@pytest.mark.parametrize("any_finite", [1, 0])
-@pytest.mark.parametrize("truncate", [False, True])
-def test_bound_pacing_commit_matches_scalar(tier, truncate, any_finite):
-    next_emit, paused, _, remaining, gaps = _pacing_case(9)
-    until = 1.5e-3
-    n = next_emit.size
-    active = np.ones(n, dtype=bool)
-    # the last source is PAUSEd past its pending emission, so when the
-    # commit is cut short it holds a deferred first emission
-    next_emit[-1], paused[-1] = 2e-4, 5e-4
-    if any_finite:
-        remaining[:3] = [1.0, 2.0, 3.0]  # force some sources to run out
-    else:
-        remaining[:] = np.inf  # the loop's pure-elephant shortcut
-    first, counts = np.empty(n), np.empty(n, dtype=np.int64)
-    total = _scalar.pacing_plan(next_emit, paused, active, remaining, gaps,
-                                until, first, counts)
-    srcs = np.repeat(np.arange(n, dtype=np.int64), counts)
-    m_committed = total // 2 if truncate else total
-
-    def state():
-        return dict(ne=next_emit.copy(), rem=remaining.copy(),
-                    act=active.copy(), fa=np.zeros(n, dtype=np.int64),
-                    comm=np.empty(n, dtype=np.int64),
-                    fin_idx=np.empty(n, dtype=np.int64), fin_t=np.empty(n))
-
-    ref = state()
-    ref_fin = _scalar.pacing_commit(
-        srcs, m_committed, first, gaps, counts, any_finite, ref["ne"],
-        ref["rem"], ref["act"], ref["fa"], ref["comm"], ref["fin_idx"],
-        ref["fin_t"])
-    got = state()
-    bound = tier.bind_pacing_commit(
-        srcs, first, gaps, counts, any_finite, got["ne"], got["rem"],
-        got["act"], got["fa"], got["comm"], got["fin_idx"], got["fin_t"])
-    n_fin = int(bound(m_committed))
-    assert n_fin == ref_fin
-    if not any_finite:
-        assert n_fin == 0
-    elif not truncate:
-        assert n_fin > 0  # the short finite flows all ran out
-    for key in ("ne", "rem", "act", "fa", "comm"):
-        np.testing.assert_array_equal(got[key], ref[key])
-    for key in ("fin_idx", "fin_t"):
-        np.testing.assert_array_equal(got[key][:n_fin], ref[key][:n_fin])
-
-
-@pytest.mark.parametrize("all_zero", [False, True])
-def test_bound_owed_repay_matches_scalar(tier, all_zero):
+def _owed_case(all_zero=False):
     rng = np.random.default_rng(21)
     n = 8
     owed = np.where(rng.random(n) < 0.5, rng.uniform(-2e4, 2e4, n), 0.0)
@@ -489,52 +406,309 @@ def test_bound_owed_repay_matches_scalar(tier, all_zero):
                          until + rng.uniform(0.0, 1e-3, n),
                          rng.uniform(0.0, until, n))
     nxt = float(np.nextafter(until, np.inf))
-    ref_owed, ref_ne = owed.copy(), next_emit.copy()
-    _scalar.owed_repay(ref_owed, ref_ne, rates, until, nxt)
-    got_owed, got_ne = owed.copy(), next_emit.copy()
-    tier.bind_owed_repay(got_owed, got_ne, rates)(until, nxt)
-    np.testing.assert_array_equal(got_owed, ref_owed)
-    np.testing.assert_array_equal(got_ne, ref_ne)
+    return owed, next_emit, rates, until, nxt
+
+
+def _repay(be, owed, next_emit, rates, until, nxt):
+    owed, next_emit = owed.copy(), next_emit.copy()
+    be.bind_owed_repay(owed, next_emit, rates)(until, nxt)
+    return owed, next_emit
+
+
+def test_owed_repay_matches_scalar_reference():
+    owed, next_emit, rates, until, nxt = _owed_case()
+    want_owed, want_ne = _repay(ORACLE, owed, next_emit, rates, until, nxt)
+    got_owed, got_ne = _repay(get_backend(), owed, next_emit, rates, until,
+                              nxt)
+    np.testing.assert_array_equal(got_owed, want_owed)
+    np.testing.assert_array_equal(got_ne, want_ne)
+    # sources already due before ``until`` are untouched
+    before = next_emit <= until
+    np.testing.assert_array_equal(got_ne[before], next_emit[before])
+    np.testing.assert_array_equal(got_owed[before], owed[before])
+    # repayment never reschedules a deferred source into the closed window
+    assert np.all(got_ne[~before] >= nxt)
+    # the ledger is debited by exactly the bits moved
+    np.testing.assert_array_equal(
+        got_owed[~before],
+        owed[~before] - (next_emit[~before] - got_ne[~before])
+        * rates[~before])
+
+
+# -- each tier's bound closures through a window's life cycle -------------
+
+
+def test_bound_merge_trains_matches_scalar_with_growth_and_rebind(tier):
+    # The window loop's buffer life cycle: bind over small persistent
+    # buffers, then a window that outgrows them — reallocate, re-bind,
+    # merge again — all against the same captured per-source arrays.
+    n, d = 8, 5e-6
+    rng = np.random.default_rng(3)
+    first = rng.uniform(0.0, 1e-3, n)
+    gaps = rng.uniform(1e-6, 1e-4, n)
+    counts = rng.integers(0, 6, n).astype(np.int64)
+    assoc = rng.integers(0, 2, n).astype(np.uint8)
+    cap = 64
+    out_t, out_src = np.empty(cap), np.empty(cap, dtype=np.int64)
+    out_assoc = np.empty(cap, dtype=np.uint8)
+    bound = tier.bind_merge_trains(first, gaps, counts, assoc,
+                                   out_t, out_src, out_assoc)
+    total = int(bound(d))
+    assert total == int(counts.sum()) <= cap
+    for got, want in zip((out_t, out_src, out_assoc),
+                         _reference_merge(first, gaps, counts, assoc, d)):
+        np.testing.assert_array_equal(got[:total], want)
+
+    # next window: new plan written in place, too big for the buffers;
+    # two identical trains collide at every emission time, and ties
+    # must resolve in ascending source order
+    rng = np.random.default_rng(4)
+    first[:] = rng.uniform(0.0, 1e-3, n)
+    gaps[:] = rng.uniform(1e-6, 1e-4, n)
+    counts[:] = rng.integers(0, 50, n)
+    assoc[:] = rng.integers(0, 2, n)
+    first[1], gaps[1] = first[0], gaps[0]
+    counts[:2], assoc[:2] = 30, [1, 0]
+    total = int(counts.sum())
+    assert total > cap
+    out_t, out_src = np.empty(2 * total), np.empty(2 * total, dtype=np.int64)
+    out_assoc = np.empty(2 * total, dtype=np.uint8)
+    bound = tier.bind_merge_trains(first, gaps, counts, assoc,
+                                   out_t, out_src, out_assoc)
+    assert int(bound(d)) == total
+    for got, want in zip((out_t, out_src, out_assoc),
+                         _reference_merge(first, gaps, counts, assoc, d)):
+        np.testing.assert_array_equal(got[:total], want)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_bound_pacing_plan_matches_scalar(tier, seed):
+    # One binding, two windows: the closure re-reads the captured
+    # arrays the commit step advanced in place.
+    next_emit, paused, active, remaining, gaps = _pacing_case(seed)
+    n = next_emit.size
+    runs = {}
+    for key, be in (("got", tier), ("want", ORACLE)):
+        ne = next_emit.copy()
+        first, counts = np.empty(n), np.empty(n, dtype=np.int64)
+        bound = be.bind_pacing_plan(ne, paused, active, remaining, gaps,
+                                    first, counts)
+        totals = []
+        for until in (1.5e-3, 2.5e-3):
+            before = ne.copy()
+            totals.append(int(bound(until)))
+            _assert_plan_invariants(before, paused, active, remaining, gaps,
+                                    until, totals[-1], first, counts)
+            ne[:] = np.where(counts > 0, first + gaps * counts, first)
+        runs[key] = (totals, ne, first, counts)
+    got, want = runs["got"], runs["want"]
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("any_finite", [1, 0])
+@pytest.mark.parametrize("truncate", [False, True])
+def test_bound_pacing_commit_matches_scalar(tier, truncate, any_finite):
+    next_emit, paused, _, remaining, gaps = _pacing_case(9)
+    n = next_emit.size
+    active = np.ones(n, dtype=bool)
+    # the last source is PAUSEd past its pending emission, so when the
+    # commit is cut short it holds a deferred first emission
+    next_emit[-1], paused[-1] = 2e-4, 5e-4
+    if any_finite:
+        remaining[:3] = [1.0, 2.0, 3.0]  # force some sources to run out
+    else:
+        remaining[:] = np.inf  # the loop's pure-elephant shortcut
+    total, first, counts = _plan(ORACLE, next_emit, paused, active,
+                                 remaining, gaps, 1.5e-3)
+    srcs = np.repeat(np.arange(n, dtype=np.int64), counts)
+    m_committed = total // 2 if truncate else total
+
+    want = _commit_state(next_emit, remaining, active)
+    got = _commit_state(next_emit, remaining, active)
+    n_fin = _commit(ORACLE, want, srcs, first, gaps, counts, any_finite,
+                    m_committed)
+    assert _commit(tier, got, srcs, first, gaps, counts, any_finite,
+                   m_committed) == n_fin
+    if not any_finite:
+        assert n_fin == 0
+        np.testing.assert_array_equal(got["rem"], remaining)
+    elif not truncate:
+        assert n_fin > 0  # the short finite flows all ran out
+    if truncate:
+        # planned but cut off: the source keeps its deferred emission
+        assert got["comm"][-1] == 0 and got["ne"][-1] == first[-1] == 5e-4
+    _assert_commits_equal(got, want, n_fin)
+
+
+@pytest.mark.parametrize("all_zero", [False, True])
+def test_bound_owed_repay_matches_scalar(tier, all_zero):
+    owed, next_emit, rates, until, nxt = _owed_case(all_zero)
+    want = _repay(ORACLE, owed, next_emit, rates, until, nxt)
+    got = _repay(tier, owed, next_emit, rates, until, nxt)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    if all_zero:
+        np.testing.assert_array_equal(got[1], next_emit)
+        assert not got[0].any()
 
 
 def test_bound_closures_mutate_like_direct_calls():
-    """``bind_*`` closures must be call-for-call identical to the plain
-    entry points on every tier (the cffi tier overrides them with
-    precomputed pointers; the base class wraps the generic methods)."""
-    be = get_backend()
+    """One binding per closure, three windows of plan → merge → commit
+    → repay: the selected backend's closures stay valid across calls
+    and leave the same state as the numpy tier's after every window."""
     next_emit, paused, active, remaining, gaps = _pacing_case(31)
-    until = 1.5e-3
     n = next_emit.size
+    remaining[:2] = [3.0, 40.0]
     active = active.astype(np.uint8)
+    rates = 1.0 / gaps * 12_000.0
+    assoc = (np.arange(n) % 2).astype(np.uint8)
 
-    d_first, d_counts = np.empty(n), np.empty(n, dtype=np.int64)
-    d_total = int(be.pacing_plan(next_emit.copy(), paused, active,
-                                 remaining.copy(), gaps, until,
-                                 d_first, d_counts))
+    def state():
+        # zero-filled, so slots a closure leaves unwritten compare equal
+        return dict(ne=next_emit.copy(), rem=remaining.copy(),
+                    act=active.copy(), first=np.zeros(n),
+                    counts=np.zeros(n, dtype=np.int64),
+                    fa=np.zeros(n, dtype=np.int64),
+                    comm=np.zeros(n, dtype=np.int64),
+                    fin_idx=np.zeros(n, dtype=np.int64), fin_t=np.zeros(n),
+                    owed=np.linspace(-3e4, 3e4, n), out_t=np.zeros(4096),
+                    out_src=np.zeros(4096, dtype=np.int64),
+                    out_assoc=np.zeros(4096, dtype=np.uint8))
 
-    b_ne, b_rem = next_emit.copy(), remaining.copy()
-    b_first, b_counts = np.empty(n), np.empty(n, dtype=np.int64)
-    bound_plan = be.bind_pacing_plan(b_ne, paused, active, b_rem, gaps,
-                                     b_first, b_counts)
-    assert int(bound_plan(until)) == d_total
-    np.testing.assert_array_equal(b_first, d_first)
-    np.testing.assert_array_equal(b_counts, d_counts)
+    def binds(be, st):
+        return (
+            be.bind_pacing_plan(st["ne"], paused, st["act"], st["rem"],
+                                gaps, st["first"], st["counts"]),
+            be.bind_merge_trains(st["first"], gaps, st["counts"], assoc,
+                                 st["out_t"], st["out_src"],
+                                 st["out_assoc"]),
+            be.bind_pacing_commit(st["out_src"], st["first"], gaps,
+                                  st["counts"], 1, st["ne"], st["rem"],
+                                  st["act"], st["fa"], st["comm"],
+                                  st["fin_idx"], st["fin_t"]),
+            be.bind_owed_repay(st["owed"], st["ne"], rates),
+        )
 
-    # owed_repay through a bound closure, twice (the closure must stay
-    # valid across calls — pointers are cached, state is not)
-    owed = np.array([1e4, 0.0, 5e3])
-    ne = np.array([2e-3, 5e-4, 3e-3])
-    rates = np.array([1e8, 1e8, 1e8])
-    ref_owed, ref_ne = owed.copy(), ne.copy()
-    be.owed_repay(ref_owed, ref_ne, rates, 1e-3,
-                  float(np.nextafter(1e-3, np.inf)))
-    be.owed_repay(ref_owed, ref_ne, rates, 2.5e-3,
-                  float(np.nextafter(2.5e-3, np.inf)))
-    bound_owed = be.bind_owed_repay(owed, ne, rates)
-    bound_owed(1e-3, float(np.nextafter(1e-3, np.inf)))
-    bound_owed(2.5e-3, float(np.nextafter(2.5e-3, np.inf)))
-    np.testing.assert_array_equal(owed, ref_owed)
-    np.testing.assert_array_equal(ne, ref_ne)
+    got, want = state(), state()
+    tiers = [(binds(get_backend(), got), got), (binds(ORACLE, want), want)]
+    for until in (1e-3, 2e-3, 3e-3):
+        nxt = float(np.nextafter(until, np.inf))
+        results = []
+        for (plan, merge, commit, repay), st in tiers:
+            total = int(plan(until))
+            assert int(merge(5e-6)) == total
+            n_fin = int(commit(total - total // 3))
+            repay(until, nxt)
+            results.append((total, n_fin))
+        assert results[0] == results[1]
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+    assert got["fa"].sum() > 0 and not got["act"][0]  # source 0 ran out
+
+
+# -- switch window: the C kernels against BatchedSwitchKernel ---------------
+
+
+FRAME = 12_000  # bits: 12 us of service at 1 Gb/s
+
+
+def _switch_pair(random_sampling):
+    kernels = []
+    for cls in (BatchedSwitchKernel, CompiledSwitchKernel):
+        sw = CoreSwitch(Simulator(), cpid="cp", capacity=1e9, q0=30_000.0,
+                        buffer_bits=60 * FRAME, w=2.0, pm=0.25, fb_bits=6,
+                        q_sc=20 * FRAME, pause_duration=40e-6,
+                        require_association=True, positive_only_below_q0=True,
+                        random_sampling=random_sampling, sampling_seed=11)
+        kernels.append(cls(sw, FRAME, pause_fanout=3,
+                           pause_commit_horizon=10e-6))
+    return kernels
+
+
+def _train(t0, n, gap):
+    return t0 + gap * np.arange(n)
+
+
+#: ``(t_end, arrivals, timed event applied at the segment start)``
+_SEGMENTS = [
+    # 12 frames, 9 served by t_end: residual backlog carried over
+    (1e-4, _train(0.0, 12, 2e-6), None),
+    # the queue crosses q_sc: a PAUSE cuts the commit at pause_at + 10 us
+    # and the rest is re-offered in the next window
+    (3e-4, _train(1.2e-4, 40, 1e-6), None),
+    # overflows the 60-frame buffer: drop-tail windows run per frame
+    # (with PAUSEs re-armed every 40 us) until the burst is committed
+    (1.4e-3, _train(3.1e-4, 100, 0.5e-6), None),
+    # link outage: no service starts before 1.6 ms
+    (1.8e-3, _train(1.45e-3, 15, 3e-6), ("freeze", 1.6e-3)),
+    # an outage that overflows the buffer: per-frame windows, frozen
+    (2.6e-3, _train(1.85e-3, 70, 1e-6), ("freeze", 2.0e-3)),
+    # the service rate halves
+    (3.6e-3, _train(2.9e-3, 20, 10e-6), ("capacity", 5e8)),
+    # nothing arrives: the queue drains
+    (4.2e-3, np.empty(0), None),
+]
+
+
+def _switch_state(k):
+    sw, q = k.switch, k.switch.queue
+    return (vars(sw.stats).copy(), q.enqueued_frames, q.enqueued_bits,
+            q.dequeued_frames, q.dequeued_bits, q.dropped_frames,
+            q.dropped_bits, sw.sigma_history, sw._arrivals_since_sample,
+            sw._q_at_last_sample, sw._service_paused_until, sw.capacity,
+            k._backlog, k._next_free, k._inflight, k._pause_rearm_at,
+            k._frozen_until, k._ssvc)
+
+
+@requires_compiled
+@pytest.mark.parametrize("random_sampling", [False, True],
+                         ids=["deterministic", "bernoulli"])
+def test_compiled_switch_kernel_matches_batched_window_by_window(
+        random_sampling):
+    kernels = _switch_pair(random_sampling)
+    rng = np.random.default_rng(2)
+    t = 0.0
+    seen = dict(windows=0, backlog=0, pauses=0, drop_windows=0)
+    for t_end, times, event in _SEGMENTS:
+        if event is not None:
+            kind, value = event
+            for k in kernels:
+                if kind == "freeze":
+                    k.freeze_until(value)
+                else:
+                    k.set_capacity(value)
+        srcs = rng.integers(0, 4, times.size).astype(np.int64)
+        assoc = rng.integers(0, 2, times.size).astype(np.uint8)
+        while True:
+            want, got = (k.process(t, t_end, times, srcs, assoc)
+                         for k in kernels)
+            for field in vars(want):
+                w, g = getattr(want, field), getattr(got, field)
+                if isinstance(w, np.ndarray):
+                    np.testing.assert_array_equal(g, w, err_msg=field)
+                else:
+                    assert g == w, field
+            assert _switch_state(kernels[1]) == _switch_state(kernels[0])
+            probe = np.linspace(want.t_start, want.t_commit, 9)
+            np.testing.assert_array_equal(kernels[1].queue_at(probe),
+                                          kernels[0].queue_at(probe))
+            seen["windows"] += 1
+            seen["backlog"] += kernels[0]._backlog > 0
+            seen["pauses"] += want.pause_at is not None
+            seen["drop_windows"] += want.drops > 0
+            times, srcs, assoc = (a[want.committed:]
+                                  for a in (times, srcs, assoc))
+            t = want.t_commit
+            if not times.size and t >= t_end:
+                break
+            assert seen["windows"] < 200
+    assert seen["backlog"] and seen["pauses"] >= 3 and seen["drop_windows"]
+    assert kernels[0].switch.queue.dropped_frames > 0
+    if random_sampling:
+        states = [k._rng.bit_generator.state for k in kernels]
+        assert states[1] == states[0]
 
 
 # -- fluid kernel -----------------------------------------------------------
@@ -581,25 +755,6 @@ def test_fluid_compiled_physical_mode_within_libm_tolerance():
     np.testing.assert_array_equal(com.switch_counts, ref.switch_counts)
 
 
-@requires_compiled
-def test_fluid_float32_tracks_float64_within_tolerance():
-    p, x0 = _fluid_case()
-    f64 = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0,
-                                        mode="nonlinear")
-    f32 = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0,
-                                        mode="nonlinear",
-                                        precision="float32")
-    assert f32.x.dtype == np.float32
-    assert f32.y.dtype == np.float32
-    assert f32.t.dtype == np.float64  # the grid stays exact
-    # per-sample error stays ~1e-7 of the natural scales; allow 1e-4
-    scale = max(p.q0, float(np.max(np.abs(f64.x))))
-    assert np.max(np.abs(f32.x.astype(np.float64) - f64.x)) <= 1e-4 * scale
-    # event *times* remain float64 and close to the double-precision ones
-    for evs64, evs32 in zip(f64.events, f32.events):
-        assert len(evs64) == len(evs32)
-
-
 def test_fluid_method_seam_accepts_compiled_and_auto():
     from repro.fluid.batch import simulate_fluid_batch
 
@@ -613,67 +768,43 @@ def test_fluid_method_seam_accepts_compiled_and_auto():
         np.testing.assert_array_equal(out.y, ref.y)
     with pytest.raises(ValueError):
         simulate_fluid_batch(p, x0, 0.0, t_max=5.0, fluid_method="???")
-    with pytest.raises(ValueError):
-        simulate_fluid_batch(p, x0, 0.0, t_max=5.0, precision="float16")
+    # float64 is the only state precision
+    with pytest.raises(TypeError):
+        simulate_fluid_batch(p, x0, 0.0, t_max=5.0, precision="float32")
+    with pytest.raises(TypeError):
+        simulate_fluid_batch_compiled(p, x0, 0.0, t_max=5.0,
+                                      precision="float32")
 
 
-def test_fluid_numpy_fallback_casts_float32():
+# -- fluid kernel: C against the numpy integrator ----------------------------
+#
+# Each row of the C kernel runs the numpy loop's float operations in the
+# same order, so the two results must match byte for byte, sample count
+# included (physical mode: ``y`` within libm's ulp of numpy's ``exp``).
+
+
+def _fluid_pair(p, x0, y0, **kw):
     from repro.fluid.batch import simulate_fluid_batch
 
-    p, x0 = _fluid_case()
-    out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
-                               fluid_method="numpy", precision="float32")
-    assert out.x.dtype == np.float32
+    want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+    got = simulate_fluid_batch_compiled(p, x0, y0, **kw)
+    return got, want
 
 
-# -- fluid kernel: C against the scalar spec body ----------------------------
-#
-# ``_scalar.fluid_rows`` integrates one row at a time; the C kernel
-# advances every row one grid step before the next.  Rows are
-# independent, so every output buffer must match byte for byte.  The
-# output buffers start as sentinels (NaN / -1), so a sample or slot that
-# one tier writes and the other skips shows up as a difference.
+def _event_bytes(result):
+    return [[(float(e.time).hex(), e.kind, float(e.x).hex(),
+              float(e.y).hex()) for e in evs] for evs in result.events]
 
 
-def _fluid_rows_outputs(fn, p, x0, y0, *, t_max, mode, max_switches,
-                        real=np.float64):
-    from repro.fluid import batch
-
-    x0 = np.ascontiguousarray(x0, dtype=real)
-    y0 = np.ascontiguousarray(y0, dtype=real)
-    m = x0.shape[0]
-    dt = batch.default_time_step(p)
-    t_grid = np.linspace(0.0, t_max, max(1, int(np.ceil(t_max / dt))) + 1)
-    n = t_grid.shape[0]
-    ev_cap = 8 * (max_switches + 8)
-    out = dict(
-        xs=np.full(n * m, np.nan, dtype=real),
-        ys=np.full(n * m, np.nan, dtype=real),
-        reason=np.full(m, -1, dtype=np.int8),
-        switches=np.full(m, -1, dtype=np.int64),
-        t_end=np.full(m, np.nan), x_end=np.full(m, np.nan),
-        y_end=np.full(m, np.nan),
-        n_events=np.full(m, -1, dtype=np.int64),
-        ev_t=np.full(m * ev_cap, np.nan),
-        ev_kind=np.full(m * ev_cap, -1, dtype=np.int8),
-        ev_x=np.full(m * ev_cap, np.nan), ev_y=np.full(m * ev_cap, np.nan),
-        out_i=np.full(2, -7, dtype=np.int64),
-    )
-    fn(x0, y0, t_grid, p.a, p.b, p.capacity, p.k, p.q0,
-       p.buffer_size - p.q0, -p.q0,
-       1 if mode == "linearized" else 0, 1 if mode == "physical" else 0,
-       max_switches, batch._CONVERGENCE_RTOL, t_max,
-       out["xs"], out["ys"], out["reason"], out["switches"], out["t_end"],
-       out["x_end"], out["y_end"], ev_cap, out["n_events"], out["ev_t"],
-       out["ev_kind"], out["ev_x"], out["ev_y"], out["out_i"])
-    return out
-
-
-def _assert_same_bytes(got, want):
-    assert got.keys() == want.keys()
-    for name in want:
-        assert got[name].dtype == want[name].dtype, name
-        assert got[name].tobytes() == want[name].tobytes(), name
+def _assert_same_result(got, want, exact_y=True):
+    fields = ["t", "x", "converged", "switch_counts", "t_end", "x_end",
+              "y_end"] + (["y"] if exact_y else [])
+    for name in fields:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    assert got.end_reason == want.end_reason
+    assert _event_bytes(got) == _event_bytes(want)
 
 
 def _mixed_bundle():
@@ -704,34 +835,30 @@ def _physical_bundle():
 @pytest.mark.parametrize("mode", ["nonlinear", "linearized"])
 def test_fluid_c_kernel_equals_scalar_spec_on_mixed_bundle(mode):
     p, x0, y0, kw = _mixed_bundle()
-    want = _fluid_rows_outputs(_scalar.fluid_rows, p, x0, y0, mode=mode, **kw)
-    got = _fluid_rows_outputs(get_backend().fluid_rows, p, x0, y0,
-                              mode=mode, **kw)
-    _assert_same_bytes(got, want)
+    got, want = _fluid_pair(p, x0, y0, mode=mode, **kw)
+    _assert_same_result(got, want)
     if mode == "nonlinear":
         # the bundle covers every way a row ends
-        assert want["reason"].tolist() == [1, 1, 3, 2, 3]
-        assert want["t_end"][0] == 0.0 and want["switches"][0] == 0
-        assert 0.0 < want["t_end"][1] < kw["t_max"]
+        assert want.end_reason == ["converged", "converged", "max_switches",
+                                   "time_limit", "max_switches"]
+        assert want.t_end[0] == 0.0 and want.switch_counts[0] == 0
+        assert 0.0 < want.t_end[1] < kw["t_max"]
         # rows that died early repeat their end state to the last sample
-        n = want["out_i"][0]
-        xs = want["xs"].reshape(-1, x0.size)
-        assert n == xs.shape[0] - 1  # row 3 ran to t_max
-        assert np.all(xs[:, 0] == x0[0])
-        assert np.all(xs[-5:, 2] == want["x_end"][2])
+        assert want.t[-1] == kw["t_max"]  # row 3 ran to t_max
+        assert np.all(want.x[:, 0] == x0[0])
+        assert np.all(want.x[-5:, 2] == want.x_end[2])
 
 
 @requires_compiled
 def test_fluid_c_kernel_equals_scalar_spec_in_physical_mode():
     p, x0, y0, kw = _physical_bundle()
-    want = _fluid_rows_outputs(_scalar.fluid_rows, p, x0, y0, **kw)
-    got = _fluid_rows_outputs(get_backend().fluid_rows, p, x0, y0, **kw)
-    _assert_same_bytes(got, want)
-    cap = 8 * (kw["max_switches"] + 8)
-    kinds = want["ev_kind"][:want["n_events"][0]].tolist()
-    assert kinds[0] == 3 and want["ev_t"][0] == 0.0  # pinned empty at t=0
-    assert 2 in kinds  # later pinned at the full buffer
-    assert want["ev_kind"][cap:cap + 1].tolist() == [-1]  # row 1: no events
+    got, want = _fluid_pair(p, x0, y0, **kw)
+    _assert_same_result(got, want, exact_y=False)
+    np.testing.assert_allclose(got.y, want.y, rtol=1e-13, atol=0.0)
+    kinds = [e.kind for e in want.events[0]]
+    assert kinds[0] == "buffer_empty" and want.events[0][0].time == 0.0
+    assert "buffer_full" in kinds  # later pinned at the full buffer
+    assert want.events[1] == []  # row 1 starts converged
 
 
 @requires_compiled
@@ -739,35 +866,79 @@ def test_fluid_c_kernel_equals_scalar_spec_in_physical_mode():
                          ids=["m1-converged", "m1-running", "m0"])
 def test_fluid_c_kernel_equals_scalar_spec_on_tiny_bundles(rows):
     p, x0, y0, kw = _mixed_bundle()
-    want = _fluid_rows_outputs(_scalar.fluid_rows, p, x0[rows], y0[rows],
-                               mode="nonlinear", **kw)
-    got = _fluid_rows_outputs(get_backend().fluid_rows, p, x0[rows],
-                              y0[rows], mode="nonlinear", **kw)
-    _assert_same_bytes(got, want)
-    assert want["out_i"][0] >= 1 and want["out_i"][1] == 0
+    got, want = _fluid_pair(p, x0[rows], y0[rows], mode="nonlinear", **kw)
+    _assert_same_result(got, want)
+    assert want.t.size >= 2
+
+
+def _fluid_rows_outputs(fn, p, x0, y0, *, t_max, mode, max_switches):
+    """Run a ``fluid_rows`` kernel on output buffers filled with
+    sentinels (NaN / -1), so every sample or slot it skips shows."""
+    from repro.fluid import batch
+
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    y0 = np.ascontiguousarray(y0, dtype=np.float64)
+    m = x0.shape[0]
+    dt = batch.default_time_step(p)
+    t_grid = np.linspace(0.0, t_max, max(1, int(np.ceil(t_max / dt))) + 1)
+    n = t_grid.shape[0]
+    ev_cap = 8 * (max_switches + 8)
+    out = dict(
+        xs=np.full(n * m, np.nan), ys=np.full(n * m, np.nan),
+        reason=np.full(m, -1, dtype=np.int8),
+        switches=np.full(m, -1, dtype=np.int64),
+        t_end=np.full(m, np.nan), x_end=np.full(m, np.nan),
+        y_end=np.full(m, np.nan),
+        n_events=np.full(m, -1, dtype=np.int64),
+        ev_t=np.full(m * ev_cap, np.nan),
+        ev_kind=np.full(m * ev_cap, -1, dtype=np.int8),
+        ev_x=np.full(m * ev_cap, np.nan), ev_y=np.full(m * ev_cap, np.nan),
+        out_i=np.full(2, -7, dtype=np.int64),
+    )
+    fn(x0, y0, t_grid, p.a, p.b, p.capacity, p.k, p.q0,
+       p.buffer_size - p.q0, -p.q0,
+       1 if mode == "linearized" else 0, 1 if mode == "physical" else 0,
+       max_switches, batch._CONVERGENCE_RTOL, t_max,
+       out["xs"], out["ys"], out["reason"], out["switches"], out["t_end"],
+       out["x_end"], out["y_end"], ev_cap, out["n_events"], out["ev_t"],
+       out["ev_kind"], out["ev_x"], out["ev_y"], out["out_i"])
+    return out
 
 
 @requires_compiled
-def test_fluid_c_kernel_float32_is_deterministic():
+def test_fluid_c_kernel_stops_once_every_row_has_died():
+    from repro.fluid.batch import simulate_fluid_batch
+
     p, x0, y0, kw = _mixed_bundle()
-    runs = [_fluid_rows_outputs(get_backend().fluid_rows, p, x0, y0,
-                                mode="nonlinear", real=np.float32, **kw)
-            for _ in range(2)]
-    _assert_same_bytes(runs[1], runs[0])
-    assert runs[0]["xs"].dtype == np.float32
-    assert not np.isnan(runs[0]["xs"]).any()
+    rows = [0, 1, 2, 4]  # every row but 3 dies before t_max
+    out = _fluid_rows_outputs(get_backend().fluid_rows, p, x0[rows],
+                              y0[rows], mode="nonlinear", **kw)
+    last, overflow = out["out_i"].tolist()
+    assert overflow == 0
+    xs = out["xs"].reshape(-1, len(rows))
+    ys = out["ys"].reshape(-1, len(rows))
+    assert 1 <= last < xs.shape[0] - 1
+    assert not np.isnan(xs[: last + 1]).any()
+    assert not np.isnan(ys[: last + 1]).any()
+    # nothing past the step at which the last row died is written
+    assert np.isnan(xs[last + 1:]).all() and np.isnan(ys[last + 1:]).all()
+    want = simulate_fluid_batch(p, x0[rows], y0[rows], fluid_method="numpy",
+                                mode="nonlinear", **kw)
+    assert last == want.t.size - 1
+    assert xs[: last + 1].tobytes() == want.x.tobytes()
+    assert ys[: last + 1].tobytes() == want.y.tobytes()
 
 
 @requires_compiled
-@pytest.mark.parametrize("sfx", ["f64", "f32"])
-@pytest.mark.parametrize("m", [2**57, 2**62], ids=["malloc-fails", "size-overflows"])
-def test_fluid_c_kernel_reports_allocation_failure(sfx, m):
+@pytest.mark.parametrize("m", [2**57, 2**62],
+                         ids=["malloc-fails", "size-overflows"])
+def test_fluid_c_kernel_reports_allocation_failure(m):
     # Neither size can be allocated, so the kernel must return before it
     # touches a single (here NULL) array argument.
     be = get_backend()
     null = be._ffi.NULL
     out_i = np.zeros(2, dtype=np.int64)
-    getattr(be._lib, f"k_fluid_{sfx}")(
+    be._lib.k_fluid(
         m, 10, null, null, null, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 0, 0,
         4, 1e-4, 1.0, null, null, null, null, null, null, null, 8, null,
         null, null, null, null, be._i(out_i))

@@ -329,26 +329,31 @@ def test_job_kind_seam_literals_and_dispatch(tmp_path):
 # -- kernel-parity ---------------------------------------------------------
 
 _KERNEL_TREE = {
-    "kernels/_scalar.py": """\
-        def add_one(x, out):
-            for i in range(out.shape[0]):
-                out[i] = x[i] + 1.0
-            return out.shape[0]
-        """,
     "kernels/_backend.py": """\
-        from . import _scalar
-
         class KernelBackend:
-            add_one = staticmethod(_scalar.add_one)
+            def bind_add_one(self, x, out):
+                def call(n):
+                    out[:n] = x[:n] + 1.0
+                    return n
+                return call
 
         class _CffiKernels(KernelBackend):
-            def add_one(self, x, out):
-                return self._lib.k_add_one(
-                    x.shape[0], self._d(x), self._d(out))
+            def bind_add_one(self, x, out):
+                lib = self._lib
+                p_x, p_out = self._d(x), self._d(out)
+
+                def call(n, _keep=(x, out)):
+                    return lib.k_add_one(n, p_x, p_out)
+                return call
+
+            def scale(self, x, out):
+                return self._lib.k_scale(
+                    x.shape[0], self._d(x), float(2.0), self._d(out))
         """,
     "kernels/_cbuild.py": '''\
         CDEF = """
         int64_t k_add_one(int64_t n, double *x, double *out);
+        void k_scale(int64_t n, double *x, double f, double *out);
         """
         ''',
 }
@@ -361,49 +366,75 @@ def _parity(tmp_path, **overrides):
                     select=["kernel-parity"], repro_root=pkg)
 
 
+def _backend_with(cffi_bind, numpy_extra=""):
+    """The fixture backend with its cffi ``bind_add_one`` replaced."""
+    return {"kernels/_backend.py": """\
+        class KernelBackend:
+            def bind_add_one(self, x, out):
+                def call(n):
+                    out[:n] = x[:n] + 1.0
+                    return n
+                return call
+""" + numpy_extra + """
+        class _CffiKernels(KernelBackend):
+""" + cffi_bind + """
+            def scale(self, x, out):
+                return self._lib.k_scale(
+                    x.shape[0], self._d(x), float(2.0), self._d(out))
+        """}
+
+
 def test_kernel_parity_clean_tree(tmp_path):
     assert _parity(tmp_path) == []
 
 
 def test_kernel_parity_flags_signature_drift(tmp_path):
-    findings = _parity(tmp_path, **{"kernels/_backend.py": """\
-        from . import _scalar
+    findings = _parity(tmp_path, **_backend_with("""\
+            def bind_add_one(self, x, result):
+                lib = self._lib
+                p_x, p_res = self._d(x), self._d(result)
 
-        class KernelBackend:
-            add_one = staticmethod(_scalar.add_one)
-
-        class _CffiKernels(KernelBackend):
-            def add_one(self, x, result):
-                return self._lib.k_add_one(
-                    x.shape[0], self._d(x), self._d(result))
-        """})
+                def call(n, _keep=(x, result)):
+                    return lib.k_add_one(n, p_x, p_res)
+                return call
+"""))
     messages = " | ".join(f.message for f in findings)
     assert "signatures drifted" in messages      # out vs result
     assert "names the parameter 'out'" in messages
 
 
+def test_kernel_parity_flags_bind_closure_signature_drift(tmp_path):
+    findings = _parity(tmp_path, **_backend_with("""\
+            def bind_add_one(self, x, out):
+                lib = self._lib
+                p_x, p_out = self._d(x), self._d(out)
+
+                def call(count, _keep=(x, out)):
+                    return lib.k_add_one(count, p_x, p_out)
+                return call
+"""))
+    assert len(findings) == 1
+    assert "closure _CffiKernels.bind_add_one returns takes ['count']" \
+        in findings[0].message
+    assert "signatures drifted" in findings[0].message
+
+
 def test_kernel_parity_flags_missing_wrapper_and_arity(tmp_path):
-    findings = _parity(tmp_path, **{
-        "kernels/_scalar.py": """\
-            def add_one(x, out):
-                for i in range(out.shape[0]):
-                    out[i] = x[i] + 1.0
-                return out.shape[0]
+    findings = _parity(tmp_path, **_backend_with("""\
+            def bind_add_one(self, x, out):
+                lib = self._lib
+                p_x, p_out = self._d(x), self._d(out)
 
-            def add_two(x, out):
-                return add_one(x, out)
-            """,
-        "kernels/_backend.py": """\
-            from . import _scalar
-
-            class KernelBackend:
-                add_one = staticmethod(_scalar.add_one)
-                add_two = staticmethod(_scalar.add_two)
-
-            class _CffiKernels(KernelBackend):
-                def add_one(self, x, out):
-                    return self._lib.k_add_one(self._d(x), self._d(out))
-            """})
+                def call(n, _keep=(x, out)):
+                    return lib.k_add_one(p_x, p_out)
+                return call
+""", numpy_extra="""
+            def bind_add_two(self, x, out):
+                def call(n):
+                    out[:n] = x[:n] + 2.0
+                    return n
+                return call
+"""))
     messages = " | ".join(f.message for f in findings)
     assert "no wrapper for kernel 'add_two'" in messages
     assert "declares 3" in messages              # called with 2 args
@@ -413,12 +444,16 @@ def test_kernel_parity_flags_dtype_drift_and_dead_prototypes(tmp_path):
     findings = _parity(tmp_path, **{"kernels/_cbuild.py": '''\
         CDEF = """
         int64_t k_add_one(int64_t n, float *x, double *out);
+        void k_scale(int64_t n, double *x, int64_t f, double *out);
         int64_t k_orphan(int64_t n);
         """
         '''})
     messages = " | ".join(f.message for f in findings)
-    assert "marshalled as double* but the C prototype declares float*" \
-        in messages
+    # a pointer precomputed into a local, and a scalar coercion
+    assert "k_add_one argument 2 (x) is marshalled as double* but the C " \
+        "prototype declares float*" in messages
+    assert "k_scale argument 3 (f) is marshalled as double but the C " \
+        "prototype declares int64_t" in messages
     assert "k_orphan" in messages and "never referenced" in messages
 
 
