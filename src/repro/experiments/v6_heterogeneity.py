@@ -62,9 +62,8 @@ def _perturbed_run(kind: str, seed: int = 3, duration: float = 0.3):
             source.regulator.gd = params.gd * rng.uniform(0.7, 1.3)
     elif kind == "delay":
         # 10x spread of control/data path delays (0.1 us .. 1 us)
-        for source in net.sources:
-            delay = rng.uniform(0.1e-6, 1e-6)
-            source.send.__self__.delay = delay  # uplink Link
+        for uplink in net.uplinks:
+            uplink.delay = rng.uniform(0.1e-6, 1e-6)
     elif kind != "none":
         raise ValueError(f"unknown perturbation {kind!r}")
     return params, net.run(duration)

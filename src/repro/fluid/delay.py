@@ -28,6 +28,7 @@ boundary need not coincide with either loop's margin).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,18 +111,24 @@ def simulate_delayed(
         raise ValueError("step must not exceed the delay")
 
     n_steps = int(math.ceil(t_max / step))
-    t = np.empty(n_steps + 1)
-    x = np.empty(n_steps + 1)
-    y = np.empty(n_steps + 1)
-    t[0], x[0], y[0] = 0.0, x0, y0
+    # The loop runs on plain double buffers (``array("d")``): the same
+    # IEEE doubles as numpy arrays, read back as Python floats instead
+    # of boxed numpy scalars, and as compact as the arrays they become
+    # once at the end.
+    x0, y0 = float(x0), float(y0)
+    t = array("d", [0.0])
+    x = array("d", [x0])
+    y = array("d", [y0])
+    limit = 1e6 * max(abs(x0), p.q0)
 
     a, b, c, k = p.a, p.b, p.capacity, p.k
+    s_initial = x0 + k * y0
 
     def delayed_s(time: float, upto: int) -> float:
         """Interpolated s(time - tau); constant initial history."""
         target = time - tau
         if target <= 0.0:
-            return x0 + k * y0
+            return s_initial
         idx = min(int(target / step), upto - 1)
         frac = (target - t[idx]) / step
         xd = x[idx] + frac * (x[idx + 1] - x[idx])
@@ -141,15 +148,16 @@ def simulate_delayed(
         k2 = rhs(ti + step / 2, xi + step / 2 * k1[0], yi + step / 2 * k1[1], upto)
         k3 = rhs(ti + step / 2, xi + step / 2 * k2[0], yi + step / 2 * k2[1], upto)
         k4 = rhs(ti + step, xi + step * k3[0], yi + step * k3[1], upto)
-        x[i + 1] = xi + step / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y[i + 1] = yi + step / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        t[i + 1] = ti + step
-        if abs(x[i + 1]) > 1e6 * max(abs(x0), p.q0):
-            # unambiguous divergence: stop early, truncate arrays
-            t, x, y = t[: i + 2], x[: i + 2], y[: i + 2]
+        x_next = xi + step / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        x.append(x_next)
+        y.append(yi + step / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
+        t.append(ti + step)
+        if abs(x_next) > limit:
+            # unambiguous divergence: stop early
             break
 
-    return DelayedTrajectory(params=p, tau=tau, t=t, x=x, y=y)
+    return DelayedTrajectory(params=p, tau=tau, t=np.array(t), x=np.array(x),
+                             y=np.array(y))
 
 
 def critical_delay(

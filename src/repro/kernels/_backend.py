@@ -368,8 +368,12 @@ class _CffiKernels(KernelBackend):
                             self._u8(out_assoc))
 
         def call(d, _keep=keep):
-            return lib.k_merge_trains(n, p_fi, p_ga, p_co, p_as, d,
-                                      p_ot, p_os, p_oa)
+            total = lib.k_merge_trains(n, p_fi, p_ga, p_co, p_as, d,
+                                       p_ot, p_os, p_oa)
+            if total < 0:
+                raise MemoryError(
+                    f"cannot allocate the train-merge heap for {n} sources")
+            return total
 
         return call
 

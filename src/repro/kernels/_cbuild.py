@@ -128,7 +128,9 @@ static int64_t bisect_right(const double *arr, int64_t n, double v) {
 
 /* Merge the per-source arithmetic trains first[i] + gaps[i]*k + d
    (k < counts[i]) into one train ordered by (time, source), as the
-   numpy tier's stable argsort does.  Returns the frame count. */
+   numpy tier's stable argsort does.  Returns the frame count, or -1
+   when the merge heap for more than 4096 sources cannot be allocated
+   (checked before any array argument is read; the caller raises). */
 int64_t k_merge_trains(int64_t n_src, double *first, double *gaps,
     int64_t *counts, uint8_t *assoc, double d,
     double *out_t, int64_t *out_src, uint8_t *out_assoc)
@@ -139,13 +141,23 @@ int64_t k_merge_trains(int64_t n_src, double *first, double *gaps,
     int64_t emitted_stack[4096];
     double *ht = hp_t; int64_t *hs = hp_s, *emitted = emitted_stack;
     double *ht_heap = 0; int64_t *hs_heap = 0, *em_heap = 0;
-    for (i = 0; i < n_src; i++) m += counts[i];
-    if (m == 0) return 0;
     if (n_src > 4096) {
-        ht_heap = (double *)malloc((size_t)n_src * sizeof(double));
-        hs_heap = (int64_t *)malloc((size_t)n_src * sizeof(int64_t));
-        em_heap = (int64_t *)malloc((size_t)n_src * sizeof(int64_t));
+        /* every heap entry is 8 bytes wide */
+        if ((uint64_t)n_src <= SIZE_MAX / sizeof(int64_t)) {
+            ht_heap = (double *)malloc((size_t)n_src * sizeof(double));
+            hs_heap = (int64_t *)malloc((size_t)n_src * sizeof(int64_t));
+            em_heap = (int64_t *)malloc((size_t)n_src * sizeof(int64_t));
+        }
+        if (!ht_heap || !hs_heap || !em_heap) {
+            free(ht_heap); free(hs_heap); free(em_heap);
+            return -1;
+        }
         ht = ht_heap; hs = hs_heap; emitted = em_heap;
+    }
+    for (i = 0; i < n_src; i++) m += counts[i];
+    if (m == 0) {
+        free(ht_heap); free(hs_heap); free(em_heap);
+        return 0;
     }
     for (i = 0; i < n_src; i++) {
         emitted[i] = 0;
@@ -194,7 +206,7 @@ int64_t k_merge_trains(int64_t n_src, double *first, double *gaps,
             } else break;
         }
     }
-    if (ht_heap) { free(ht_heap); free(hs_heap); free(em_heap); }
+    free(ht_heap); free(hs_heap); free(em_heap);
     return m;
 }
 

@@ -20,9 +20,9 @@ simulator.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = ["Simulator"]
@@ -126,8 +126,7 @@ class Simulator:
         """
         if not 0.0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
-        heapq.heappush(self._heap,
-                       (self._now + delay, next(self._seq), callback, arg))
+        heappush(self._heap, (self._now + delay, next(self._seq), callback, arg))
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], arg: Any = _NO_ARG
@@ -140,7 +139,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
-        heapq.heappush(self._heap, (time, next(self._seq), callback, arg))
+        heappush(self._heap, (time, next(self._seq), callback, arg))
 
     def schedule_every(
         self,
@@ -174,7 +173,7 @@ class Simulator:
         """
         until = min(until, self._freeze_horizon)
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         no_arg = _NO_ARG
         executed = 0
         while heap:

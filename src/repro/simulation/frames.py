@@ -39,7 +39,7 @@ MIN_FRAME_BITS = 64 * 8
 _frame_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class EthernetFrame:
     """A data frame travelling source -> core switch -> sink.
 
@@ -64,7 +64,7 @@ class EthernetFrame:
     flow_id: int
     rrt_cpid: str | None = None
     created_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_frame_ids))
+    uid: int = field(default_factory=_frame_ids.__next__)
 
 
 @dataclass(frozen=True)

@@ -35,16 +35,12 @@ class Link:
     sim: Simulator
     delay: float
     deliver: Callable[[Any], None]
-    delivered: int = 0
 
     def __post_init__(self) -> None:
         if self.delay < 0:
             raise ValueError("propagation delay cannot be negative")
 
     def transmit(self, payload: Any) -> None:
-        """Send ``payload``; it arrives ``delay`` seconds from now."""
-        self.sim.schedule(self.delay, self._arrive, payload)
-
-    def _arrive(self, payload: Any) -> None:
-        self.delivered += 1
-        self.deliver(payload)
+        """Send ``payload``; ``deliver(payload)`` runs ``delay`` seconds
+        from now, as one event with no intermediate hop."""
+        self.sim.schedule(self.delay, self.deliver, payload)

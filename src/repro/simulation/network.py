@@ -296,6 +296,10 @@ class BCNNetworkSimulator:
         self.switch.attach_obs(self.obs, f"packet.{engine}")
 
         self.sources: list[TrafficSource] = []
+        #: Each source's data link to the switch, by source address; its
+        #: ``delay`` may be changed before :meth:`run` (heterogeneous
+        #: propagation delays, reference engine).
+        self.uplinks: list[Link] = []
         self._delivered_bits = 0.0
         self._queue_samples = _SeriesBuffer()
         self._rate_samples = _SeriesBuffer()
@@ -327,6 +331,7 @@ class BCNNetworkSimulator:
             if enable_pause:
                 self.switch.register_pause_link(backlink)
             self.sources.append(source)
+            self.uplinks.append(uplink)
 
     # -- internal ------------------------------------------------------------
 
@@ -391,6 +396,7 @@ class BCNNetworkSimulator:
         if self._enable_pause:
             self.switch.register_pause_link(backlink)
         self.sources.append(source)
+        self.uplinks.append(uplink)
         return source
 
     def _register_event(self, t: float, kind: str, payload: tuple) -> None:
@@ -498,6 +504,11 @@ class BCNNetworkSimulator:
                 "workloads"
             )
         d = self._propagation_delay
+        if any(link.delay != d for link in self.uplinks):
+            raise NotImplementedError(
+                f"the {self.engine} engine models one propagation delay; "
+                "per-source uplink delays need engine='reference'"
+            )
         L = float(self.frame_bits)
         n = len(self.sources)
         cpid = self.switch.cpid

@@ -182,10 +182,7 @@ class TrafficSource:
         if self._started:
             return
         self._started = True
-        self.sim.schedule(self._gap(), self._emit)
-
-    def _gap(self) -> float:
-        return self.frame_bits / self.regulator.rate
+        self.sim.schedule(self.frame_bits / self.regulator.rate, self._emit)
 
     @property
     def finished(self) -> bool:
@@ -193,34 +190,34 @@ class TrafficSource:
         return self.total_bits is not None and self.bits_sent >= self.total_bits
 
     def _emit(self) -> None:
-        now = self.sim.now
-        if self.finished:
+        # The hottest callback of the reference engine: ``finished`` and
+        # the frame gap are inlined and the frame is built positionally.
+        sim = self.sim
+        now = sim._now
+        total_bits = self.total_bits
+        if total_bits is not None and self.bits_sent >= total_bits:
             return
+        frame_bits = self.frame_bits
+        regulator = self.regulator
         if self.muted:
             # OFF period: poll again after one frame gap at current rate.
-            self.sim.schedule(self._gap(), self._emit)
+            sim.schedule(frame_bits / regulator.rate, self._emit)
             return
         if now < self.paused_until:
             # PAUSEd: retry right after the silence interval ends.
-            self.sim.schedule_at(self.paused_until, self._emit)
+            sim.schedule_at(self.paused_until, self._emit)
             return
-        frame = EthernetFrame(
-            src=self.address,
-            dst=self.dst,
-            size_bits=self.frame_bits,
-            flow_id=self.address,
-            rrt_cpid=self.regulator.associated_cpid,
-            created_at=now,
-        )
-        self.send(frame)
+        address = self.address
+        self.send(EthernetFrame(address, self.dst, frame_bits, address,
+                                regulator.associated_cpid, now))
         self.frames_sent += 1
-        self.bits_sent += self.frame_bits
-        if self.finished:
+        self.bits_sent += frame_bits
+        if total_bits is not None and self.bits_sent >= total_bits:
             # Send-side flow completion time (emission of the last
             # frame) — the FCT convention shared with the batched engine.
             self.finish_time = now
             return
-        self.sim.schedule(self._gap(), self._emit)
+        sim.schedule(frame_bits / regulator.rate, self._emit)
 
     # -- control plane ------------------------------------------------------
 

@@ -183,15 +183,17 @@ class CoreSwitch:
 
     def receive(self, frame: EthernetFrame) -> None:
         """Ingest a data frame: sample, enqueue (or drop), serve."""
-        if self._rng is not None:
-            sampled = self._rng.random() < self.pm
+        rng = self._rng
+        if rng is not None:
+            sampled = rng.random() < self.pm
         else:
             self._arrivals_since_sample += 1
             sampled = self._arrivals_since_sample >= self._sample_interval
             if sampled:
                 self._arrivals_since_sample = 0
 
-        accepted = self.queue.offer(frame)
+        queue = self.queue
+        accepted = queue.offer(frame)
         if not accepted and self.obs is not None:
             self.obs.event("drop", self.sim.now, engine=self.obs_engine,
                            node=self.cpid, flow=frame.flow_id,
@@ -200,7 +202,8 @@ class CoreSwitch:
         if sampled:
             self._process_sample(frame)
 
-        if self.q_sc is not None and self.queue_bits > self.q_sc:
+        q_sc = self.q_sc
+        if q_sc is not None and queue.occupancy_bits > q_sc:
             self._maybe_pause()
 
         if accepted and not self._busy:
@@ -209,7 +212,7 @@ class CoreSwitch:
     def _process_sample(self, frame: EthernetFrame) -> None:
         """Compute sigma for a sampled frame and emit BCN if warranted."""
         self.stats.samples += 1
-        q = self.queue_bits
+        q = self.queue.occupancy_bits
         dq = q - self._q_at_last_sample
         self._q_at_last_sample = q
         sigma = (self.q0 - q) - self.w * dq
@@ -311,24 +314,34 @@ class CoreSwitch:
         self.capacity = capacity
 
     def _start_service(self) -> None:
-        if self.sim.now < self._service_paused_until:
+        sim = self.sim
+        if sim._now < self._service_paused_until:
             self._busy = True
-            self.sim.schedule_at(self._service_paused_until,
-                                 self._start_service)
+            sim.schedule_at(self._service_paused_until, self._start_service)
             return
         frame = self.queue.poll()
         if frame is None:
             self._busy = False
             return
         self._busy = True
-        self.sim.schedule(frame.size_bits / self.capacity,
-                          self._service_done, frame)
+        sim.schedule(frame.size_bits / self.capacity, self._service_done, frame)
 
     def _service_done(self, frame: EthernetFrame) -> None:
-        self.stats.forwarded_frames += 1
-        self.stats.forwarded_bits += frame.size_bits
+        stats = self.stats
+        stats.forwarded_frames += 1
+        stats.forwarded_bits += frame.size_bits
         self.forward(frame)
-        self._start_service()
+        # The server is still busy here, so this is _start_service
+        # without its busy-flag bookkeeping on the serve path.
+        sim = self.sim
+        if sim._now < self._service_paused_until:
+            sim.schedule_at(self._service_paused_until, self._start_service)
+            return
+        frame = self.queue.poll()
+        if frame is None:
+            self._busy = False
+            return
+        sim.schedule(frame.size_bits / self.capacity, self._service_done, frame)
 
 
 @dataclass

@@ -1,0 +1,136 @@
+"""Event-order fingerprints of the reference packet engine and the
+delayed fluid model.
+
+``test_engine_determinism.py`` pins how *many* events the reference
+engine executes; these digests pin their order and effect.  After every
+executed event the packet runs hash ``(now, switch occupancy, forwarded
+frames, sum of source rates)``, so a change that reorders two
+same-time events, drops one or adds one changes the digest even when
+the event count and every golden series stay the same.  The delayed
+model's digests cover ``simulate_delayed``'s ``t``/``x``/``y`` arrays
+byte for byte, including a run that diverges and stops early.
+
+The pins were recorded on the engine whose links delivered through a
+separate arrival hop and whose fluid loop stepped on numpy arrays; a
+refactor of either call path must leave them unchanged.
+"""
+
+import hashlib
+import math
+import random
+import struct
+
+import pytest
+
+from repro.core.parameters import paper_example_params
+from repro.experiments.presets import CASE1, CASE2, CASE3, CASE4
+from repro.experiments.v2_fluid_vs_packet import validation_params
+from repro.fluid.delay import simulate_delayed
+from repro.simulation.network import BCNNetworkSimulator
+
+_STATE = struct.Struct("<ddqd")
+
+
+def _fingerprint(net: BCNNetworkSimulator, duration: float) -> tuple[int, str]:
+    """Run ``net`` and hash the observable state after every event."""
+    sim, switch, sources = net.sim, net.switch, net.sources
+    digest = hashlib.sha256()
+    run = sim.run
+
+    def stepping_run(until=math.inf, *, max_events=None):
+        assert max_events is None
+        heap = sim._heap
+        while heap and heap[0][0] <= until:
+            # One event per call; the infinite horizon leaves the clock
+            # at that event's time instead of jumping it to ``until``.
+            run(math.inf, max_events=1)
+            digest.update(_STATE.pack(
+                sim.now, switch.queue.occupancy_bits,
+                switch.stats.forwarded_frames,
+                sum(s.rate for s in sources)))
+        run(until)
+
+    sim.run = stepping_run
+    net.run(duration)
+    return sim.events_processed, digest.hexdigest()
+
+
+def test_paper_example_event_fingerprint():
+    net = BCNNetworkSimulator(paper_example_params())
+    assert _fingerprint(net, 0.005) == (
+        15_556,
+        "556523df7a494f7ea196bec73af87732d16a1ce2f2d71bfc3589d7122747c11a")
+
+
+def test_v6_style_event_fingerprint():
+    # v6's validation regime (Bernoulli sampling, fluid-exact regulator,
+    # no PAUSE) with its delay arm: per-source uplink delays spread 10x,
+    # so arrivals from different sources interleave at distinct times.
+    net = BCNNetworkSimulator(
+        validation_params(),
+        frame_bits=1500,
+        regulator_mode="fluid-exact",
+        fb_bits=None,
+        require_association=False,
+        positive_only_below_q0=False,
+        random_sampling=True,
+        enable_pause=False,
+    )
+    rng = random.Random(3)
+    for uplink in net.uplinks:
+        uplink.delay = rng.uniform(0.1e-6, 1e-6)
+    assert _fingerprint(net, 0.02) == (
+        50_967,
+        "93a070fb15817e029a54293c02b5cf86421d0b62fa50f1a3876aefed146cd6f6")
+
+
+def _trajectory_digest(traj) -> str:
+    digest = hashlib.sha256()
+    for array in (traj.t, traj.x, traj.y):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: ``(case, tau, kwargs, samples, sha256 of t|x|y)``; the last entry
+#: diverges (|x| passes 1e6 x its scale) and stops after 278 of its
+#: 2,001 samples.
+_DELAYED_PINS = [
+    ("CASE1", 0.05, {"t_max": 30.0}, 4801,
+     "a56a0bf512c93698630c6243acce22efc7701f062890b005d67171fd3b918cec"),
+    ("CASE1", 0.5, {"t_max": 30.0}, 1352,
+     "7426bd67f46d2cb1d833c63694ff496180e07fccda6a8d02acbfd7dcef8dadff"),
+    ("CASE1", 1.5, {"t_max": 30.0}, 1352,
+     "f8dd678f50148c4b7c7213f7a66c3c8e9b1de15053f4b64510558f320c2a67b3"),
+    ("CASE2", 0.05, {"t_max": 30.0}, 4801,
+     "34a84f53d1c252f0311f89bf00edb203c4146391484d3dac1c5532372e76db63"),
+    ("CASE2", 0.5, {"t_max": 30.0}, 2702,
+     "a52a41c253623d0747c0e06b7b7320d4054e85f5981449320da07728f0d44008"),
+    ("CASE2", 1.5, {"t_max": 30.0}, 2702,
+     "ed13fc47c4fd29a79cac46c7597785929d3ab287d79c70b369a563edde8c3622"),
+    ("CASE3", 0.05, {"t_max": 30.0}, 4801,
+     "bd617a50633ed24b980cc490a3e09489eb64b915620cf51aa2a55eef5fd44be3"),
+    ("CASE3", 0.5, {"t_max": 30.0}, 2702,
+     "87edaae1e257e0edd1a7505789815a56cb46eb05d7101024e8f5900f6dc13c31"),
+    ("CASE3", 1.5, {"t_max": 30.0}, 2702,
+     "e5934c22b1f1090b0adffc71c3ca1ced5008372d5ba1ef05624fade0d545a070"),
+    ("CASE3", 0.3, {"t_max": 20.0, "x0": 25.0, "y0": -40.0}, 1802,
+     "4831267651d546380613524e24f07ddc4748d4965c0f6a305708323f6bc078a5"),
+    ("CASE4", 0.05, {"t_max": 30.0}, 4801,
+     "524ff46e7e91a0a0a63168e6e4891fbe2de4df9c4ede9172eda5bd3a03e1e002"),
+    ("CASE4", 0.5, {"t_max": 30.0}, 2702,
+     "a2eb99d1eec7433445c8dda539dbfbe25f74eba42826e2e9fc29cc84899bacec"),
+    ("CASE4", 1.5, {"t_max": 30.0}, 2702,
+     "6e154c1d8eec2f7cd9bb106d0ecff23145e02d0ac3fa5f6b637cd782931cb69a"),
+    ("CASE2", 20.0, {"t_max": 200.0, "step": 0.1}, 278,
+     "b62fdcc066f2ba759fec5c938d5322dc2cb1b158cecec93eb9cca006cd54072e"),
+]
+
+
+_CASES = {"CASE1": CASE1, "CASE2": CASE2, "CASE3": CASE3, "CASE4": CASE4}
+
+
+@pytest.mark.parametrize("name, tau, kwargs, samples, pinned", _DELAYED_PINS,
+                         ids=[f"{n}-tau{t}" for n, t, *_ in _DELAYED_PINS])
+def test_delayed_trajectory_fingerprint(name, tau, kwargs, samples, pinned):
+    traj = simulate_delayed(_CASES[name], tau=tau, **kwargs)
+    assert (traj.t.size, _trajectory_digest(traj)) == (samples, pinned)

@@ -12,6 +12,9 @@ objects, and invariants of the pacing arithmetic.  Tests marked
 fallback; everything else runs on every tier.
 """
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,51 @@ def test_merge_trains_breaks_time_ties_by_source():
                                          assoc, 0.0)
     np.testing.assert_array_equal(out_src, [0, 1, 0, 1, 0, 1])
     np.testing.assert_array_equal(out_assoc, [1, 0, 1, 0, 1, 0])
+
+
+@requires_compiled
+def test_merge_trains_over_4096_sources_matches_numpy_tier():
+    # Beyond 4096 sources the C merge takes its heap from malloc instead
+    # of the stack; the merged train must still equal the numpy tier's.
+    n, d = 5000, 5e-6
+    rng = np.random.default_rng(11)
+    first = rng.uniform(0.0, 1e-3, n)
+    gaps = rng.uniform(1e-6, 1e-4, n)
+    counts = rng.integers(0, 4, n).astype(np.int64)
+    assoc = rng.integers(0, 2, n).astype(np.uint8)
+    # odd sources repeat their even neighbour's train: ties everywhere
+    first[1::2], gaps[1::2] = first[::2], gaps[::2]
+    got = _bound_merge(get_backend(), first, gaps, counts, assoc, d)
+    want = _bound_merge(ORACLE, first, gaps, counts, assoc, d)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert _bound_merge(get_backend(), first, gaps, np.zeros_like(counts),
+                        assoc, d)[0].size == 0
+
+
+@requires_compiled
+@pytest.mark.parametrize("n_src", [2**57, 2**62],
+                         ids=["malloc-fails", "size-overflows"])
+def test_merge_trains_c_kernel_reports_allocation_failure(n_src):
+    # The heap cannot be allocated, so the kernel must return before it
+    # reads a single (here NULL) array argument.
+    be = get_backend()
+    null = be._ffi.NULL
+    assert be._lib.k_merge_trains(n_src, null, null, null, null, 0.0,
+                                  null, null, null) == -1
+
+
+@requires_compiled
+def test_bound_merge_trains_raises_memory_error_on_allocation_failure():
+    be = copy.copy(get_backend())
+    be._lib = SimpleNamespace(k_merge_trains=lambda *args: -1)
+    first = np.zeros(3)
+    bound = be.bind_merge_trains(
+        first, np.ones(3), np.ones(3, dtype=np.int64),
+        np.zeros(3, dtype=np.uint8), np.empty(3),
+        np.empty(3, dtype=np.int64), np.empty(3, dtype=np.uint8))
+    with pytest.raises(MemoryError, match="3 sources"):
+        bound(0.0)
 
 
 # -- apply_messages ---------------------------------------------------------

@@ -86,6 +86,32 @@ class TestDumbbell:
         assert res.queue_mean(settle=0.05) >= 0
         assert res.queue_std(settle=0.05) >= 0
 
+    def test_uplinks_are_each_sources_data_path(self):
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000)
+        net.add_flow(start_time=0.01)
+        assert len(net.uplinks) == len(net.sources) == 5
+        for source, uplink in zip(net.sources, net.uplinks):
+            assert source.send == uplink.transmit
+            assert uplink.deliver == net.switch.receive
+        # An uplink slower than the run holds back exactly its source.
+        net.uplinks[2].delay = 1.0
+        net.run(0.02)
+        queue = net.switch.queue
+        arrived = queue.enqueued_frames + queue.dropped_frames
+        assert net.sources[2].frames_sent > len(net.sources)
+        assert arrived <= sum(s.frames_sent for i, s in
+                              enumerate(net.sources) if i != 2)
+
+    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    def test_window_engines_reject_per_source_delays(self, engine):
+        # The window loop carries one propagation delay for every
+        # source; a changed uplink must fail, not be ignored.
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine=engine)
+        net.uplinks[1].delay = 2e-6
+        with pytest.raises(NotImplementedError, match="uplink delays"):
+            net.run(0.01)
+
     def test_regulator_mode_plumbed(self):
         net = BCNNetworkSimulator(small_params(), regulator_mode="fluid-exact")
         assert all(s.regulator.mode == "fluid-exact" for s in net.sources)
