@@ -7,14 +7,17 @@ truncation, BCN message delivery) and the batch fluid RK4 stepper with
 cubic-Hermite event refinement — on one of two tiers:
 
 * pure **numpy** — no compilation at all, and the oracle of the C
-  tier: the packet window loop runs its numpy-vectorized closures and
-  the numpy :class:`~repro.simulation.switch.BatchedSwitchKernel`, and
-  the fluid entry point runs the numpy batch integrator;
+  tier: the packet window loop, switch window included, runs its
+  numpy-vectorized closures, and the fluid entry point runs the numpy
+  batch integrator;
 * **cffi** — C kernels (any C compiler) that run the same float64
   operations in the same order, so they agree with the numpy tier bit
   for bit (:mod:`repro.kernels._cbuild` lists each kernel's oracle).
 
-Select explicitly with ``REPRO_KERNEL_BACKEND=auto|cffi|numpy``.
+Both tiers run the same Python orchestration: the dumbbell window loop
+and :class:`~repro.simulation.switch.BatchedSwitchKernel` call the
+tier's closures and do every state update themselves.  Select
+explicitly with ``REPRO_KERNEL_BACKEND=auto|cffi|numpy``.
 Engine selection is one flag everywhere: ``engine="compiled"`` on
 :class:`~repro.simulation.network.BCNNetworkSimulator`, the scenario
 runtime and the CLI; ``fluid_method="compiled"`` on

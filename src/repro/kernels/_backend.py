@@ -8,9 +8,11 @@ Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
     :class:`KernelBackend` supplies the window loop's per-window
     closures (``bind_pacing_plan``, ``bind_merge_trains``,
     ``bind_pacing_commit``, ``bind_owed_repay``,
-    ``bind_apply_messages``); the switch window runs in the numpy
-    :class:`~repro.simulation.switch.BatchedSwitchKernel` and the fluid
-    entry point runs :func:`repro.fluid.batch.simulate_fluid_batch`.
+    ``bind_apply_messages``) and the switch window's
+    (``bind_packet_plan``, ``bind_packet_commit`` and the drop-window
+    loop ``packet_scalar``, which
+    :class:`~repro.simulation.switch.BatchedSwitchKernel` drives); the
+    fluid entry point runs :func:`repro.fluid.batch.simulate_fluid_batch`.
     ``engine="batched"`` always runs on this tier, and
     ``engine="compiled"`` falls back to it without a C compiler.
 ``cffi``
@@ -47,6 +49,15 @@ WARMUP_SPAN = "kernels.jit_warmup"
 _CHOICES = ("auto", "cffi", "numpy")
 
 
+def _quantize(sigma, sigma_unit, full_scale):
+    """The wire FB value of raw ``sigma`` (:meth:`CoreSwitch.quantize_fb`);
+    a NaN ``sigma_unit`` carries raw sigma."""
+    if sigma_unit != sigma_unit:
+        return sigma
+    return np.minimum(np.maximum(np.rint(sigma / sigma_unit), -full_scale),
+                      full_scale - 1)
+
+
 class KernelBackend:
     """Uniform facade over one backend tier; this base class is the
     numpy tier.
@@ -55,8 +66,9 @@ class KernelBackend:
     same preallocated arrays.  ``bind_*`` returns a closure with the
     persistent arrays (and per-run constants) already captured, so the
     per-window call passes only what changes.  The cffi tier overrides
-    every ``bind_*`` with the same signatures to call C through
-    precomputed pointer casts.  Callers must re-bind after replacing
+    every entry point (the ``bind_*`` methods and ``packet_scalar``)
+    with the same signatures to call C through precomputed pointer
+    casts.  Callers must re-bind after replacing
     any captured array object.  ``compiled`` tells callers whether the
     calls run native code.
     """
@@ -214,17 +226,268 @@ class KernelBackend:
 
         return call
 
+    # -- the switch window (BatchedSwitchKernel.process drives these) ----
+
+    def bind_packet_plan(self, L, B, q_sc, pause_horizon, starts,
+                         completions, q_bits, out_d, out_i):
+        def call(times, t_start, t_end, ssvc, n_res, next_free, inflight,
+                 frozen_until, pause_rearm_at):
+            # Plan one window without touching state.  The no-drop
+            # Lindley hull over n_res residual frames (queued at
+            # t_start) then the arrivals: completion k is ssvc*k past
+            # the latest of the service floor c0 and every earlier
+            # frame's backlog-free start.  out_i = [needs_scalar,
+            # m_eff, total_eff]; out_d = [pause_at (NaN: none),
+            # t_commit].
+            m = times.shape[0]
+            total = n_res + m
+            c0 = next_free if inflight else t_start
+            c0 = max(c0, frozen_until)
+            needs_scalar, m_eff = 0, m
+            pause_at, t_commit = math.nan, t_end
+            if total:
+                arrivals = (np.concatenate([np.full(n_res, t_start), times])
+                            if n_res else times)
+                k = np.arange(1.0, total + 1.0)
+                hull = np.maximum.accumulate(arrivals - ssvc * (k - 1.0))
+                comp = np.multiply(k, ssvc, out=completions[:total])
+                comp += np.maximum(hull, c0, out=hull)
+                np.subtract(comp, ssvc, out=starts[:total])
+            if m:
+                # Occupancy just after each arrival is offered (own
+                # frame included, in-service frame excluded).  A start
+                # exactly at the arrival instant counts as "before"
+                # only when it belongs to an earlier frame (the
+                # reference engine processes the completion that
+                # triggered it first); the arrival's own immediate
+                # start must not.  searchsorted side="right" plus a
+                # clamp at the frame's own position gets both, and is
+                # robust to a reconstructed start rounding one ulp
+                # below the arrival it equals.
+                own = np.arange(n_res, total)
+                started_before = np.minimum(
+                    starts[:total].searchsorted(times, side="right"), own)
+                q = (own + 1 - started_before) * L
+                over = q > B
+                if over.any():
+                    # Drop-tail engages: the window goes to
+                    # packet_scalar; occupancies stop at the first drop.
+                    needs_scalar = 1
+                    q = q[:int(over.argmax()) + 1]
+                q_bits[:q.shape[0]] = q
+                if not needs_scalar and q_sc == q_sc:
+                    hits = (q > q_sc) & (times >= pause_rearm_at)
+                    if hits.any():
+                        # Commit through the in-flight horizon (frames
+                        # the PAUSE cannot take back), defer the rest.
+                        cut = int(hits.argmax())
+                        pause_at = float(times[cut])
+                        t_commit = min(pause_at + pause_horizon, t_end)
+                        m_eff = max(int(times.searchsorted(
+                            t_commit, side="right")), cut + 1)
+            out_i[0], out_i[1], out_i[2] = needs_scalar, m_eff, n_res + m_eff
+            out_d[0], out_d[1] = pause_at, t_commit
+
+        return call
+
+    def bind_packet_commit(self, pm, q0, w, pos_only, req_assoc,
+                           sigma_unit, full_scale, q_bits, starts,
+                           completions, msg_t, msg_src, msg_sigma,
+                           msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
+                           out_d, out_i):
+        def call(m_eff, n_res, times, srcs, assoc, t_start, t_commit,
+                 prev_inflight, prev_next_free, uniforms, use_rng,
+                 interval, since, q_prev):
+            # Commit the planned no-drop window: sampling (pre-drawn
+            # uniforms when use_rng, else the deterministic counter),
+            # sigma (eq. 1), BCN messages and service accounting.
+            # sigma_unit is NaN for raw-sigma feedback.  out_i = [n_msg,
+            # n_samp, neg, pos, delivered, n_started, backlog, inflight,
+            # since]; out_d = [next_free, q_at_last_sample].
+            total_eff = n_res + m_eff
+            if use_rng:
+                sampled = uniforms[:m_eff] < pm
+            else:
+                sampled = (since + np.arange(1, m_eff + 1)) % interval == 0
+                since = (since + m_eff) % interval
+            sample_idx = sampled.nonzero()[0]
+            n_samp = sample_idx.shape[0]
+            n_msg = neg = pos = 0
+            prev = q_prev
+            if n_samp:
+                qs = q_bits[sample_idx]
+                dq = np.empty(n_samp)
+                dq[0] = qs[0] - q_prev
+                np.subtract(qs[1:], qs[:-1], out=dq[1:])
+                sigma = (q0 - qs) - w * dq
+                prev = float(qs[-1])
+                samp_t[:n_samp] = times[sample_idx]
+                samp_sigma[:n_samp] = sigma
+                negative = sigma < 0
+                positive = (sigma > 0) & ((qs < q0) | (not pos_only))
+                if req_assoc:
+                    positive &= assoc[sample_idx] != 0
+                neg = int(np.count_nonzero(negative))
+                pos = int(np.count_nonzero(positive))
+                emit = negative | positive
+                n_msg = neg + pos
+                msg_t[:n_msg] = samp_t[:n_samp][emit]
+                msg_src[:n_msg] = srcs[sample_idx[emit]]
+                msg_sigma[:n_msg] = sigma[emit]
+                msg_qoff[:n_msg] = q0 - qs[emit]
+                msg_dq[:n_msg] = dq[emit]
+                msg_fb[:n_msg] = _quantize(sigma[emit], sigma_unit,
+                                           full_scale)
+            delivered = int(completions[:total_eff].searchsorted(
+                t_commit, side="right"))
+            if prev_inflight and t_start < prev_next_free <= t_commit:
+                delivered += 1
+            n_started = int(starts[:total_eff].searchsorted(
+                t_commit, side="right"))
+            next_free, inflight = prev_next_free, prev_inflight
+            if n_started:
+                next_free = float(completions[n_started - 1])
+                inflight = 1 if next_free > t_commit else 0
+            elif prev_inflight and prev_next_free <= t_commit:
+                inflight = 0
+            out_i[:] = (n_msg, n_samp, neg, pos, delivered, n_started,
+                        total_eff - n_started, inflight, since)
+            out_d[0], out_d[1] = next_free, prev
+
+        return call
+
+    def packet_scalar(self, times, srcs, assoc, uniforms, use_rng, pm,
+                      interval, since, t_start, t_end, ssvc, L, B, q_sc, q0,
+                      w, pos_only, req_assoc, sigma_unit, full_scale, backlog,
+                      next_free0, inflight, frozen_until, pause_rearm_at,
+                      pause_duration, pause_horizon, q_prev, msg_t, msg_src,
+                      msg_sigma, msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
+                      msg_j, drop_j, acc_arrivals, starts_out, pause_j,
+                      out_d, out_i):
+        """The window loop frame by frame, for windows where drop-tail
+        engages (:meth:`CoreSwitch.receive` semantics).
+
+        ``uniforms`` holds one draw per arrival; the caller rewinds its
+        generator to the committed count.  ``msg_j``, ``drop_j`` and
+        ``pause_j`` give the arrival index of each message, drop and
+        PAUSE firing.  out_i = [committed, n_msg, n_samp, n_drop,
+        delivered, backlog, inflight, since, n_starts, n_acc, neg, pos,
+        any_started, n_pause]; out_d = [pause_at, t_commit, next_free,
+        q_at_last_sample, pause_rearm_at].
+        """
+        prev_next_free = next_free0
+        # next_free doubles as the next start time of a backlogged
+        # frame; flooring it at the outage freezes starts without
+        # touching the in-flight completion.
+        next_free = next_free0 if inflight else -math.inf
+        next_free = max(next_free, t_start, frozen_until)
+        draws = uniforms.tolist() if use_rng else ()
+        acc = [t_start] * backlog
+        starts: list[float] = []
+        samples: list[tuple[float, float]] = []
+        msgs: list[tuple[int, float, float, float]] = []
+        drops: list[int] = []
+        pauses: list[int] = []
+        any_started = committed = neg = pos = 0
+        pause_at, pause_limit, t_commit = math.nan, math.inf, t_end
+        q_last = q_prev
+        for j, a in enumerate(times.tolist()):
+            if a > pause_limit:
+                break  # beyond the PAUSE's in-flight horizon: deferred
+            # services that started strictly before this arrival
+            while backlog and next_free < a:
+                starts.append(next_free)
+                next_free += ssvc
+                backlog -= 1
+                any_started = 1
+            # sampling decision consumed before the offer, as in receive()
+            if use_rng:
+                sampled = draws[j] < pm
+            else:
+                since += 1
+                sampled = since >= interval
+                if sampled:
+                    since = 0
+            occ = backlog * L
+            if occ + L <= B:
+                acc.append(a)
+                if backlog == 0 and next_free <= a:
+                    starts.append(a)
+                    next_free = a + ssvc
+                    any_started = 1
+                else:
+                    backlog += 1
+                q_now = occ + L
+            else:
+                drops.append(j)
+                q_now = occ
+            if sampled:
+                dq = q_now - q_last
+                q_last = q_now
+                sigma = (q0 - q_now) - w * dq
+                samples.append((a, sigma))
+                if sigma < 0.0:
+                    neg += 1
+                    msgs.append((j, sigma, q0 - q_now, dq))
+                elif sigma > 0.0 and (q_now < q0 or not pos_only) and (
+                        not req_assoc or assoc[j] != 0):
+                    pos += 1
+                    msgs.append((j, sigma, q0 - q_now, dq))
+            committed += 1
+            if q_sc == q_sc and q_now > q_sc and a >= pause_rearm_at:
+                pause_at = a
+                pause_rearm_at = a + pause_duration
+                pauses.append(j)
+                pause_limit = t_commit = min(a + pause_horizon, t_end)
+        # drain services through the commit horizon
+        while backlog and next_free <= t_commit:
+            starts.append(next_free)
+            next_free += ssvc
+            backlog -= 1
+            any_started = 1
+
+        n_msg, n_samp, n_starts = len(msgs), len(samples), len(starts)
+        if n_msg:
+            cols = list(zip(*msgs))
+            js = np.array(cols[0], dtype=np.int64)
+            msg_j[:n_msg] = js
+            msg_t[:n_msg] = times[js]
+            msg_src[:n_msg] = srcs[js]
+            msg_sigma[:n_msg] = cols[1]
+            msg_qoff[:n_msg] = cols[2]
+            msg_dq[:n_msg] = cols[3]
+            msg_fb[:n_msg] = _quantize(msg_sigma[:n_msg], sigma_unit,
+                                       full_scale)
+        if n_samp:
+            samp_t[:n_samp], samp_sigma[:n_samp] = zip(*samples)
+        drop_j[:len(drops)] = drops
+        pause_j[:len(pauses)] = pauses
+        acc_arrivals[:len(acc)] = acc
+        starts_out[:n_starts] = starts
+        delivered = int(np.searchsorted(
+            starts_out[:n_starts] + ssvc, t_commit, side="right"))
+        if inflight and t_start < prev_next_free <= t_commit:
+            delivered += 1
+        out_next_free, out_inflight = prev_next_free, inflight
+        if any_started:
+            out_next_free = next_free
+            out_inflight = 1 if next_free > t_commit else 0
+        elif inflight and prev_next_free <= t_commit:
+            out_inflight = 0
+        out_i[:] = (committed, n_msg, n_samp, len(drops), delivered, backlog,
+                    out_inflight, since, n_starts, len(acc), neg, pos,
+                    any_started, len(pauses))
+        out_d[:] = (pause_at, t_commit, out_next_free, q_last,
+                    pause_rearm_at)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KernelBackend {self.name} compiled={self.compiled}>"
 
 
 class _CffiKernels(KernelBackend):
-    """The C tier: every ``bind_*`` closure of the numpy tier, plus the
-    C-only entry points — the switch window kernels
-    :class:`~repro.kernels.packet.CompiledSwitchKernel` drives
-    (``bind_packet_plan``, ``bind_packet_commit`` and the drop-window
-    fallback ``packet_scalar``) and the batch fluid kernel
-    ``fluid_rows``."""
+    """The C tier: every entry point of the numpy tier, same arguments,
+    plus the batch fluid kernel ``fluid_rows``, whose numpy oracle is
+    :func:`repro.fluid.batch.simulate_fluid_batch`."""
 
     name = "cffi"
     compiled = True
@@ -282,7 +545,7 @@ class _CffiKernels(KernelBackend):
                       next_free0, inflight, frozen_until, pause_rearm_at,
                       pause_duration, pause_horizon, q_prev, msg_t, msg_src,
                       msg_sigma, msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                      drop_t, drop_src, acc_arrivals, starts_out, pause_ts,
+                      msg_j, drop_j, acc_arrivals, starts_out, pause_j,
                       out_d, out_i):
         self._lib.k_packet_scalar(
             times.shape[0], self._d(times), self._i(srcs), self._u8(assoc),
@@ -295,8 +558,8 @@ class _CffiKernels(KernelBackend):
             float(pause_horizon), float(q_prev), self._d(msg_t),
             self._i(msg_src), self._d(msg_sigma), self._d(msg_qoff),
             self._d(msg_dq), self._d(msg_fb), self._d(samp_t),
-            self._d(samp_sigma), self._d(drop_t), self._i(drop_src),
-            self._d(acc_arrivals), self._d(starts_out), self._d(pause_ts),
+            self._d(samp_sigma), self._i(msg_j), self._i(drop_j),
+            self._d(acc_arrivals), self._d(starts_out), self._i(pause_j),
             self._d(out_d), self._i(out_i),
         )
 

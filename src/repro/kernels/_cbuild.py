@@ -5,11 +5,10 @@ is checked bit for bit against its numpy oracle, which runs the same
 float64 operations in the same order:
 
 * the packet window loop — ``k_pacing_plan``, ``k_merge_trains``,
-  ``k_pacing_commit``, ``k_owed_repay`` and ``k_apply_messages``
-  against the numpy closures of
-  :class:`~repro.kernels._backend.KernelBackend`; ``k_packet_plan``,
-  ``k_packet_commit`` and the drop-window fallback ``k_packet_scalar``
-  against :class:`~repro.simulation.switch.BatchedSwitchKernel`;
+  ``k_pacing_commit``, ``k_owed_repay``, ``k_apply_messages`` and the
+  switch window's ``k_packet_plan``, ``k_packet_commit`` and
+  drop-window ``k_packet_scalar`` — against the numpy entry points of
+  the same name in :class:`~repro.kernels._backend.KernelBackend`;
 * the batch fluid integrator ``k_fluid`` against
   :func:`repro.fluid.batch.simulate_fluid_batch`.  It runs step-major:
   an array of per-row states advances every row by one grid step
@@ -91,8 +90,8 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     double pause_duration, double pause_horizon, double q_prev,
     double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_qoff,
     double *msg_dq, double *msg_fb, double *samp_t, double *samp_sigma,
-    double *drop_t, int64_t *drop_src, double *acc_arrivals,
-    double *starts_out, double *pause_ts, double *out_d, int64_t *out_i);
+    int64_t *msg_j, int64_t *drop_j, double *acc_arrivals,
+    double *starts_out, int64_t *pause_j, double *out_d, int64_t *out_i);
 
 void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *msg_fb, double *msg_sigma, int64_t mode, double gi, double gd,
@@ -289,7 +288,7 @@ void k_owed_repay(int64_t n, double *owed, double *next_emit,
    arrival sees, and drop-tail (hand the window to k_packet_scalar) or
    PAUSE detection (commit only the in-flight prefix).
    out_i = [needs_scalar, m_eff, total_eff];
-   out_d = [pause_at (NaN: none), t_commit, new_pause_rearm_at]. */
+   out_d = [pause_at (NaN: none), t_commit]. */
 void k_packet_plan(int64_t m, double *times, double t_start, double t_end,
     double ssvc, double L, double B, double q_sc, int64_t n_res,
     double next_free, int64_t inflight, double frozen_until,
@@ -300,7 +299,7 @@ void k_packet_plan(int64_t m, double *times, double t_start, double t_end,
     int64_t total = n_res + m, i, j, p = 0;
     double c0 = inflight != 0 ? next_free : t_start;
     double hull = -INFINITY;
-    double pause_at = NAN, t_commit = t_end, new_rearm = pause_rearm_at;
+    double pause_at = NAN, t_commit = t_end;
     int64_t needs_scalar = 0, m_eff = m;
     if (frozen_until > c0) c0 = frozen_until;
 
@@ -329,7 +328,6 @@ void k_packet_plan(int64_t m, double *times, double t_start, double t_end,
                 double limit;
                 int64_t lo;
                 pause_at = times[j];
-                new_rearm = pause_at;
                 limit = pause_at + pause_horizon;
                 if (t_end < limit) limit = t_end;
                 lo = bisect_right(times, m, limit);
@@ -344,7 +342,6 @@ void k_packet_plan(int64_t m, double *times, double t_start, double t_end,
     out_i[2] = n_res + m_eff;
     out_d[0] = pause_at;
     out_d[1] = t_commit;
-    out_d[2] = new_rearm;
 }
 
 static double quant_fb(double sigma, double sigma_unit, double full_scale) {
@@ -434,12 +431,13 @@ void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
 }
 
 /* Per-frame window loop for windows where drop-tail engages
-   (BatchedSwitchKernel._process_scalar).  uniforms holds one draw per
-   arrival; the caller rewinds its generator to the committed count.
-   out_i = [committed, n_msg, n_samp, n_drop, delivered, backlog,
-   inflight, since, n_starts, n_acc, neg, pos, any_started, n_pause];
-   out_d = [pause_at, t_commit, next_free, q_at_last_sample,
-   pause_rearm_at]; pause_ts[:n_pause] holds every PAUSE firing. */
+   (KernelBackend.packet_scalar).  uniforms holds one draw per arrival;
+   the caller rewinds its generator to the committed count.  msg_j,
+   drop_j and pause_j hold the arrival index of each message, drop and
+   PAUSE firing.  out_i = [committed, n_msg, n_samp, n_drop, delivered,
+   backlog, inflight, since, n_starts, n_acc, neg, pos, any_started,
+   n_pause]; out_d = [pause_at, t_commit, next_free, q_at_last_sample,
+   pause_rearm_at]. */
 void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     uint8_t *assoc, double *uniforms, int64_t use_rng, double pm,
     int64_t interval, int64_t since, double t_start, double t_end,
@@ -450,8 +448,8 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     double pause_duration, double pause_horizon, double q_prev,
     double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_qoff,
     double *msg_dq, double *msg_fb, double *samp_t, double *samp_sigma,
-    double *drop_t, int64_t *drop_src, double *acc_arrivals,
-    double *starts_out, double *pause_ts, double *out_d, int64_t *out_i)
+    int64_t *msg_j, int64_t *drop_j, double *acc_arrivals,
+    double *starts_out, int64_t *pause_j, double *out_d, int64_t *out_i)
 {
     int64_t prev_inflight = inflight;
     double prev_next_free = next_free0;
@@ -493,9 +491,7 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
             } else backlog++;
             q_now = occ + L;
         } else {
-            drop_t[n_drop] = a;
-            drop_src[n_drop] = srcs[j];
-            n_drop++;
+            drop_j[n_drop++] = j;
             q_now = occ;
         }
         if (sampled) {
@@ -510,6 +506,7 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
             else if (sigma > 0.0 && (q_now < q0 || pos_only == 0)
                      && (req_assoc == 0 || assoc[j] != 0)) { pos++; emit = 1; }
             if (emit) {
+                msg_j[n_msg] = j;
                 msg_t[n_msg] = a;
                 msg_src[n_msg] = srcs[j];
                 msg_sigma[n_msg] = sigma;
@@ -525,7 +522,7 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
         if (q_sc == q_sc && q_now > q_sc && a >= pause_rearm_at) {
             pause_at = a;
             pause_rearm_at = a + pause_duration;
-            pause_ts[n_pause++] = a;
+            pause_j[n_pause++] = j;
             pause_limit = a + pause_horizon;
             if (t_end < pause_limit) pause_limit = t_end;
             t_commit = pause_limit;

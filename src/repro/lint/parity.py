@@ -10,12 +10,14 @@ conformance-suite divergence after minutes of simulation.  This check
 makes drift a lint error instead:
 
 * ``_CffiKernels`` must override every ``KernelBackend.bind_*``
-  method with the same arguments, name for name, position for
-  position, and the closures the two return must take the same call
+  method, and every public ``_CffiKernels`` entry point (``bind_*``
+  closures and unbound kernels such as ``packet_scalar`` alike) must
+  have a ``KernelBackend`` twin, the oracle it is checked against,
+  with the same arguments, name for name, position for position; the
+  closures two ``bind_*`` twins return must take the same call
   arguments (``_``-prefixed parameters with defaults, which pin
-  captured arrays, do not count).  The cffi tier may add ``bind_*``
-  methods of its own: the switch-window kernels have no numpy closure
-  (their oracle is ``BatchedSwitchKernel``);
+  captured arrays, do not count).  Only the entry points in
+  ``_C_ONLY`` may lack a twin;
 * every ``lib.k_*`` call must match a prototype in ``CDEF`` in arity.
   Where an argument's marshalling makes the C type derivable — a
   pointer cast (``self._d`` → ``double *`` …, also through a local
@@ -51,6 +53,11 @@ _COERCE_TYPES = {"float": "double", "int": "int64_t"}
 #: A marshalled argument: ``(canonical_ctype, source_array_name)``.
 _Marshal = tuple[str | None, str | None]
 
+#: C-tier entry points without a ``KernelBackend`` twin, and why.
+_C_ONLY = {
+    "fluid_rows": "its oracle is repro.fluid.batch.simulate_fluid_batch",
+}
+
 
 def _finding(file: SourceFile, node: ast.AST, message: str) -> Finding:
     return Finding(
@@ -74,10 +81,10 @@ def _class(tree: ast.Module, name: str) -> ast.ClassDef | None:
     return None
 
 
-def _bind_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+def _entry_points(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     return {node.name: node for node in cls.body
             if isinstance(node, ast.FunctionDef)
-            and node.name.startswith("bind_")}
+            and not node.name.startswith("_")}
 
 
 def _closure_args(fn: ast.FunctionDef) -> list[str] | None:
@@ -101,14 +108,22 @@ def _closure_args(fn: ast.FunctionDef) -> list[str] | None:
 
 def _check_bind_parity(file: SourceFile, base: ast.ClassDef,
                        cffi: ast.ClassDef) -> Iterator[Finding]:
-    cffi_binds = _bind_methods(cffi)
-    for name, want_fn in sorted(_bind_methods(base).items()):
-        got_fn = cffi_binds.get(name)
-        if got_fn is None:
+    base_entries, cffi_entries = _entry_points(base), _entry_points(cffi)
+    for name in sorted(set(base_entries) - set(cffi_entries)):
+        if name.startswith("bind_"):
             yield _finding(file, cffi,
                            f"_CffiKernels has no wrapper for kernel "
                            f"{name[len('bind_'):]!r}: it does not "
                            f"override KernelBackend.{name}")
+    for name, got_fn in sorted(cffi_entries.items()):
+        want_fn = base_entries.get(name)
+        if want_fn is None:
+            if name not in _C_ONLY:
+                yield _finding(
+                    file, got_fn,
+                    f"_CffiKernels.{name} has no numpy twin: "
+                    f"KernelBackend defines no {name} to check the C "
+                    "tier against")
             continue
         want, got = _arg_names(want_fn), _arg_names(got_fn)
         if want != got:

@@ -167,7 +167,8 @@ class Simulator:
         ----------
         until:
             Stop once the next event would occur after this time; the
-            clock is advanced to ``until`` if any later events remain.
+            clock is advanced to ``until`` unless ``max_events`` stopped
+            the run with events still due by then.
         max_events:
             Safety cap on callbacks executed in this call.
         """
@@ -190,7 +191,9 @@ class Simulator:
                 callback(arg)
             self._processed += 1
             executed += 1
-        if math.isfinite(until):
+        # A max_events stop with events still due by ``until`` leaves
+        # the clock at the last executed event.
+        if math.isfinite(until) and (not heap or heap[0][0] > until):
             self._now = max(self._now, until)
 
     def reset(self) -> None:

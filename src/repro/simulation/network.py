@@ -485,18 +485,16 @@ class BCNNetworkSimulator:
 
         The backend supplies the hot loops as bound closures (see
         :class:`~repro.kernels.KernelBackend`): pacing plan, train
-        merge, pacing commit, owed-bits repayment and message delivery;
-        the switch window runs in a
-        :class:`~repro.kernels.CompiledSwitchKernel` on the C tier and
-        in the numpy :class:`BatchedSwitchKernel` otherwise.  Message
+        merge, pacing commit, owed-bits repayment and message delivery,
+        and the switch window's plan, commit and per-frame drop loop,
+        which a :class:`BatchedSwitchKernel` bound to the same backend
+        drives; the numpy and C tiers differ only in those closures.  Message
         delivery updates struct-of-array regulator state (folded back
         into the :class:`RateRegulator` objects at the end of the run);
         if the sources carry non-uniform regulator laws or
         ``on_rate_change`` observers it falls back to the python loop
         so every observable stays exact.
         """
-        from ..kernels import CompiledSwitchKernel
-
         if any(s.muted for s in self.sources):
             raise NotImplementedError(
                 f"the {self.engine} engine cannot pace initially-muted "
@@ -519,12 +517,8 @@ class BCNNetworkSimulator:
             # are in flight and must land, as in the reference engine.
             pause_commit_horizon=2.0 * d,
         )
-        if be.compiled:
-            kernel = CompiledSwitchKernel(self.switch, self.frame_bits,
-                                          backend=be, **kernel_kwargs)
-        else:
-            kernel = BatchedSwitchKernel(self.switch, self.frame_bits,
-                                         **kernel_kwargs)
+        kernel = BatchedSwitchKernel(self.switch, self.frame_bits,
+                                     backend=be, **kernel_kwargs)
         self._batched_kernel = kernel
         # The auto quantum (2x the expected message interval) assumes the
         # run is long relative to the control loop; cap it so short runs

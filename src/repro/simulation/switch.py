@@ -36,6 +36,8 @@ from .queueing import DropTailQueue
 
 __all__ = ["CoreSwitch", "SwitchStats", "BatchedSwitchKernel", "BatchedWindow"]
 
+_EMPTY = np.empty(0)
+
 
 @dataclass
 class SwitchStats:
@@ -371,11 +373,11 @@ class BatchedWindow:
 class BatchedSwitchKernel:
     """Vectorized frame-train processing for one :class:`CoreSwitch`.
 
-    The batched packet engine replaces the per-frame event cascade
-    (emit, link, offer, serve, done) with window-sized numpy batches:
-    between control boundaries every source's rate is constant, so the
-    switch can ingest a whole merged frame train at once.  Service is
-    the classic Lindley recursion — with uniform frame size ``L`` and
+    The batched packet engines replace the per-frame event cascade
+    (emit, link, offer, serve, done) with window-sized batches: between
+    control boundaries every source's rate is constant, so the switch
+    can ingest a whole merged frame train at once.  Service is the
+    classic Lindley recursion — with uniform frame size ``L`` and
     service time ``s = L/C`` the completion times of FIFO arrivals
     ``A_k`` follow ``c_k = max(A_k, c_{k-1}) + s``, a prefix-maximum
     that vectorizes as ``c = s*k + max(c0, cummax(A_k - s*(k-1)))``.
@@ -390,12 +392,17 @@ class BatchedSwitchKernel:
     reference engine's ``random.Random`` (the two engines' sampled
     trajectories agree statistically, not draw for draw).
 
-    The fast path assumes no frame is dropped; when the no-drop check
-    fails the window falls back to an exact per-frame scalar loop
-    (drops are control boundaries in the ISSUE's sense).  A severe
-    congestion (PAUSE) crossing truncates the window at the crossing
-    arrival so the orchestrator can deliver the PAUSE and re-plan
-    trains.
+    The arithmetic runs in three closures of a
+    :class:`~repro.kernels.KernelBackend` tier: ``bind_packet_plan``
+    (the no-drop hull, the occupancy each arrival sees, drop-tail and
+    PAUSE detection), ``bind_packet_commit`` (sampling, sigma, BCN
+    messages, service accounting) and ``packet_scalar``, the exact
+    per-frame loop a window falls back to when drop-tail engages.  A
+    severe congestion (PAUSE) crossing truncates the window so the
+    orchestrator can deliver the PAUSE and re-plan trains.
+    :meth:`process` turns whichever closure's outputs into the switch,
+    queue, state and obs updates, so the numpy tier (the default) and
+    the C tier differ only in the closures they bind.
 
     Shared state lives on the wrapped switch (stats, drop-tail
     counters, sigma history, sampling state); in batched mode the
@@ -410,9 +417,16 @@ class BatchedSwitchKernel:
         *,
         pause_fanout: int | None = None,
         pause_commit_horizon: float = 0.0,
+        backend=None,
     ) -> None:
         if frame_bits <= 0:
             raise ValueError("frame_bits must be positive")
+        if backend is None:
+            # Imported here: repro.kernels imports this module.
+            from ..kernels._backend import KernelBackend
+
+            backend = KernelBackend()
+        self._backend = backend
         self.switch = switch
         self.frame_bits = frame_bits
         self._ssvc = frame_bits / switch.capacity
@@ -451,6 +465,26 @@ class BatchedSwitchKernel:
         # arrays of the last committed window, for queue_at()
         self._win_arrivals = np.empty(0)
         self._win_starts = np.empty(0)
+        #: the kernels' scalar forms of the FB quantizer (NaN unit:
+        #: raw-sigma feedback) and of the PAUSE threshold (NaN: none)
+        self._fb = (
+            (float(switch.sigma_unit), float(2 ** (switch.fb_bits - 1)))
+            if switch.fb_bits is not None and switch.sigma_unit is not None
+            else (math.nan, 0.0)
+        )
+        self._q_sc = (float(switch.q_sc) if switch.q_sc is not None
+                      else math.nan)
+        # Per-window buffers, reused across windows and grown (with the
+        # closures that capture them re-bound) by ``_grow``.  Every
+        # consumer of these arrays (recorder, obs, message delivery)
+        # reads them before the next ``process()`` call overwrites them.
+        self._cap_m = self._cap_total = -1
+        self._plan_d = np.empty(2)
+        self._plan_i = np.empty(3, dtype=np.int64)
+        self._out_d = np.empty(2)
+        self._out_i = np.empty(9, dtype=np.int64)
+        self._sout_d = np.empty(5)
+        self._sout_i = np.empty(14, dtype=np.int64)
 
     # -- timed-event hooks -------------------------------------------------
 
@@ -477,6 +511,35 @@ class BatchedSwitchKernel:
 
     # -- window processing -------------------------------------------------
 
+    def _grow(self, m: int, total: int) -> None:
+        """Size the buffers for ``m`` arrivals behind ``total - m``
+        residual frames, and bind the backend's window closures."""
+        sw = self.switch
+        be = self._backend
+        self._cap_m = cap_m = max(64, 2 * m)
+        self._cap_total = cap_t = max(64, 2 * total)
+        self._starts = np.empty(cap_t)
+        self._completions = np.empty(cap_t)
+        self._arrivals = np.empty(cap_t)
+        self._q_bits = np.empty(cap_m)
+        # msg_t, msg_src, msg_sigma, msg_qoff, msg_dq, msg_fb
+        self._msg = (np.empty(cap_m), np.empty(cap_m, np.int64),
+                     *(np.empty(cap_m) for _ in range(4)))
+        self._samp_t = np.empty(cap_m)
+        self._samp_sigma = np.empty(cap_m)
+        # arrival index of each message, drop and PAUSE (drop windows)
+        self._msg_j, self._drop_j, self._pause_j = (
+            np.empty(cap_m, np.int64) for _ in range(3))
+        self._bound_plan = be.bind_packet_plan(
+            float(self.frame_bits), sw.queue.capacity_bits, self._q_sc,
+            self.pause_commit_horizon, self._starts, self._completions,
+            self._q_bits, self._plan_d, self._plan_i)
+        self._bound_commit = be.bind_packet_commit(
+            sw.pm, sw.q0, sw.w, 1 if sw.positive_only_below_q0 else 0,
+            1 if sw.require_association else 0, *self._fb, self._q_bits,
+            self._starts, self._completions, *self._msg, self._samp_t,
+            self._samp_sigma, self._out_d, self._out_i)
+
     def process(
         self,
         t_start: float,
@@ -493,336 +556,163 @@ class BatchedSwitchKernel:
         the BCN messages it generated.
         """
         sw = self.switch
-        L = self.frame_bits
-        ssvc = self._ssvc
+        Lf = float(self.frame_bits)
         m = int(times.size)
         n_res = self._backlog
-
-        # FIFO stream = residual frames (already queued) then new arrivals.
-        if n_res:
-            arrivals = np.concatenate([np.full(n_res, t_start), times])
-        else:
-            arrivals = times
         total = n_res + m
-
-        prev_inflight = self._inflight
-        prev_next_free = self._next_free
-        c0 = self._next_free if self._inflight else t_start
-        # Outage: no service start before _frozen_until (the completion
-        # hull floor delays every start past the freeze horizon).
-        c0 = max(c0, self._frozen_until)
-
-        if total:
-            k = np.arange(1, total + 1, dtype=float)
-            hull = np.maximum.accumulate(arrivals - ssvc * (k - 1.0))
-            completions = ssvc * k + np.maximum(c0, hull)
-            starts = completions - ssvc
-        else:
-            completions = starts = np.empty(0)
-
-        pause_at: float | None = None
-        drops = 0
-        if m:
-            # Occupancy just after each new arrival is offered (own frame
-            # included, in-service frame excluded) — assuming no drops.
-            # A start exactly at the arrival instant counts as "before"
-            # only when it belongs to an earlier frame (the reference
-            # engine processes the completion that triggered it first);
-            # the arrival's own immediate start must not.  searchsorted
-            # side="right" plus a clamp at the frame's own position gets
-            # both, and is robust to the reconstructed start times
-            # rounding one ulp below the arrival they equal.
-            started_before = np.minimum(
-                np.searchsorted(starts, times, side="right"),
-                np.arange(n_res, total),
-            )
-            q_bits = L * (np.arange(n_res + 1, total + 1)
-                          - started_before).astype(float)
-            if bool(np.any(q_bits > sw.queue.capacity_bits)):
-                # Drop-tail engages somewhere in this window: per-frame
-                # fallback reproduces the reference semantics exactly.
-                return self._process_scalar(t_start, t_end, times, srcs, assoc)
-
-            if sw.q_sc is not None:
-                crossing = (q_bits > sw.q_sc) & (times >= self._pause_rearm_at)
-                hits = np.nonzero(crossing)[0]
-                if hits.size:
-                    cut = int(hits[0])
-                    pause_at = float(times[cut])
-                    self._pause_rearm_at = pause_at + sw.pause_duration
-                    sw.stats.pauses_sent += self.pause_fanout
-                    if sw.obs is not None:
-                        sw.obs.event("pause_on", pause_at,
-                                     engine=sw.obs_engine, node=sw.cpid,
-                                     value=sw.pause_duration)
-                        sw.obs.event("pause_off",
-                                     pause_at + sw.pause_duration,
-                                     engine=sw.obs_engine, node=sw.cpid)
-                    # Commit through the in-flight horizon (frames the
-                    # PAUSE cannot take back), defer the rest.
-                    limit = min(pause_at + self.pause_commit_horizon, t_end)
-                    m = max(
-                        int(np.searchsorted(times, limit, side="right")),
-                        cut + 1,
-                    )
-                    total = n_res + m
-                    times = times[:m]
-                    srcs = srcs[:m]
-                    assoc = assoc[:m]
-                    arrivals = arrivals[:total]
-                    completions = completions[:total]
-                    starts = starts[:total]
-                    q_bits = q_bits[:m]
-        else:
-            q_bits = np.empty(0)
-
-        if pause_at is None:
-            t_commit = t_end
-        else:
-            t_commit = min(pause_at + self.pause_commit_horizon, t_end)
-
-        # -- sampling / BCN ------------------------------------------------
-        if m:
-            if self._rng is not None:
-                sampled = self._rng.random(m) < sw.pm
-            else:
-                idx = np.arange(1, m + 1)
-                sampled = (sw._arrivals_since_sample + idx) \
-                    % sw._sample_interval == 0
-                sw._arrivals_since_sample = \
-                    (sw._arrivals_since_sample + m) % sw._sample_interval
-            sample_idx = np.nonzero(sampled)[0]
-        else:
-            sample_idx = np.empty(0, dtype=int)
-
-        if sample_idx.size:
-            qs = q_bits[sample_idx]
-            q_prev = np.concatenate([[sw._q_at_last_sample], qs[:-1]])
-            dq = qs - q_prev
-            sigma = (sw.q0 - qs) - sw.w * dq
-            sw._q_at_last_sample = float(qs[-1])
-            t_s = times[sample_idx]
-            sw.stats.samples += int(sample_idx.size)
-            sw.sigma_history.extend(zip(t_s.tolist(), sigma.tolist()))
-
-            negative = sigma < 0
-            positive = (sigma > 0) \
-                & ((qs < sw.q0) | (not sw.positive_only_below_q0))
-            if sw.require_association:
-                positive &= assoc[sample_idx] != 0  # bool or uint8 flags
-            sw.stats.bcn_negative += int(np.count_nonzero(negative))
-            sw.stats.bcn_positive += int(np.count_nonzero(positive))
-            emit = negative | positive
-            msg_t = t_s[emit]
-            msg_src = srcs[sample_idx][emit]
-            msg_sigma = sigma[emit]
-            msg_q_off = sw.q0 - qs[emit]
-            msg_dq = dq[emit]
-            if sw.fb_bits is not None and sw.sigma_unit is not None:
-                full_scale = 2 ** (sw.fb_bits - 1)
-                msg_fb = np.clip(np.round(msg_sigma / sw.sigma_unit),
-                                 -full_scale, full_scale - 1).astype(float)
-            else:
-                msg_fb = msg_sigma
-        else:
-            msg_t = msg_src = msg_fb = msg_sigma = np.empty(0)
-            msg_q_off = msg_dq = np.empty(0)
-
-        if sw.obs is not None and msg_t.size:
-            for mt, msrc, msig in zip(msg_t.tolist(), msg_src.tolist(),
-                                      msg_sigma.tolist()):
-                sw.obs.event("bcn", mt, engine=sw.obs_engine, node=sw.cpid,
-                             flow=int(msrc), value=msig)
-
-        # -- service accounting & state roll-forward -----------------------
-        delivered = int(np.searchsorted(completions, t_commit, side="right"))
-        if prev_inflight and t_start < prev_next_free <= t_commit:
-            delivered += 1
-        n_started = int(np.searchsorted(starts, t_commit, side="right"))
-        if n_started:
-            self._next_free = float(completions[n_started - 1])
-            self._inflight = self._next_free > t_commit
-        elif prev_inflight and prev_next_free <= t_commit:
-            self._inflight = False
-        self._backlog = total - n_started
-
-        delivered_bits = float(delivered * L)
-        sw.stats.forwarded_frames += delivered
-        sw.stats.forwarded_bits += delivered_bits
-        q = sw.queue
-        q.enqueued_frames += m
-        q.enqueued_bits += float(m * L)
-        q.dequeued_frames += n_started
-        q.dequeued_bits += float(n_started * L)
-
-        self._win_arrivals = arrivals
-        self._win_starts = starts
-
-        return BatchedWindow(
-            t_start=t_start, t_commit=t_commit, committed=m,
-            msg_t=msg_t, msg_src=msg_src, msg_fb=msg_fb,
-            msg_sigma=msg_sigma, msg_q_off=msg_q_off, msg_dq=msg_dq,
-            pause_at=pause_at, delivered_bits=delivered_bits, drops=drops,
-        )
-
-    # -- exact per-frame fallback -----------------------------------------
-
-    def _process_scalar(
-        self,
-        t_start: float,
-        t_end: float,
-        times: np.ndarray,
-        srcs: np.ndarray,
-        assoc: np.ndarray,
-    ) -> BatchedWindow:
-        """Reference-faithful per-frame loop for windows with drops."""
-        sw = self.switch
-        L = self.frame_bits
-        ssvc = self._ssvc
-        B = sw.queue.capacity_bits
-
-        backlog = self._backlog
-        prev_inflight = self._inflight
-        prev_next_free = self._next_free
-        next_free = self._next_free if self._inflight else -math.inf
-        # Outage floor: the earliest time any *new* service may start.
-        # ``next_free`` doubles as the next start time of a backlogged
-        # frame, so flooring it here freezes starts without touching the
-        # in-flight completion already rolled into ``_next_free``.
-        next_free = max(next_free, t_start, self._frozen_until)
-        any_started = False
-
-        acc_arrivals: list[float] = [t_start] * backlog
-        starts: list[float] = []
-        msg_rows: list[tuple[float, int, float, float, float, float]] = []
-        drops = 0
-        accepted_new = 0
-        pause_at: float | None = None
-        pause_limit = math.inf
-        t_commit = t_end
-        committed = 0
-
-        interval = sw._sample_interval
         rng = self._rng
 
-        for j in range(times.size):
-            a = float(times[j])
-            if a > pause_limit:
-                # Beyond the in-flight horizon of the PAUSE: deferred.
-                break
-            # services that started strictly before this arrival
-            while backlog and next_free < a:
-                starts.append(next_free)
-                next_free += ssvc
-                backlog -= 1
-                any_started = True
-            # sampling decision consumed before the offer, as in receive()
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        srcs = np.ascontiguousarray(srcs, dtype=np.int64)
+        assoc = np.ascontiguousarray(assoc, dtype=np.uint8)
+
+        # Buffers sized by the pre-truncation counts, so one bind
+        # covers every window shape; the kernels never read shapes.
+        if m > self._cap_m or total > self._cap_total:
+            self._grow(m, total)
+        starts, arrivals, msg = self._starts, self._arrivals, self._msg
+        samp_t, samp_sigma = self._samp_t, self._samp_sigma
+
+        self._bound_plan(
+            times, float(t_start), float(t_end), self._ssvc, n_res,
+            self._next_free, 1 if self._inflight else 0,
+            self._frozen_until, self._pause_rearm_at,
+        )
+
+        scalar = bool(self._plan_i[0])
+        if scalar:
+            # Drop-tail engages inside the window: the exact per-frame
+            # kernel.  It takes one uniform per arrival; pre-draw the
+            # worst case, then rewind to the committed count below.
             if rng is not None:
-                sampled = float(rng.random()) < sw.pm
+                rng_state = rng.bit_generator.state
+                uniforms = rng.random(m)
             else:
-                sw._arrivals_since_sample += 1
-                sampled = sw._arrivals_since_sample >= interval
-                if sampled:
-                    sw._arrivals_since_sample = 0
-            occ = backlog * L
-            accepted = occ + L <= B
-            if accepted:
-                accepted_new += 1
-                acc_arrivals.append(a)
-                sw.queue.enqueued_frames += 1
-                sw.queue.enqueued_bits += L
-                if backlog == 0 and next_free <= a:
-                    starts.append(a)
-                    next_free = a + ssvc
-                    any_started = True
-                else:
-                    backlog += 1
-                q_now = occ + L
-            else:
-                drops += 1
-                sw.queue.dropped_frames += 1
-                sw.queue.dropped_bits += L
-                q_now = occ
-                if sw.obs is not None:
-                    sw.obs.event("drop", a, engine=sw.obs_engine,
-                                 node=sw.cpid, flow=int(srcs[j]),
-                                 value=float(L))
-            if sampled:
-                dq = q_now - sw._q_at_last_sample
-                sw._q_at_last_sample = q_now
-                sigma = (sw.q0 - q_now) - sw.w * dq
-                sw.stats.samples += 1
-                sw.sigma_history.append((a, sigma))
-                n_rows_before = len(msg_rows)
-                if sigma < 0:
-                    sw.stats.bcn_negative += 1
-                    msg_rows.append((a, int(srcs[j]), sigma,
-                                     sw.q0 - q_now, dq, sw.quantize_fb(sigma)))
-                elif sigma > 0 and (q_now < sw.q0
-                                    or not sw.positive_only_below_q0) and (
-                        not sw.require_association or bool(assoc[j])):
-                    sw.stats.bcn_positive += 1
-                    msg_rows.append((a, int(srcs[j]), sigma,
-                                     sw.q0 - q_now, dq, sw.quantize_fb(sigma)))
-                if sw.obs is not None and len(msg_rows) > n_rows_before:
-                    sw.obs.event("bcn", a, engine=sw.obs_engine,
-                                 node=sw.cpid, flow=int(srcs[j]), value=sigma)
-            committed += 1
-            if (sw.q_sc is not None and q_now > sw.q_sc
-                    and a >= self._pause_rearm_at):
-                pause_at = a
-                self._pause_rearm_at = a + sw.pause_duration
-                sw.stats.pauses_sent += self.pause_fanout
-                if sw.obs is not None:
-                    sw.obs.event("pause_on", a, engine=sw.obs_engine,
-                                 node=sw.cpid, value=sw.pause_duration)
-                    sw.obs.event("pause_off", a + sw.pause_duration,
-                                 engine=sw.obs_engine, node=sw.cpid)
-                pause_limit = min(a + self.pause_commit_horizon, t_end)
-                t_commit = pause_limit
-        # drain services through the commit horizon
-        while backlog and next_free <= t_commit:
-            starts.append(next_free)
-            next_free += ssvc
-            backlog -= 1
-            any_started = True
-
-        starts_arr = np.asarray(starts, dtype=float)
-        delivered = int(np.searchsorted(starts_arr + ssvc, t_commit,
-                                        side="right"))
-        if prev_inflight and t_start < prev_next_free <= t_commit:
-            delivered += 1
-        if any_started:
-            self._next_free = next_free
-            self._inflight = next_free > t_commit
-        elif prev_inflight and prev_next_free <= t_commit:
-            self._inflight = False
-        self._backlog = backlog
-
-        delivered_bits = float(delivered * L)
-        sw.stats.forwarded_frames += delivered
-        sw.stats.forwarded_bits += delivered_bits
-        sw.queue.dequeued_frames += len(starts)
-        sw.queue.dequeued_bits += float(len(starts) * L)
-
-        self._win_arrivals = np.asarray(acc_arrivals, dtype=float)
-        self._win_starts = starts_arr
-
-        if msg_rows:
-            cols = list(zip(*msg_rows))
-            msg_t = np.asarray(cols[0], dtype=float)
-            msg_src = np.asarray(cols[1])
-            msg_sigma = np.asarray(cols[2], dtype=float)
-            msg_q_off = np.asarray(cols[3], dtype=float)
-            msg_dq = np.asarray(cols[4], dtype=float)
-            msg_fb = np.asarray(cols[5], dtype=float)
+                uniforms = _EMPTY
+            msg_j, drop_j, pause_j = self._msg_j, self._drop_j, self._pause_j
+            self._backend.packet_scalar(
+                times, srcs, assoc, uniforms, 1 if rng is not None else 0,
+                float(sw.pm), sw._sample_interval, sw._arrivals_since_sample,
+                float(t_start), float(t_end), self._ssvc, Lf,
+                float(sw.queue.capacity_bits), self._q_sc, float(sw.q0),
+                float(sw.w), 1 if sw.positive_only_below_q0 else 0,
+                1 if sw.require_association else 0, *self._fb,
+                n_res, self._next_free, 1 if self._inflight else 0,
+                self._frozen_until, self._pause_rearm_at,
+                float(sw.pause_duration), self.pause_commit_horizon,
+                sw._q_at_last_sample, *msg, samp_t, samp_sigma, msg_j,
+                drop_j, arrivals, starts, pause_j, self._sout_d,
+                self._sout_i,
+            )
+            (committed, n_msg, n_samp, n_drop, delivered, backlog,
+             inflight, since, n_started, n_acc, neg, pos, _,
+             n_pause) = self._sout_i.tolist()
+            (pause_at, t_commit, next_free, q_last,
+             self._pause_rearm_at) = self._sout_d.tolist()
+            if rng is not None:
+                rng.bit_generator.state = rng_state
+                if committed:
+                    rng.random(committed)
+            accepted = n_acc - n_res
         else:
-            msg_t = msg_src = msg_fb = msg_sigma = np.empty(0)
-            msg_q_off = msg_dq = np.empty(0)
+            committed = int(self._plan_i[1])
+            n_acc = int(self._plan_i[2])
+            pause_at, t_commit = self._plan_d.tolist()
+            n_pause = 1 if pause_at == pause_at else 0  # NaN: no PAUSE
+            if n_pause:
+                self._pause_rearm_at = pause_at + sw.pause_duration
+            # Bernoulli draws cover the truncated window only.
+            uniforms = (rng.random(committed) if rng is not None
+                        and committed else _EMPTY)
+            self._bound_commit(
+                committed, n_res, times, srcs, assoc, float(t_start),
+                t_commit, 1 if self._inflight else 0, self._next_free,
+                uniforms, 1 if rng is not None else 0,
+                sw._sample_interval, sw._arrivals_since_sample,
+                sw._q_at_last_sample,
+            )
+            (n_msg, n_samp, neg, pos, delivered, n_started, backlog,
+             inflight, since) = self._out_i.tolist()
+            next_free, q_last = self._out_d.tolist()
+            accepted, n_drop = committed, 0
+            arrivals[:n_res] = t_start
+            arrivals[n_res:n_acc] = times[:committed]
+
+        if rng is None:
+            sw._arrivals_since_sample = since
+        sw._q_at_last_sample = q_last
+        stats = sw.stats
+        if n_samp:
+            stats.samples += n_samp
+            sw.sigma_history.extend(
+                zip(samp_t[:n_samp].tolist(), samp_sigma[:n_samp].tolist()))
+            stats.bcn_negative += neg
+            stats.bcn_positive += pos
+        stats.pauses_sent += n_pause * self.pause_fanout
+        delivered_bits = float(delivered) * Lf
+        stats.forwarded_frames += delivered
+        stats.forwarded_bits += delivered_bits
+        q = sw.queue
+        q.enqueued_frames += accepted
+        q.enqueued_bits += float(accepted) * Lf
+        q.dropped_frames += n_drop
+        q.dropped_bits += float(n_drop) * Lf
+        q.dequeued_frames += n_started
+        q.dequeued_bits += float(n_started) * Lf
+
+        self._next_free = next_free
+        self._inflight = bool(inflight)
+        self._backlog = backlog
+        self._win_arrivals = arrivals[:n_acc]
+        self._win_starts = starts[:n_started]
+
+        w_msg = tuple(col[:n_msg] for col in msg) if n_msg else (_EMPTY,) * 6
+        msg_t, msg_src, msg_sigma, msg_qoff, msg_dq, msg_fb = w_msg
+        if sw.obs is not None:
+            if scalar:
+                # CoreSwitch.receive's order: per arrival, its drop,
+                # then its BCN, then its PAUSE.
+                keyed = sorted(
+                    [(j, 0, "drop", j) for j in drop_j[:n_drop].tolist()]
+                    + [(j, 1, "bcn", k)
+                       for k, j in enumerate(msg_j[:n_msg].tolist())]
+                    + [(j, 2, "pause", float(times[j]))
+                       for j in pause_j[:n_pause].tolist()])
+                order = [(kind, x) for _, _, kind, x in keyed]
+            else:
+                # No drops: the window's one PAUSE, then its BCNs.
+                order = [("pause", pause_at)] if n_pause else []
+                order += [("bcn", k) for k in range(n_msg)]
+            self._emit_obs(order, times, srcs, msg_t, msg_src, msg_sigma)
 
         return BatchedWindow(
             t_start=t_start, t_commit=t_commit, committed=committed,
             msg_t=msg_t, msg_src=msg_src, msg_fb=msg_fb,
-            msg_sigma=msg_sigma, msg_q_off=msg_q_off, msg_dq=msg_dq,
-            pause_at=pause_at, delivered_bits=delivered_bits, drops=drops,
+            msg_sigma=msg_sigma, msg_q_off=msg_qoff, msg_dq=msg_dq,
+            pause_at=pause_at if n_pause else None,
+            delivered_bits=delivered_bits, drops=n_drop,
         )
+
+    def _emit_obs(self, order, times, srcs, msg_t, msg_src, msg_sigma):
+        """Narrate one window to the switch's obs handle.
+
+        ``order`` lists ``(kind, x)`` in emission order: ``("drop",
+        arrival index)``, ``("bcn", message index)`` or ``("pause",
+        time)``.
+        """
+        sw = self.switch
+        obs = sw.obs
+        for kind, x in order:
+            if kind == "drop":
+                obs.event("drop", float(times[x]), engine=sw.obs_engine,
+                          node=sw.cpid, flow=int(srcs[x]),
+                          value=float(self.frame_bits))
+            elif kind == "bcn":
+                obs.event("bcn", float(msg_t[x]), engine=sw.obs_engine,
+                          node=sw.cpid, flow=int(msg_src[x]),
+                          value=float(msg_sigma[x]))
+            else:
+                obs.event("pause_on", x, engine=sw.obs_engine, node=sw.cpid,
+                          value=sw.pause_duration)
+                obs.event("pause_off", x + sw.pause_duration,
+                          engine=sw.obs_engine, node=sw.cpid)

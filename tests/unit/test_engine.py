@@ -170,6 +170,25 @@ class TestRunControl:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_max_events_stop_keeps_the_clock_at_the_last_event(self, sim):
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda t=t: fired.append(t))
+        sim.run(until=10.0, max_events=1)
+        assert fired == [1.0]
+        assert sim.now == 1.0
+        sim.schedule_at(2.5, lambda: fired.append(2.5))
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 2.5, 3.0]
+        assert sim.now == 10.0
+
+    def test_max_events_stop_before_a_later_event_reaches_until(self, sim):
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(20.0, lambda: None)
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 10.0
+        assert sim.pending == 1
+
     def test_schedule_every_respects_until(self, sim):
         ticks = []
         sim.schedule_every(1.0, lambda: ticks.append(sim.now), until=3.5)

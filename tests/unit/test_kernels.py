@@ -2,10 +2,10 @@
 
 Backend selection, the one-time warm-up span, and the differential
 guarantees of the C tier against its oracle, the numpy tier: each
-``bind_*`` window-loop closure against the numpy closure of the same
-name, the C switch window (:class:`CompiledSwitchKernel`) against
-:class:`BatchedSwitchKernel` window by window, and the C fluid kernel
-against the numpy batch integrator.  Independent references back the
+window-loop and switch-window entry point against the numpy one of the
+same name, the switch window on the C tier (:class:`CompiledSwitchKernel`)
+against the numpy one (:class:`BatchedSwitchKernel`) window by window,
+and the C fluid kernel against the numpy batch integrator.  Independent references back the
 numpy tier itself: an argsort train merge, the :class:`RateRegulator`
 objects, and invariants of the pacing arithmetic.  Tests marked
 ``requires_compiled`` exercise the C tier and skip on the pure-numpy
@@ -56,11 +56,9 @@ def test_numpy_tier_is_the_scalar_reference():
     assert be.name == "numpy"
     assert not be.compiled
     assert be.warmup_seconds == 0.0
-    # the switch-window and fluid kernels are C-only: their numpy
-    # oracles are BatchedSwitchKernel and simulate_fluid_batch
-    for attr in ("bind_packet_plan", "bind_packet_commit",
-                 "packet_scalar", "fluid_rows"):
-        assert not hasattr(be, attr)
+    # the fluid kernel is the one C-only entry point: its numpy oracle
+    # is simulate_fluid_batch
+    assert not hasattr(be, "fluid_rows")
 
 
 def test_unknown_backend_env_is_rejected(monkeypatch):
@@ -656,10 +654,22 @@ def test_bound_closures_mutate_like_direct_calls():
     assert got["fa"].sum() > 0 and not got["act"][0]  # source 0 ran out
 
 
-# -- switch window: the C kernels against BatchedSwitchKernel ---------------
+# -- switch window: the C tier against the numpy tier, window by window -----
 
 
 FRAME = 12_000  # bits: 12 us of service at 1 Gb/s
+
+
+class _ObsLog:
+    """An obs handle that keeps every switch event, in emission order."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, kind, t, **fields):
+        self.events.append((kind, t, sorted(fields.items())))
 
 
 def _switch_pair(random_sampling):
@@ -670,6 +680,7 @@ def _switch_pair(random_sampling):
                         q_sc=20 * FRAME, pause_duration=40e-6,
                         require_association=True, positive_only_below_q0=True,
                         random_sampling=random_sampling, sampling_seed=11)
+        sw.attach_obs(_ObsLog(), engine="packet.batched")
         kernels.append(cls(sw, FRAME, pause_fanout=3,
                            pause_commit_horizon=10e-6))
     return kernels
@@ -695,8 +706,12 @@ _SEGMENTS = [
     (2.6e-3, _train(1.85e-3, 70, 1e-6), ("freeze", 2.0e-3)),
     # the service rate halves
     (3.6e-3, _train(2.9e-3, 20, 10e-6), ("capacity", 5e8)),
+    # pairs of same-instant arrivals overflow the buffer: a sampled
+    # arrival and a dropped one can share a timestamp, and the obs
+    # stream must keep the per-arrival order
+    (4.0e-3, np.repeat(_train(3.62e-3, 60, 1e-6), 2), None),
     # nothing arrives: the queue drains
-    (4.2e-3, np.empty(0), None),
+    (4.6e-3, np.empty(0), None),
 ]
 
 
@@ -739,6 +754,8 @@ def test_compiled_switch_kernel_matches_batched_window_by_window(
                 else:
                     assert g == w, field
             assert _switch_state(kernels[1]) == _switch_state(kernels[0])
+            logs = [k.switch.obs.events for k in kernels]
+            assert logs[1] == logs[0]
             probe = np.linspace(want.t_start, want.t_commit, 9)
             np.testing.assert_array_equal(kernels[1].queue_at(probe),
                                           kernels[0].queue_at(probe))
@@ -754,9 +771,178 @@ def test_compiled_switch_kernel_matches_batched_window_by_window(
             assert seen["windows"] < 200
     assert seen["backlog"] and seen["pauses"] >= 3 and seen["drop_windows"]
     assert kernels[0].switch.queue.dropped_frames > 0
+    # the paired segment put a drop and a BCN on one instant
+    drops = {t for kind, t, _ in logs[0] if kind == "drop"}
+    assert any(kind == "bcn" and t in drops for kind, t, _ in logs[0])
     if random_sampling:
         states = [k._rng.bit_generator.state for k in kernels]
         assert states[1] == states[0]
+
+
+# -- switch window: the packet closures, tier against tier -----------------
+#
+# Output buffers start as NaN (float) or -7 (int) sentinels, so a slot
+# one tier writes and the other leaves alone fails the byte comparison.
+
+SSVC = FRAME / 1e9
+_T0, _T1 = 1e-4, 3e-4
+_TIMES = _train(_T0, 30, 4e-6)  # 4 us apart, 12 us of service each
+
+
+def _sentinels(**sizes):
+    return {name: (np.full(n, -7, dtype=np.int64) if name.endswith("_i")
+                   or name in ("msg_src", "msg_j", "drop_j", "pause_j")
+                   else np.full(n, np.nan))
+            for name, n in sizes.items()}
+
+
+def _assert_same_bytes(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+#: window kind -> (buffer B, PAUSE threshold q_sc, PAUSE re-arm time)
+_PLAN_KINDS = {
+    "no-drop": (60 * FRAME, np.nan, -np.inf),
+    "drop-tail": (10 * FRAME, np.nan, -np.inf),
+    "pause-cut": (60 * FRAME, 8 * FRAME, -np.inf),
+    "pause-unarmed": (60 * FRAME, 8 * FRAME, np.inf),
+}
+
+
+def _run_plan(be, kind, n_res, frozen_until):
+    B, q_sc, rearm = _PLAN_KINDS[kind]
+    m = _TIMES.size
+    bufs = _sentinels(starts=n_res + m + 3, completions=n_res + m + 3,
+                      q_bits=m + 3, out_d=2, out_i=3)
+    plan = be.bind_packet_plan(float(FRAME), B, q_sc, 10e-6, bufs["starts"],
+                               bufs["completions"], bufs["q_bits"],
+                               bufs["out_d"], bufs["out_i"])
+    plan(_TIMES.copy(), _T0, _T1, SSVC, n_res, _T0 + 5e-6,
+         1 if n_res else 0, frozen_until, rearm)
+    return bufs
+
+
+@requires_compiled
+@pytest.mark.parametrize("frozen_until", [-np.inf, _T0 + 50e-6],
+                         ids=["running", "outage"])
+@pytest.mark.parametrize("n_res", [0, 4], ids=["empty", "backlog"])
+@pytest.mark.parametrize("kind", sorted(_PLAN_KINDS))
+def test_packet_plan_closures_agree_byte_for_byte(kind, n_res, frozen_until):
+    want = _run_plan(ORACLE, kind, n_res, frozen_until)
+    _assert_same_bytes(_run_plan(get_backend(), kind, n_res, frozen_until),
+                       want)
+    needs_scalar, m_eff, _ = want["out_i"]
+    assert needs_scalar == (kind == "drop-tail")
+    if kind == "pause-cut":
+        assert want["out_d"][0] == want["out_d"][0]  # a PAUSE fired
+        assert m_eff < _TIMES.size
+    else:
+        assert np.isnan(want["out_d"][0]) and m_eff == _TIMES.size
+
+
+def _run_commit(be, sampling, fb, cut):
+    # the numpy plan of a backlogged window is the shared input
+    kind = "pause-cut" if cut else "no-drop"
+    plan = _run_plan(ORACLE, kind, 4, -np.inf)
+    m_eff, t_commit = int(plan["out_i"][1]), float(plan["out_d"][1])
+    m = _TIMES.size
+    rng = np.random.default_rng(7)
+    srcs = rng.integers(0, 4, m).astype(np.int64)
+    assoc = rng.integers(0, 2, m).astype(np.uint8)
+    bernoulli = sampling == "bernoulli"
+    uniforms = rng.random(m_eff) if bernoulli else np.empty(0)
+    sigma_unit, full_scale = ((150_000.0 / 16, 32.0) if fb == "quantised"
+                              else (np.nan, 0.0))
+    bufs = _sentinels(msg_t=m, msg_src=m, msg_sigma=m, msg_qoff=m,
+                      msg_dq=m, msg_fb=m, samp_t=m, samp_sigma=m,
+                      out_d=2, out_i=9)
+    commit = be.bind_packet_commit(
+        0.5, 150_000.0, 2.0, 1, 1, sigma_unit, full_scale,
+        plan["q_bits"].copy(), plan["starts"].copy(),
+        plan["completions"].copy(), bufs["msg_t"], bufs["msg_src"],
+        bufs["msg_sigma"], bufs["msg_qoff"], bufs["msg_dq"],
+        bufs["msg_fb"], bufs["samp_t"], bufs["samp_sigma"], bufs["out_d"],
+        bufs["out_i"])
+    commit(m_eff, 4, _TIMES.copy(), srcs, assoc, _T0, t_commit, 1,
+           _T0 + 5e-6, uniforms, 1 if bernoulli else 0, 3, 1, 100_000.0)
+    return bufs
+
+
+@requires_compiled
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "pause-cut"])
+@pytest.mark.parametrize("fb", ["raw", "quantised"])
+@pytest.mark.parametrize("sampling", ["deterministic", "bernoulli"])
+def test_packet_commit_closures_agree_byte_for_byte(sampling, fb, cut):
+    want = _run_commit(ORACLE, sampling, fb, cut)
+    _assert_same_bytes(_run_commit(get_backend(), sampling, fb, cut), want)
+    n_msg, n_samp, neg, pos = want["out_i"][:4]
+    assert n_samp >= n_msg > 0
+    if not cut:
+        assert neg > 0 and pos > 0
+
+
+def _run_scalar(be, sampling, fb):
+    # a 10-frame buffer overflows; PAUSE fires at 3 frames and re-arms
+    # 20 us later, inside the 60 us in-flight horizon
+    times = _train(_T0, 60, 2e-6)
+    m, n_res = times.size, 3
+    rng = np.random.default_rng(3)
+    srcs = rng.integers(0, 4, m).astype(np.int64)
+    assoc = rng.integers(0, 2, m).astype(np.uint8)
+    bernoulli = sampling == "bernoulli"
+    uniforms = rng.random(m) if bernoulli else np.empty(0)
+    sigma_unit, full_scale = ((30_000.0 / 16, 32.0) if fb == "quantised"
+                              else (np.nan, 0.0))
+    bufs = _sentinels(msg_t=m, msg_src=m, msg_sigma=m, msg_qoff=m,
+                      msg_dq=m, msg_fb=m, samp_t=m, samp_sigma=m, msg_j=m,
+                      drop_j=m, acc_arrivals=n_res + m,
+                      starts_out=n_res + m, pause_j=m, out_d=5, out_i=14)
+    be.packet_scalar(
+        times, srcs, assoc, uniforms, 1 if bernoulli else 0, 0.5, 3, 1,
+        _T0, _T1, SSVC, float(FRAME), 10.0 * FRAME, 3.0 * FRAME, 30_000.0,
+        2.0, 1, 1, sigma_unit, full_scale, n_res, _T0 + 5e-6, 1,
+        _T0 + 8e-6, -np.inf, 20e-6, 60e-6, 20_000.0, **bufs)
+    return bufs
+
+
+@requires_compiled
+@pytest.mark.parametrize("fb", ["raw", "quantised"])
+@pytest.mark.parametrize("sampling", ["deterministic", "bernoulli"])
+def test_packet_scalar_agrees_byte_for_byte_with_pause_rearmed(sampling, fb):
+    want = _run_scalar(ORACLE, sampling, fb)
+    _assert_same_bytes(_run_scalar(get_backend(), sampling, fb), want)
+    _, n_msg, _, n_drop = want["out_i"][:4]
+    n_pause = want["out_i"][13]
+    assert n_drop > 0 and n_msg > 0 and n_pause >= 2
+    assert want["out_d"][1] < _T1  # each PAUSE moved the commit horizon
+
+
+def test_switch_window_rebinds_after_buffer_growth(tier):
+    sw = CoreSwitch(Simulator(), cpid="cp", capacity=1e9, q0=30_000.0,
+                    buffer_bits=500 * FRAME, pm=0.25, fb_bits=6)
+    k = BatchedSwitchKernel(sw, FRAME, backend=tier)
+    ref = BatchedSwitchKernel(copy.deepcopy(sw), FRAME, backend=ORACLE)
+    windows = [(0.0, 1e-4, _train(0.0, 10, 5e-6)),
+               (1e-4, 5e-4, _train(1e-4, 300, 1e-6))]
+    closures = []
+    for t0, t1, times in windows:
+        srcs = np.arange(times.size, dtype=np.int64) % 3
+        assoc = np.ones(times.size, dtype=np.uint8)
+        got = k.process(t0, t1, times, srcs, assoc)
+        want = ref.process(t0, t1, times, srcs, assoc)
+        closures.append((k._bound_plan, k._bound_commit))
+        assert got.committed == want.committed == times.size
+        for field in ("msg_t", "msg_src", "msg_fb", "msg_sigma", "msg_q_off",
+                      "msg_dq"):
+            assert getattr(got, field).tobytes() \
+                == getattr(want, field).tobytes(), field
+        np.testing.assert_array_equal(k.queue_at(_train(t0, 50, 2e-6)),
+                                      ref.queue_at(_train(t0, 50, 2e-6)))
+    # the 300-frame window outgrew the first buffers: both re-bound
+    assert closures[1][0] is not closures[0][0]
+    assert closures[1][1] is not closures[0][1]
 
 
 # -- fluid kernel -----------------------------------------------------------

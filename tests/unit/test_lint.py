@@ -337,6 +337,9 @@ _KERNEL_TREE = {
                     return n
                 return call
 
+            def scale(self, x, out):
+                out[:] = 2.0 * x
+
         class _CffiKernels(KernelBackend):
             def bind_add_one(self, x, out):
                 lib = self._lib
@@ -375,6 +378,9 @@ def _backend_with(cffi_bind, numpy_extra=""):
                     out[:n] = x[:n] + 1.0
                     return n
                 return call
+
+            def scale(self, x, out):
+                out[:] = 2.0 * x
 """ + numpy_extra + """
         class _CffiKernels(KernelBackend):
 """ + cffi_bind + """
@@ -438,6 +444,54 @@ def test_kernel_parity_flags_missing_wrapper_and_arity(tmp_path):
     messages = " | ".join(f.message for f in findings)
     assert "no wrapper for kernel 'add_two'" in messages
     assert "declares 3" in messages              # called with 2 args
+
+
+def test_kernel_parity_flags_c_only_entry_points(tmp_path):
+    findings = _parity(tmp_path, **_backend_with("""\
+            def bind_add_one(self, x, out):
+                lib = self._lib
+                p_x, p_out = self._d(x), self._d(out)
+
+                def call(n, _keep=(x, out)):
+                    return lib.k_add_one(n, p_x, p_out)
+                return call
+
+            def bind_add_two(self, x, out):
+                lib = self._lib
+                p_x, p_out = self._d(x), self._d(out)
+
+                def call(n, _keep=(x, out)):
+                    return lib.k_add_one(n, p_x, p_out)
+                return call
+
+            def fluid_rows(self, x, out):
+                return self.scale(x, out)
+"""))
+    assert [f.message for f in findings] == [
+        "_CffiKernels.bind_add_two has no numpy twin: KernelBackend "
+        "defines no bind_add_two to check the C tier against"]
+
+
+def test_kernel_parity_flags_unbound_entry_point_drift(tmp_path):
+    tree = _backend_with("""\
+            def bind_add_one(self, x, out):
+                lib = self._lib
+                p_x, p_out = self._d(x), self._d(out)
+
+                def call(n, _keep=(x, out)):
+                    return lib.k_add_one(n, p_x, p_out)
+                return call
+""")
+    source = tree["kernels/_backend.py"]
+    twin = "def scale(self, x, out):\n                out[:] = 2.0 * x"
+    assert twin in source
+    tree["kernels/_backend.py"] = source.replace(
+        twin, "def scale(self, x, res):\n                res[:] = 2.0 * x")
+    findings = _parity(tmp_path, **tree)
+    assert [f.message for f in findings] == [
+        "_CffiKernels.scale signature ['x', 'out'] does not match "
+        "KernelBackend.scale signature ['x', 'res']; tier signatures "
+        "drifted"]
 
 
 def test_kernel_parity_flags_dtype_drift_and_dead_prototypes(tmp_path):
