@@ -375,7 +375,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     rows = [
         ["topology", f"{args.topology} ({len(hs)} hosts)"],
         ["flows", len(flows)],
-        ["ports", len(net._port_edges)],
+        ["ports", len(net._plan.port_edges)],
         ["engine", engine],
         ["mode", mode],
         ["delivered (Gbit)", delivered / 1e9],

@@ -3,8 +3,9 @@
 :func:`run_sharded` drives ``n_shards`` :class:`~repro.shard.runtime.
 ShardRuntime` instances through the conservative window schedule of a
 :class:`~repro.shard.plan.ShardPlan` and merges their partial results
-into the same :class:`~repro.simulation.multihop.MultiHopResult` the
-serial engine returns.
+with :func:`merge_partials`, the same fold that assembles the serial
+network's one region into a
+:class:`~repro.simulation.multihop.MultiHopResult`.
 
 Two execution modes share the loop:
 
@@ -38,7 +39,7 @@ from ..simulation.multihop import MultiHopResult
 from .plan import ShardPlan
 from .runtime import ShardRuntime
 
-__all__ = ["run_sharded"]
+__all__ = ["merge_partials", "run_sharded"]
 
 TimedEvent = tuple[float, int, str, tuple]
 Outbox = dict[int, list[tuple[float, str, object, object]]]
@@ -69,7 +70,7 @@ def run_sharded(
         partials = _run_pooled(plan, duration, barriers, per_shard_events,
                                obs is not None, n_workers)
 
-    result = _merge(plan, duration, partials)
+    result = merge_partials(plan, duration, partials)
     if obs is not None:
         for part in partials:
             if part["obs"] is not None:
@@ -146,9 +147,9 @@ def _run_pooled(plan, duration, barriers, per_shard_events, obs_enabled,
         return [pool.result(worker_of[shard]) for shard in shards]
 
 
-def _merge(plan: ShardPlan, duration: float, partials: list[dict]
-           ) -> MultiHopResult:
-    """Fold per-shard partials into one :class:`MultiHopResult`.
+def merge_partials(plan: ShardPlan, duration: float, partials: list[dict]
+                   ) -> MultiHopResult:
+    """Fold region partials (:meth:`FabricRegion.finish`) into one result.
 
     Every merged quantity is either owned by exactly one shard (rates,
     port queues, finish times, delivered bits of a flow) or a plain sum

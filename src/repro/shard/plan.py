@@ -1,11 +1,12 @@
 """Static sharding plan: ownership, channels and the safe window.
 
 :func:`build_plan` turns (topology, flows, partition) into the
-immutable :class:`ShardPlan` every shard worker receives.  The plan
-fixes, independently of worker count:
+immutable :class:`ShardPlan` every fabric region is built from — the
+serial :class:`~repro.simulation.multihop.MultiHopNetwork` takes a
+one-shard plan, a sharded run ships one plan to every worker.  The
+plan fixes, independently of worker count:
 
-* **routes** — the same deterministic ECMP selection the serial
-  :class:`~repro.simulation.multihop.MultiHopNetwork` makes;
+* **routes** — each flow's pinned route, else deterministic ECMP;
 * **port ownership** — the directed output port ``(u, v)`` lives in the
   shard owning ``u`` (the transmitting node);
 * **source ownership** — a flow's source/regulator lives in the shard
@@ -16,7 +17,13 @@ fixes, independently of worker count:
   simulating ``(T, T + delay]`` cannot be affected by anything a peer
   does inside the same window — the Chandy–Misra null-message bound
   realised as a fixed barrier cadence.  When the partition cuts no
-  channel the lookahead is infinite and the run needs a single window.
+  channel (always, for one shard) the lookahead is infinite and the
+  run needs a single window.
+
+:func:`_min_cross_latency` restates the region builder's channel
+wiring (:class:`~repro.simulation.multihop.FabricRegion`) to compute
+the lookahead before any region exists; ``tests/unit/test_shard.py``
+checks it against the remote links the built regions actually hold.
 
 The plan must be picklable: it is shipped once to each worker of the
 :class:`~repro.runner.pool.PersistentWorkerPool` and stepped thousands
@@ -76,9 +83,10 @@ class ShardPlan:
     delay: float
     hop_level_pause: bool
     engine: str
+    #: Queue sampling interval of every region's recorder.
     queue_dt: float
     #: Directed in-fabric port edges, in first-traversal order (the
-    #: serial network's instantiation order).
+    #: port instantiation order of every region).
     port_edges: tuple[Edge, ...]
     port_owner: dict[Edge, int] = field(repr=False)
     source_owner: dict[int, int] = field(repr=False)
@@ -145,16 +153,15 @@ def build_plan(
     delay: float,
     hop_level_pause: bool,
     engine: str,
-    queue_dt: float,
+    queue_dt: float | None = None,
     partition: Partition | None = None,
-    routes: dict[int, list[str]] | None = None,
 ) -> ShardPlan:
     """Build the sharding plan for one fabric workload.
 
     ``partition`` defaults to :func:`~repro.topology.partition_graph`
     over the full node set; pass one explicitly to pin shard
-    boundaries (it is validated against the graph).  ``routes`` may
-    carry the serial network's already-computed ECMP selection.
+    boundaries (it is validated against the graph).  ``queue_dt``
+    defaults to 50 frame times of the slowest port.
     """
     if not flows:
         raise ValueError("need at least one flow")
@@ -169,9 +176,7 @@ def build_plan(
 
     resolved_routes: dict[int, tuple[str, ...]] = {}
     for spec in flows:
-        if routes is not None and spec.flow_id in routes:
-            route = tuple(routes[spec.flow_id])
-        elif spec.route is not None:
+        if spec.route is not None:
             route = tuple(spec.route)
         else:
             route = tuple(ecmp_route(graph, spec.src, spec.dst, spec.flow_id))
@@ -188,6 +193,12 @@ def build_plan(
             if (u, v) not in port_owner:
                 port_owner[(u, v)] = assignment[u]
                 port_edges.append((u, v))
+
+    if queue_dt is None:
+        slowest_port = min(
+            (graph.edges[e]["capacity"] for e in port_edges), default=1e9
+        )
+        queue_dt = 50 * frame_bits / slowest_port
 
     source_owner = {
         spec.flow_id: assignment[resolved_routes[spec.flow_id][0]]
@@ -232,10 +243,11 @@ def _min_cross_latency(
 ) -> float:
     """Minimum latency over every channel that crosses a shard boundary.
 
-    Channels mirror the serial network's wiring exactly: the source
-    uplink and hop-by-hop forwarding (one ``delay``), BCN backward
-    links (``delay * (hop + 1)``) and PAUSE links (one ``delay``).
-    Returns ``inf`` when the partition cuts nothing.
+    Channels mirror :class:`~repro.simulation.multihop.FabricRegion`'s
+    wiring: the source uplink and hop-by-hop forwarding (one
+    ``delay``), BCN backward links (``delay * (hop + 1)``) and PAUSE
+    links (one ``delay``).  Returns ``inf`` when the partition cuts
+    nothing.
     """
     lookahead = math.inf
     for spec in flows:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.parameters import BCNParams
 from .engine import Simulator
-from .frames import BCNMessage, EthernetFrame, PauseFrame
+from .frames import EthernetFrame, PauseFrame
 from .link import Link
 from .source import RateRegulator, TrafficSource, expected_message_interval
 from .switch import BatchedSwitchKernel, CoreSwitch
@@ -433,6 +433,8 @@ class BCNNetworkSimulator:
         Departure is a permanent mute: the regulator state stays in
         place (its rate still counts toward the recorded aggregate,
         matching both engines) but no further frames are emitted.
+        ``address`` may name a flow that :meth:`add_flow` adds later;
+        :meth:`run` rejects one that no source has by then.
         """
         if not 0 <= address:
             raise ValueError("address must be non-negative")
@@ -490,10 +492,9 @@ class BCNNetworkSimulator:
         which a :class:`BatchedSwitchKernel` bound to the same backend
         drives; the numpy and C tiers differ only in those closures.  Message
         delivery updates struct-of-array regulator state (folded back
-        into the :class:`RateRegulator` objects at the end of the run);
-        if the sources carry non-uniform regulator laws or
-        ``on_rate_change`` observers it falls back to the python loop
-        so every observable stays exact.
+        into the :class:`RateRegulator` objects at the end of the run),
+        so every source must share one regulator law and none may carry
+        an ``on_rate_change`` observer.
         """
         if any(s.muted for s in self.sources):
             raise NotImplementedError(
@@ -506,6 +507,19 @@ class BCNNetworkSimulator:
             raise NotImplementedError(
                 f"the {self.engine} engine models one propagation delay; "
                 "per-source uplink delays need engine='reference'"
+            )
+        regs = [s.regulator for s in self.sources]
+        reg0 = regs[0]
+        if any(
+            s.on_rate_change is not None
+            or (r.gi, r.gd, r.ru, r.mode, r.max_dt)
+            != (reg0.gi, reg0.gd, reg0.ru, reg0.mode, reg0.max_dt)
+            for s, r in zip(self.sources, regs)
+        ):
+            raise NotImplementedError(
+                f"the {self.engine} engine applies BCN with one regulator "
+                "law for every source and no on_rate_change observer; use "
+                "engine='reference' for per-source laws or observers"
             )
         L = float(self.frame_bits)
         n = len(self.sources)
@@ -542,7 +556,6 @@ class BCNNetworkSimulator:
         # Pacing state, one slot per source, plus the struct-of-array
         # regulator mirror the message kernel updates in place:
         # ``rates``/``owed_bits`` serve both roles directly.
-        regs = [s.regulator for s in self.sources]
         rates = np.array([r.rate for r in regs])
         total_rate = float(rates.sum())
         gaps = L / rates
@@ -564,18 +577,8 @@ class BCNNetworkSimulator:
         frames_acc = np.zeros(n, dtype=np.int64)
         owed_bits = np.zeros(n)  # lag-compensation ledger
 
-        reg0 = regs[0]
         mode_code = {"message": 0, "fluid-euler": 1,
-                     "fluid-exact": 2}.get(reg0.mode, -1)
-        fast_msgs = mode_code >= 0 and all(
-            s.on_rate_change is None
-            and s.regulator.gi == reg0.gi
-            and s.regulator.gd == reg0.gd
-            and s.regulator.ru == reg0.ru
-            and s.regulator.mode == reg0.mode
-            and s.regulator.max_dt == reg0.max_dt
-            for s in self.sources
-        )
+                     "fluid-exact": 2}[reg0.mode]
         reg_max_dt = -1.0 if reg0.max_dt is None else float(reg0.max_dt)
         last_update = np.array([
             np.nan if r._last_update is None else r._last_update
@@ -621,12 +624,10 @@ class BCNNetworkSimulator:
             merge_src, first, gaps, counts, any_finite, next_emit,
             remaining, active, frames_acc, comm, fin_idx, fin_t)
         bound_owed = be.bind_owed_repay(owed_bits, next_emit, rates)
-        bound_apply = None
-        if fast_msgs:
-            bound_apply = be.bind_apply_messages(
-                mode_code, reg0.gi, reg0.gd, reg0.ru, reg_max_dt, d,
-                rates, last_update, assoc8, updates, min_rate_a,
-                line_rate_a, owed_bits, reg_d)
+        bound_apply = be.bind_apply_messages(
+            mode_code, reg0.gi, reg0.gd, reg0.ru, reg_max_dt, d,
+            rates, last_update, assoc8, updates, min_rate_a,
+            line_rate_a, owed_bits, reg_d)
 
         t = 0.0
         while t < duration:
@@ -685,47 +686,13 @@ class BCNNetworkSimulator:
                 grid_pos = hi
 
             # Deliver the window's control plane in timestamp order.
-            if fast_msgs:
-                if window.msg_t.size:
-                    reg_d[0] = total_rate
-                    bound_apply(window.msg_t, window.msg_src,
-                                window.msg_fb, window.msg_sigma,
-                                window.t_commit)
-                    total_rate = float(reg_d[0])
-                    np.divide(L, rates, out=gaps)
-            else:
-                for k in range(window.msg_t.size):
-                    i = int(window.msg_src[k])
-                    sent_at = float(window.msg_t[k])
-                    deliver_at = sent_at + d
-                    self.sim._now = deliver_at
-                    source = self.sources[i]
-                    rate_before = source.regulator.rate
-                    source.receive_control(
-                        BCNMessage(
-                            da=i,
-                            sa=cpid,
-                            cpid=cpid,
-                            fb=float(window.msg_fb[k]),
-                            q_off=float(window.msg_q_off[k]),
-                            q_delta=float(window.msg_dq[k]),
-                            fb_raw=float(window.msg_sigma[k]),
-                            sent_at=sent_at,
-                        )
-                    )
-                    rate_after = source.regulator.rate
-                    if rate_after != rate_before:
-                        delta = rate_after - rate_before
-                        owed_bits[i] += delta * max(
-                            window.t_commit - deliver_at, 0.0
-                        )
-                        total_rate += delta
-                        rates[i] = rate_after
-                        gaps[i] = L / rate_after
-                    assoc8[i] = (
-                        1 if source.regulator.associated_cpid == cpid
-                        else 0
-                    )
+            if window.msg_t.size:
+                reg_d[0] = total_rate
+                bound_apply(window.msg_t, window.msg_src,
+                            window.msg_fb, window.msg_sigma,
+                            window.t_commit)
+                total_rate = float(reg_d[0])
+                np.divide(L, rates, out=gaps)
             if window.pause_at is not None and self._enable_pause:
                 self.sim._now = window.pause_at + d
                 pause = PauseFrame(
@@ -744,16 +711,15 @@ class BCNNetworkSimulator:
         for i, source in enumerate(self.sources):
             source.frames_sent += int(frames_acc[i])
             source.bits_sent += float(frames_acc[i]) * L
-        if fast_msgs:
-            # Fold the struct-of-array regulator state back into the
-            # RateRegulator objects so post-run inspection matches the
-            # python delivery loop exactly.
-            for i, reg in enumerate(regs):
-                reg.rate = float(rates[i])
-                lu = float(last_update[i])
-                reg._last_update = None if lu != lu else lu
-                reg.updates_applied += int(updates[i])
-                reg.associated_cpid = cpid if assoc8[i] else None
+        # Fold the struct-of-array regulator state back into the
+        # RateRegulator objects, so post-run inspection reads them as it
+        # would after the reference engine's per-message delivery.
+        for i, reg in enumerate(regs):
+            reg.rate = float(rates[i])
+            lu = float(last_update[i])
+            reg._last_update = None if lu != lu else lu
+            reg.updates_applied += int(updates[i])
+            reg.associated_cpid = cpid if assoc8[i] else None
         self.sim._now = duration
 
     # -- driving ---------------------------------------------------------------
@@ -761,6 +727,12 @@ class BCNNetworkSimulator:
     def run(self, duration: float) -> SimulationResult:
         """Run the scenario for ``duration`` seconds of simulated time."""
         _require_positive_finite("duration", duration)
+        for _, _, kind, payload in self._timed_events:
+            if kind == "departure" and payload[0] >= len(self.sources):
+                raise ValueError(
+                    f"departure of unknown source address {payload[0]}; "
+                    f"this network has {len(self.sources)} sources"
+                )
         wall_start = _time.monotonic() if self.obs is not None else 0.0  # repro-lint: disable=wall-clock -- obs run-span wall-time
         if self.engine == "batched":
             from ..kernels import KernelBackend

@@ -8,11 +8,15 @@ frames, sum of source rates)``, so a change that reorders two
 same-time events, drops one or adds one changes the digest even when
 the event count and every golden series stay the same.  The delayed
 model's digests cover ``simulate_delayed``'s ``t``/``x``/``y`` arrays
-byte for byte, including a run that diverges and stops early.
+byte for byte, including a run that diverges and stops early.  The
+multi-hop fabric runs hash the same tuple summed over every port and
+source.
 
-The pins were recorded on the engine whose links delivered through a
-separate arrival hop and whose fluid loop stepped on numpy arrays; a
-refactor of either call path must leave them unchanged.
+The dumbbell pins were recorded on the engine whose links delivered
+through a separate arrival hop and whose fluid loop stepped on numpy
+arrays; the fabric pins on the network that wired its own ports apart
+from the sharded regions.  A refactor of any of these call paths must
+leave them unchanged.
 """
 
 import hashlib
@@ -23,17 +27,25 @@ import struct
 import pytest
 
 from repro.core.parameters import paper_example_params
+from repro.experiments import m1_victim_flow
 from repro.experiments.presets import CASE1, CASE2, CASE3, CASE4
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.delay import simulate_delayed
+from repro.simulation.multihop import MultiHopNetwork, PortConfig
 from repro.simulation.network import BCNNetworkSimulator
+from repro.topology.graphs import fat_tree, hosts
+from repro.workloads import incast
 
 _STATE = struct.Struct("<ddqd")
 
 
 def _fingerprint(net: BCNNetworkSimulator, duration: float) -> tuple[int, str]:
     """Run ``net`` and hash the observable state after every event."""
-    sim, switch, sources = net.sim, net.switch, net.sources
+    return _stepped_digest(net, duration, [net.switch], net.sources)
+
+
+def _stepped_digest(net, duration, switches, sources) -> tuple[int, str]:
+    sim = net.sim
     digest = hashlib.sha256()
     run = sim.run
 
@@ -45,14 +57,20 @@ def _fingerprint(net: BCNNetworkSimulator, duration: float) -> tuple[int, str]:
             # at that event's time instead of jumping it to ``until``.
             run(math.inf, max_events=1)
             digest.update(_STATE.pack(
-                sim.now, switch.queue.occupancy_bits,
-                switch.stats.forwarded_frames,
+                sim.now, sum(p.queue.occupancy_bits for p in switches),
+                sum(p.stats.forwarded_frames for p in switches),
                 sum(s.rate for s in sources)))
         run(until)
 
     sim.run = stepping_run
     net.run(duration)
     return sim.events_processed, digest.hexdigest()
+
+
+def _fabric_fingerprint(net: MultiHopNetwork, duration: float):
+    """:func:`_fingerprint` for a fabric: sums over every port/source."""
+    return _stepped_digest(net, duration, list(net.ports.values()),
+                           list(net.sources.values()))
 
 
 def test_paper_example_event_fingerprint():
@@ -82,6 +100,55 @@ def test_v6_style_event_fingerprint():
     assert _fingerprint(net, 0.02) == (
         50_967,
         "93a070fb15817e029a54293c02b5cf86421d0b62fa50f1a3876aefed146cd6f6")
+
+
+def _m1_network(*, enable_bcn: bool) -> MultiHopNetwork:
+    # m1's two-port fabric and port configuration for one arm
+    config = PortConfig(
+        q0=100e3, buffer_bits=1.5e6,
+        pm=0.05 if enable_bcn else 1e-9,
+        q_sc=None if enable_bcn else 1.2e6,
+        min_rate=5e6, regulator_mode="message",
+    )
+    return MultiHopNetwork(m1_victim_flow._two_port_fabric(),
+                           m1_victim_flow._flows(), config,
+                           propagation_delay=1e-6)
+
+
+def test_m1_pause_only_fabric_fingerprint():
+    # hop-by-hop PAUSE rolls the hot port's congestion back onto s0's
+    # shared port (4,468 PAUSE frames, 2,615 drops in 50 ms)
+    net = _m1_network(enable_bcn=False)
+    assert _fabric_fingerprint(net, 0.05) == (
+        22_980,
+        "b0e0aee0f4b5487ff2684d15533579d20dfbea4fa02377bc336e4abb7d988592")
+
+
+def test_m1_bcn_fabric_fingerprint():
+    net = _m1_network(enable_bcn=True)
+    assert _fabric_fingerprint(net, 0.05) == (
+        10_698,
+        "29d3b942feae42b656231d2cffd67e405da819ea00e4a0bc492b73c619c442ae")
+
+
+def test_fat_tree_incast_with_events_fingerprint():
+    # 15-to-1 incast on fat-tree(4) with hop-level PAUSE armed, the
+    # client's last hop cut to a quarter, a fabric-wide outage and one
+    # departure before that flow completes
+    g = fat_tree(4, capacity=10e9)
+    client, *servers = sorted(hosts(g))
+    flows = incast(servers, client, response_bits=1.5e5, demand=5e9)
+    config = PortConfig(q0=8 * 12_000, buffer_bits=150 * 12_000,
+                        q_sc=20 * 12_000)
+    net = MultiHopNetwork(g, flows, config, frame_bits=12_000,
+                          propagation_delay=1e-6)
+    last_hop = next(edge for edge in net.ports if edge[1] == client)
+    net.schedule_capacity(5e-5, last_hop, 2.5e9)
+    net.schedule_outage(1e-4, 3e-5)
+    net.schedule_departure(3e-5, 5)
+    assert _fabric_fingerprint(net, 1.2e-3) == (
+        2_666,
+        "0c7da04be7833a3c30f45c7fdf59e6450ccd4712e2a490e8b53a59e815aec9ba")
 
 
 def _trajectory_digest(traj) -> str:

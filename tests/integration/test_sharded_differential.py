@@ -132,8 +132,7 @@ class TestMultiShardTracksSerial:
 class TestScenarioEventsRideAlong:
     def _with_events(self, **kwargs):
         net = _network(**kwargs)
-        edge = (net._plan.port_edges if net.sharded
-                else tuple(net._port_edges))[0]
+        edge = net._plan.port_edges[0]
         net.schedule_capacity(5e-5, edge, 1e9)
         net.schedule_outage(1e-4, 3e-5, port=None)
         net.schedule_departure(1.5e-4, 0)

@@ -112,6 +112,39 @@ class TestDumbbell:
         with pytest.raises(NotImplementedError, match="uplink delays"):
             net.run(0.01)
 
+    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("change", ["observer", "gain"])
+    def test_window_engines_reject_per_source_regulator_laws(self, engine,
+                                                             change):
+        # The window loop applies BCN with one regulator law for every
+        # source and calls no per-source observer.
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine=engine)
+        if change == "observer":
+            net.sources[2].on_rate_change = lambda t, rate: None
+        else:
+            net.sources[2].regulator.gi *= 2
+        with pytest.raises(NotImplementedError, match="engine='reference'"):
+            net.run(0.01)
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_unknown_departure_address_rejected_before_the_run(self, engine):
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine=engine)
+        net.schedule_departure(0.005, 10_000)
+        with pytest.raises(ValueError, match="10000"):
+            net.run(0.01)
+        assert net.sim.events_processed == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_departure_may_name_a_flow_added_later(self, engine):
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine=engine)
+        net.schedule_departure(0.005, 4)
+        late = net.add_flow(start_time=0.001)
+        net.run(0.01)
+        assert late.muted
+
     def test_regulator_mode_plumbed(self):
         net = BCNNetworkSimulator(small_params(), regulator_mode="fluid-exact")
         assert all(s.regulator.mode == "fluid-exact" for s in net.sources)
@@ -180,6 +213,19 @@ class TestMultiHop:
     def test_requires_flows(self):
         with pytest.raises(ValueError):
             MultiHopNetwork(dumbbell(2), [], self.config())
+
+    @pytest.mark.parametrize("frame_bits", [0, -8, np.nan, np.inf])
+    def test_rejects_bad_frame_bits(self, frame_bits):
+        g = dumbbell(2, capacity=1e8)
+        flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+        with pytest.raises(ValueError, match="frame_bits"):
+            MultiHopNetwork(g, flows, self.config(), frame_bits=frame_bits)
+
+    @pytest.mark.parametrize("q0, buffer_bits",
+                             [(-1.0, 5e5), (0.0, 5e5), (5e5, 5e5), (6e5, 5e5)])
+    def test_port_config_needs_q0_inside_the_buffer(self, q0, buffer_bits):
+        with pytest.raises(ValueError, match="q0"):
+            PortConfig(q0=q0, buffer_bits=buffer_bits)
 
     @pytest.mark.parametrize("shards", [None, 2])
     @pytest.mark.parametrize("duration", [np.nan, np.inf, 0.0, -1.0])

@@ -14,8 +14,9 @@ import pytest
 
 from repro.shard import RemoteLink, ShardRuntime, build_plan, resolve_shards
 from repro.simulation.multihop import PortConfig
-from repro.topology.graphs import fat_tree
+from repro.topology.graphs import dcell, fat_tree, hosts
 from repro.topology.partition import Partition
+from repro.workloads import permutation
 from repro.workloads.flows import FlowSpec
 
 DELAY = 1e-6
@@ -119,6 +120,43 @@ class TestBuildPlan:
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.port_owner == plan.port_owner
         assert clone.lookahead == plan.lookahead
+
+
+def _remote_links(region):
+    """Every RemoteLink a built region holds: uplinks, next hops, BCN
+    and PAUSE back-links."""
+    links = [source.send.__self__ for source in region.sources.values()]
+    for port in region.ports.values():
+        links.extend(port._bcn_links.values())
+        links.extend(port._pause_links)
+    for hops in region._next_hop.values():
+        links.extend(getattr(hop, "__self__", None) for hop in hops.values())
+    return [link for link in links if isinstance(link, RemoteLink)]
+
+
+class TestLookaheadMatchesWiring:
+    """``_min_cross_latency`` restates the region builder's channel
+    wiring; a lookahead above some real channel's latency would let a
+    shard outrun a message it has not received yet."""
+
+    @pytest.mark.parametrize("hop_level_pause", [True, False])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    @pytest.mark.parametrize("topology", ["fat_tree", "dcell"])
+    def test_lookahead_is_the_shortest_remote_link(self, topology, n_shards,
+                                                   hop_level_pause):
+        g = fat_tree(4) if topology == "fat_tree" else dcell(4, 1)
+        flows = permutation(hosts(g), demand=1e9, rounds=2)
+        kw = dict(CONFIG_KW, hop_level_pause=hop_level_pause)
+        plan = build_plan(g, flows,
+                          PortConfig(q0=8 * 12_000, buffer_bits=150 * 12_000),
+                          n_shards=n_shards, **kw)
+        delays = [
+            link.delay
+            for shard in range(n_shards)
+            for link in _remote_links(ShardRuntime(plan, shard, [], False))
+        ]
+        assert (n_shards > 1) == bool(delays)
+        assert min(delays, default=math.inf) == plan.lookahead
 
 
 class TestWindowEdges:
