@@ -19,8 +19,11 @@ Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
     The C kernels of :mod:`repro.kernels._cbuild`, compiled once into
     a content-addressed cache directory.  They run the same float64
     operations in the same order as the numpy tier, so the two tiers
-    agree bit for bit.  ``auto`` picks this tier whenever cffi and a C
-    compiler are available.
+    agree bit for bit.  This tier alone has ``event_core``, which runs
+    the ``engine="reference"`` dumbbell's events in C, bit for bit with
+    the python ``Simulator`` loop that runs it on the numpy tier.
+    ``auto`` picks this tier whenever cffi and a C compiler are
+    available.
 
 The one-time C build cost is accumulated in ``warmup_seconds`` and
 surfaced to the observability layer by :func:`consume_warmup_span`, so
@@ -484,10 +487,32 @@ class KernelBackend:
         return f"<KernelBackend {self.name} compiled={self.compiled}>"
 
 
+#: The event core's grown outputs: field -> (count field, dtype).  A
+#: digest row is ``(now, occupancy, forwarded frames, sum of rates)``.
+_CORE_OUTPUTS = {
+    "rec_t": ("n_rec", "f8"), "rec_q": ("n_rec", "f8"),
+    "rec_r": ("n_rec", "f8"),
+    "sig_t": ("n_sig", "f8"), "sig_v": ("n_sig", "f8"),
+    "log_kind": ("n_log", "i1"), "log_t": ("n_log", "f8"),
+    "log_flow": ("n_log", "i8"), "log_v": ("n_log", "f8"),
+    "dig": ("n_dig", [("now", "f8"), ("occupancy", "f8"),
+                      ("forwarded", "i8"), ("rate", "f8")]),
+    "res_src": ("n_res", "i8"), "res_t": ("n_res", "f8"),
+    "res_assoc": ("n_res", "u1"),
+    "pend_kind": ("n_pend", "i1"), "pend_idx": ("n_pend", "i8"),
+    "pend_seq": ("n_pend", "i8"), "pend_t": ("n_pend", "f8"),
+    "pend_a": ("n_pend", "f8"), "pend_b": ("n_pend", "f8"),
+    "pend_c": ("n_pend", "f8"), "pend_d": ("n_pend", "f8"),
+    "pend_e": ("n_pend", "f8"),
+}
+
+
 class _CffiKernels(KernelBackend):
     """The C tier: every entry point of the numpy tier, same arguments,
-    plus the batch fluid kernel ``fluid_rows``, whose numpy oracle is
-    :func:`repro.fluid.batch.simulate_fluid_batch`."""
+    plus two C-only ones: the batch fluid kernel ``fluid_rows``, whose
+    numpy oracle is :func:`repro.fluid.batch.simulate_fluid_batch`, and
+    the reference dumbbell's ``event_core``, whose oracle is the python
+    ``Simulator`` loop."""
 
     name = "cffi"
     compiled = True
@@ -577,6 +602,44 @@ class _CffiKernels(KernelBackend):
             self._d(ev_t), self._i8(ev_kind), self._d(ev_x), self._d(ev_y),
             self._i(out_i),
         )
+
+    def event_core(self, scalars, arrays):
+        """Run one reference dumbbell's events in C (``k_event_core``).
+
+        ``scalars`` and ``arrays`` fill the ``ev_core`` struct field by
+        field; the arrays are the per-source, pause-link and timed-event
+        state, updated in place.  Returns every scalar field after the
+        run plus copies of the outputs the core grew: recorder series
+        ``rec_*``, sigma history ``sig_*``, obs log ``log_*``, digest
+        rows ``dig``, the frames left in the queue ``res_*`` and the
+        events still pending at the horizon ``pend_*``.  Its
+        oracle is the python ``Simulator`` loop of
+        :class:`~repro.simulation.network.BCNNetworkSimulator`.
+        """
+        ffi, lib = self._ffi, self._lib
+        core = ffi.new("ev_core *")
+        keep = []
+        for name, value in scalars.items():
+            setattr(core, name, value)
+        for name, arr in arrays.items():
+            buf = ffi.from_buffer(arr, require_writable=True)
+            keep.append(buf)
+            setattr(core, name, ffi.cast(ffi.typeof(getattr(core, name)), buf))
+        try:
+            if lib.k_event_core(core) != 0:
+                raise MemoryError("the event core could not grow its buffers")
+            out = {name: getattr(core, name)
+                   for name, field in ffi.typeof("ev_core").fields
+                   if field.type.kind == "primitive"}
+            for name, (count, dtype) in _CORE_OUTPUTS.items():
+                n = out[count]
+                dt = np.dtype(dtype)
+                out[name] = (np.frombuffer(
+                    ffi.buffer(getattr(core, name), n * dt.itemsize),
+                    dtype=dt).copy() if n else np.empty(0, dt))
+        finally:
+            lib.k_event_core_free(core)
+        return out
 
     # -- bound fast-call closures (pointer casts hoisted out of the loop) --
     #

@@ -17,7 +17,21 @@ float64 operations in the same order:
   The rows are independent, so each row's arithmetic is the same as
   in the numpy loop.  Only ``physical`` mode's pinned closed forms
   differ: libm ``exp`` against numpy's vectorised ``exp`` can move a
-  sample by an ulp.
+  sample by an ulp;
+* the reference dumbbell's event core ``k_event_core`` against the
+  python ``Simulator`` loop of
+  :class:`~repro.simulation.network.BCNNetworkSimulator`: one binary
+  heap ordered by ``(time, seq)`` and pushed in the callbacks' order,
+  the sources, links, :class:`~repro.simulation.switch.CoreSwitch`
+  (CPython's MT19937 ``random()`` for Bernoulli sampling, ``nearbyint``
+  for half-even FB rounding) and the regulator laws (libm ``exp``, the
+  one ``math.exp`` calls), so the events, their order and every state
+  they leave, the events still pending at the horizon included, are
+  the same bit for bit.
+
+Every kernel is compiled with ``-ffp-contract=off`` (:data:`COMPILE_ARGS`,
+part of the content hash): no fused multiply-add may change a rounding
+against a python or numpy oracle on any architecture.
 
 Builds are out-of-line cffi API-mode extensions, keyed by a content
 hash of the declarations + source, cached under
@@ -107,6 +121,50 @@ void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
     int64_t *switches, double *t_end, double *x_end, double *y_end,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i);
+
+typedef struct ev_core {
+    int64_t n, n_pause, n_timed, neumaier, log_on, digest_on;
+    double duration, queue_dt, L;
+    double *rate, *gi, *gd, *ru, *max_dt, *min_rate, *line_rate;
+    double *last_update, *up_delay, *back_delay, *start_time, *total_bits;
+    double *paused_until, *bits_sent, *finish_time;
+    int64_t *mode, *updates, *frames_sent, *pause_dst;
+    uint8_t *assoc, *muted, *started;
+    double *ev_t, *ev_val;
+    int64_t *ev_kind;
+    double capacity, q0, w, pm, q_sc, pause_duration, buffer_bits;
+    double sigma_unit, full_scale, q_last, service_paused_until;
+    int64_t quantize, pos_only, req_assoc, interval, since, use_rng;
+    int64_t busy, armed, mt_index;
+    uint32_t *mt;
+    double occ, enq_bits, deq_bits, drop_bits, fwd_bits, delivered;
+    int64_t enq_frames, deq_frames, drop_frames, fwd_frames;
+    int64_t samples, bcn_neg, bcn_pos, pauses_sent;
+    double now;
+    int64_t processed, pushes;
+    int64_t n_rec, cap_rec;
+    double *rec_t, *rec_q, *rec_r;
+    int64_t n_sig, cap_sig;
+    double *sig_t, *sig_v;
+    int64_t n_log, cap_log;
+    int8_t *log_kind;
+    double *log_t, *log_v;
+    int64_t *log_flow;
+    int64_t n_dig, cap_dig;
+    double *dig;
+    int64_t n_res;
+    int64_t *res_src;
+    double *res_t;
+    uint8_t *res_assoc;
+    int64_t n_pend;
+    int8_t *pend_kind;
+    int64_t *pend_idx, *pend_seq;
+    double *pend_t, *pend_a, *pend_b, *pend_c, *pend_d, *pend_e;
+} ev_core;
+
+int64_t k_event_core(ev_core *c);
+
+void k_event_core_free(ev_core *c);
 """
 
 _COMMON = r"""
@@ -978,7 +1036,600 @@ void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
 }
 """
 
-SOURCE = "#include <stdlib.h>\n" + _COMMON + _FLUID
+_CORE = r"""
+/* ---- exact event core of the reference dumbbell ------------------------ */
+/* The oracle is the python Simulator loop running BCNNetworkSimulator's
+   reference engine: every callback below is one python callback, pushed
+   onto a (time, seq) heap in the same order, with the same float64
+   operations, so the run executes the same events in the same order
+   and leaves the same state. */
+
+enum { EV_EMIT, EV_START, EV_ARRIVE, EV_DONE, EV_SERVE, EV_BCN, EV_PAUSE,
+       EV_REARM, EV_TICK, EV_TIMED };
+
+/* timed-event kinds (network.py _apply_event) and obs log kinds */
+enum { TE_CAPACITY, TE_OUTAGE, TE_DEPARTURE };
+enum { LOG_DROP, LOG_BCN, LOG_PAUSE_ON, LOG_PAUSE_OFF };
+
+/* ARRIVE and DONE (the frame): idx = source, a = emission time, b = RRT
+   matches this switch; BCN: a = wire FB, b = raw sigma, c = q0 - q,
+   d = dq, e = sent at; PAUSE: a = duration, b = sent at */
+typedef struct {
+    double t; int64_t seq; double a, b, c, d, e; int32_t kind, idx;
+} core_ev;
+typedef struct { int64_t src; double t; uint8_t assoc; } core_frame;
+
+typedef struct {
+    ev_core *c;
+    core_ev *heap;
+    int64_t n_heap, cap_heap;
+    core_frame *q;
+    int64_t q_head, q_len, q_cap;
+    int failed;
+} core_rt;
+
+#define MT_N 624
+#define MT_M 397
+
+/* CPython's genrand_uint32 (Modules/_randommodule.c) */
+static uint32_t mt_next(uint32_t *mt, int64_t *index)
+{
+    uint32_t y;
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    if (*index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.Random.random(): 53 bits from two draws */
+static double mt_random(uint32_t *mt, int64_t *index)
+{
+    uint32_t a = mt_next(mt, index) >> 5, b = mt_next(mt, index) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Grow every array in ptrs (element size sizes[k]) to hold need items;
+   cap only moves once all reallocations succeeded. */
+static int core_grow(void **ptrs[], const size_t sizes[], int n_ptrs,
+                     int64_t *cap, int64_t need)
+{
+    int64_t c = *cap > 0 ? *cap : 64;
+    int k;
+    if (need <= *cap) return 0;
+    while (c < need) c *= 2;
+    for (k = 0; k < n_ptrs; k++) {
+        void *p = realloc(*ptrs[k], (size_t)c * sizes[k]);
+        if (p == NULL) return -1;
+        *ptrs[k] = p;
+    }
+    *cap = c;
+    return 0;
+}
+
+static int ev_before(const core_ev *x, const core_ev *y)
+{
+    return x->t < y->t || (x->t == y->t && x->seq < y->seq);
+}
+
+static void core_push5(core_rt *rt, double t, int kind, int64_t idx,
+                       double a, double b, double c, double d, double e)
+{
+    core_ev ev;
+    int64_t i;
+    if (rt->n_heap == rt->cap_heap) {
+        void **ptrs[1] = {(void **)&rt->heap};
+        size_t sizes[1] = {sizeof(core_ev)};
+        if (core_grow(ptrs, sizes, 1, &rt->cap_heap, rt->n_heap + 1)) {
+            rt->failed = 1;
+            return;
+        }
+    }
+    ev.t = t; ev.seq = rt->c->pushes++;
+    ev.a = a; ev.b = b; ev.c = c; ev.d = d; ev.e = e;
+    ev.kind = kind; ev.idx = (int32_t)idx;
+    i = rt->n_heap++;
+    while (i > 0) {
+        int64_t parent = (i - 1) >> 1;
+        if (!ev_before(&ev, &rt->heap[parent])) break;
+        rt->heap[i] = rt->heap[parent];
+        i = parent;
+    }
+    rt->heap[i] = ev;
+}
+
+static void core_push(core_rt *rt, double t, int kind, int64_t idx,
+                      double a, double b)
+{
+    core_push5(rt, t, kind, idx, a, b, 0.0, 0.0, 0.0);
+}
+
+static core_ev core_pop(core_rt *rt)
+{
+    core_ev top = rt->heap[0], last = rt->heap[--rt->n_heap];
+    int64_t i = 0, n = rt->n_heap;
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= n) break;
+        if (child + 1 < n && ev_before(&rt->heap[child + 1], &rt->heap[child]))
+            child++;
+        if (!ev_before(&rt->heap[child], &last)) break;
+        rt->heap[i] = rt->heap[child];
+        i = child;
+    }
+    if (n > 0) rt->heap[i] = last;
+    return top;
+}
+
+/* sum(rates) as the running interpreter computes it: left to right from
+   the first item before python 3.12, Neumaier-compensated from 3.12 */
+static double core_rate_sum(const ev_core *c)
+{
+    int64_t i;
+    double f, comp = 0.0;
+    if (c->n == 0) return 0.0;
+    f = 0.0 + c->rate[0];
+    if (!c->neumaier) {
+        for (i = 1; i < c->n; i++) f += c->rate[i];
+        return f;
+    }
+    for (i = 1; i < c->n; i++) {
+        double x = c->rate[i], t = f + x;
+        if (fabs(f) >= fabs(x)) comp += (f - t) + x;
+        else comp += (x - t) + f;
+        f = t;
+    }
+    if (comp != 0.0 && isfinite(comp)) f += comp;
+    return f;
+}
+
+static void core_record(core_rt *rt)
+{
+    ev_core *c = rt->c;
+    if (c->n_rec == c->cap_rec) {
+        void **ptrs[3] = {(void **)&c->rec_t, (void **)&c->rec_q,
+                          (void **)&c->rec_r};
+        size_t sizes[3] = {sizeof(double), sizeof(double), sizeof(double)};
+        if (core_grow(ptrs, sizes, 3, &c->cap_rec, c->n_rec + 1)) {
+            rt->failed = 1;
+            return;
+        }
+    }
+    c->rec_t[c->n_rec] = c->now;
+    c->rec_q[c->n_rec] = c->occ;
+    c->rec_r[c->n_rec] = core_rate_sum(c);
+    c->n_rec++;
+}
+
+static void core_log(core_rt *rt, int kind, double t, int64_t flow, double v)
+{
+    ev_core *c = rt->c;
+    if (c->n_log == c->cap_log) {
+        void **ptrs[4] = {(void **)&c->log_kind, (void **)&c->log_t,
+                          (void **)&c->log_flow, (void **)&c->log_v};
+        size_t sizes[4] = {sizeof(int8_t), sizeof(double), sizeof(int64_t),
+                           sizeof(double)};
+        if (core_grow(ptrs, sizes, 4, &c->cap_log, c->n_log + 1)) {
+            rt->failed = 1;
+            return;
+        }
+    }
+    c->log_kind[c->n_log] = (int8_t)kind;
+    c->log_t[c->n_log] = t;
+    c->log_flow[c->n_log] = flow;
+    c->log_v[c->n_log] = v;
+    c->n_log++;
+}
+
+/* CoreSwitch._start_service (the busy flag is set by the caller's path) */
+static void core_serve(core_rt *rt)
+{
+    ev_core *c = rt->c;
+    core_frame f;
+    if (c->now < c->service_paused_until) {
+        c->busy = 1;
+        core_push(rt, c->service_paused_until, EV_SERVE, 0, 0.0, 0.0);
+        return;
+    }
+    if (rt->q_len == 0) {
+        c->busy = 0;
+        return;
+    }
+    f = rt->q[rt->q_head];
+    rt->q_head = (rt->q_head + 1) % rt->q_cap;
+    rt->q_len--;
+    c->occ -= c->L;
+    if (c->occ < 0) c->occ = 0.0;
+    c->deq_frames++;
+    c->deq_bits += c->L;
+    c->busy = 1;
+    core_push(rt, c->now + c->L / c->capacity, EV_DONE, f.src, f.t,
+              (double)f.assoc);
+}
+
+/* CoreSwitch._process_sample + _send_bcn */
+static void core_sample(core_rt *rt, int64_t src, uint8_t assoc)
+{
+    ev_core *c = rt->c;
+    double q = c->occ, dq, sigma;
+    int emitted = 0;
+    c->samples++;
+    dq = q - c->q_last;
+    c->q_last = q;
+    sigma = (c->q0 - q) - c->w * dq;
+    if (c->n_sig == c->cap_sig) {
+        void **ptrs[2] = {(void **)&c->sig_t, (void **)&c->sig_v};
+        size_t sizes[2] = {sizeof(double), sizeof(double)};
+        if (core_grow(ptrs, sizes, 2, &c->cap_sig, c->n_sig + 1)) {
+            rt->failed = 1;
+            return;
+        }
+    }
+    c->sig_t[c->n_sig] = c->now;
+    c->sig_v[c->n_sig] = sigma;
+    c->n_sig++;
+    if (sigma < 0) {
+        emitted = 1;
+        c->bcn_neg++;
+    } else if (sigma > 0 && (q < c->q0 || !c->pos_only)
+               && (!c->req_assoc || assoc)) {
+        emitted = 1;
+        c->bcn_pos++;
+    }
+    if (!emitted) return;
+    {
+        double fb = sigma;
+        if (c->quantize) {
+            double quantum = nearbyint(sigma / c->sigma_unit);
+            double hi = c->full_scale - 1;
+            fb = hi < quantum ? hi : quantum;
+            fb = fb > -c->full_scale ? fb : -c->full_scale;
+            fb += 0.0;  /* float(int): no negative zero */
+        }
+        core_push5(rt, c->now + c->back_delay[src], EV_BCN, src, fb, sigma,
+                   c->q0 - q, dq, c->now);
+    }
+    if (c->log_on) core_log(rt, LOG_BCN, c->now, src, sigma);
+}
+
+/* CoreSwitch.receive */
+static void core_arrive(core_rt *rt, int64_t src, double t_emit,
+                        uint8_t assoc)
+{
+    ev_core *c = rt->c;
+    int sampled, accepted;
+    if (c->use_rng) {
+        sampled = mt_random(c->mt, &c->mt_index) < c->pm;
+    } else {
+        c->since++;
+        sampled = c->since >= c->interval;
+        if (sampled) c->since = 0;
+    }
+    if (c->occ + c->L > c->buffer_bits) {
+        accepted = 0;
+        c->drop_frames++;
+        c->drop_bits += c->L;
+        if (c->log_on) core_log(rt, LOG_DROP, c->now, src, c->L);
+    } else {
+        core_frame *f;
+        accepted = 1;
+        if (rt->q_len == rt->q_cap) {
+            /* unroll the ring into a doubled buffer */
+            int64_t cap = rt->q_cap > 0 ? 2 * rt->q_cap : 64, k;
+            core_frame *nq = malloc((size_t)cap * sizeof(core_frame));
+            if (nq == NULL) { rt->failed = 1; return; }
+            for (k = 0; k < rt->q_len; k++)
+                nq[k] = rt->q[(rt->q_head + k) % rt->q_cap];
+            free(rt->q);
+            rt->q = nq; rt->q_head = 0; rt->q_cap = cap;
+        }
+        f = &rt->q[(rt->q_head + rt->q_len) % rt->q_cap];
+        f->src = src; f->t = t_emit; f->assoc = assoc;
+        rt->q_len++;
+        c->occ += c->L;
+        c->enq_frames++;
+        c->enq_bits += c->L;
+    }
+    if (sampled) core_sample(rt, src, assoc);
+    if (c->occ > c->q_sc && c->armed) {
+        /* CoreSwitch._maybe_pause: one PAUSE per excursion */
+        int64_t k;
+        c->armed = 0;
+        for (k = 0; k < c->n_pause; k++) {
+            int64_t dst = c->pause_dst[k];
+            core_push(rt, c->now + c->back_delay[dst], EV_PAUSE, dst,
+                      c->pause_duration, c->now);
+        }
+        c->pauses_sent += c->n_pause;
+        if (c->log_on) {
+            core_log(rt, LOG_PAUSE_ON, c->now, -1, c->pause_duration);
+            core_log(rt, LOG_PAUSE_OFF, c->now + c->pause_duration, -1, 0.0);
+        }
+        core_push(rt, c->now + c->pause_duration, EV_REARM, 0, 0.0, 0.0);
+    }
+    if (accepted && !c->busy) core_serve(rt);
+}
+
+/* TrafficSource._emit */
+static void core_emit(core_rt *rt, int64_t i)
+{
+    ev_core *c = rt->c;
+    double now = c->now, total = c->total_bits[i];
+    if (c->bits_sent[i] >= total) return;  /* NaN total: never finished */
+    if (c->muted[i]) {
+        core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
+        return;
+    }
+    if (now < c->paused_until[i]) {
+        core_push(rt, c->paused_until[i], EV_EMIT, i, 0.0, 0.0);
+        return;
+    }
+    core_push(rt, now + c->up_delay[i], EV_ARRIVE, i, now,
+              (double)c->assoc[i]);
+    c->frames_sent[i]++;
+    c->bits_sent[i] += c->L;
+    if (c->bits_sent[i] >= total) {
+        c->finish_time[i] = now;
+        return;
+    }
+    core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
+}
+
+/* RateRegulator.apply (math.exp is the same libm exp) */
+static void core_apply(ev_core *c, int64_t i, double fb, double sigma)
+{
+    double rate = c->rate[i], fb_sign;
+    if (c->mode[i] == 0) {
+        if (fb > 0) {
+            rate += c->gi[i] * c->ru[i] * fb;
+        } else if (fb < 0) {
+            double f = 1.0 + c->gd[i] * fb;
+            rate *= 0.0 > f ? 0.0 : f;
+        }
+        fb_sign = fb;
+    } else {
+        double dt = isnan(c->last_update[i]) ? 0.0 : c->now - c->last_update[i];
+        if (c->max_dt[i] < dt) dt = c->max_dt[i];  /* NaN max_dt: None */
+        c->last_update[i] = c->now;
+        if (sigma > 0) {
+            rate += c->gi[i] * c->ru[i] * sigma * dt;
+        } else if (sigma < 0) {
+            if (c->mode[i] == 2) {
+                rate *= exp(c->gd[i] * sigma * dt);
+            } else {
+                double f = 1.0 + c->gd[i] * sigma * dt;
+                rate *= 0.0 > f ? 0.0 : f;
+            }
+        }
+        fb_sign = sigma;
+    }
+    if (c->min_rate[i] > rate) rate = c->min_rate[i];
+    if (c->line_rate[i] < rate) rate = c->line_rate[i];
+    c->rate[i] = rate;
+    c->updates[i]++;
+    if (fb_sign < 0) c->assoc[i] = 1;
+    else if (rate >= c->line_rate[i]) c->assoc[i] = 0;
+}
+
+static void core_digest(core_rt *rt)
+{
+    ev_core *c = rt->c;
+    double *row;
+    if (c->n_dig == c->cap_dig) {
+        void **ptrs[1] = {(void **)&c->dig};
+        size_t sizes[1] = {4 * sizeof(double)};
+        if (core_grow(ptrs, sizes, 1, &c->cap_dig, c->n_dig + 1)) {
+            rt->failed = 1;
+            return;
+        }
+    }
+    row = c->dig + 4 * c->n_dig++;
+    row[0] = c->now;
+    row[1] = c->occ;
+    memcpy(&row[2], &c->fwd_frames, sizeof(int64_t));
+    row[3] = core_rate_sum(c);
+}
+
+/* BCNNetworkSimulator.run on the reference engine, Simulator.run
+   included; returns 0, or -1 when an allocation failed. */
+int64_t k_event_core(ev_core *c)
+{
+    core_rt rt;
+    int64_t i, k;
+    double until = c->duration;
+    memset(&rt, 0, sizeof rt);
+    rt.c = c;
+    c->n_rec = c->cap_rec = c->n_sig = c->cap_sig = 0;
+    c->n_log = c->cap_log = c->n_dig = c->cap_dig = c->n_res = 0;
+    c->rec_t = c->rec_q = c->rec_r = c->sig_t = c->sig_v = NULL;
+    c->log_kind = NULL; c->log_t = c->log_v = NULL; c->log_flow = NULL;
+    c->dig = NULL; c->res_src = NULL; c->res_t = NULL; c->res_assoc = NULL;
+    c->n_pend = 0; c->pend_kind = NULL; c->pend_idx = c->pend_seq = NULL;
+    c->pend_t = c->pend_a = c->pend_b = NULL;
+    c->pend_c = c->pend_d = c->pend_e = NULL;
+    c->processed = 0;
+
+    for (k = 0; k < c->n_timed; k++)
+        core_push(&rt, c->ev_t[k], EV_TIMED, k, 0.0, 0.0);
+    for (i = 0; i < c->n; i++) {
+        if (c->start_time[i] > 0.0) {
+            core_push(&rt, c->start_time[i], EV_START, i, 0.0, 0.0);
+        } else {
+            c->started[i] = 1;
+            core_push(&rt, c->now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
+        }
+    }
+    core_record(&rt);
+    core_push(&rt, c->now + c->queue_dt, EV_TICK, 0, 0.0, 0.0);
+
+    while (rt.n_heap > 0 && !rt.failed) {
+        core_ev e;
+        if (rt.heap[0].t > until) {
+            c->now = until;
+            break;
+        }
+        e = core_pop(&rt);
+        c->now = e.t;
+        switch (e.kind) {
+        case EV_EMIT:
+            core_emit(&rt, e.idx);
+            break;
+        case EV_START:
+            if (!c->started[e.idx]) {
+                c->started[e.idx] = 1;
+                core_push(&rt, c->now + c->L / c->rate[e.idx], EV_EMIT,
+                          e.idx, 0.0, 0.0);
+            }
+            break;
+        case EV_ARRIVE:
+            core_arrive(&rt, e.idx, e.a, (uint8_t)(e.b != 0.0));
+            break;
+        case EV_DONE:
+            c->fwd_frames++;
+            c->fwd_bits += c->L;
+            c->delivered += c->L;
+            if (c->now < c->service_paused_until) {
+                core_push(&rt, c->service_paused_until, EV_SERVE, 0,
+                          0.0, 0.0);
+                break;
+            }
+            core_serve(&rt);
+            break;
+        case EV_SERVE:
+            core_serve(&rt);
+            break;
+        case EV_BCN:
+            core_apply(c, e.idx, e.a, e.b);
+            break;
+        case EV_PAUSE:
+            if (c->now + e.a > c->paused_until[e.idx])
+                c->paused_until[e.idx] = c->now + e.a;
+            break;
+        case EV_REARM:
+            c->armed = 1;
+            break;
+        case EV_TICK: {
+            double next_time;
+            core_record(&rt);
+            next_time = c->now + c->queue_dt;
+            if (next_time <= until)
+                core_push(&rt, next_time, EV_TICK, 0, 0.0, 0.0);
+            break;
+        }
+        case EV_TIMED:
+            if (c->ev_kind[e.idx] == TE_CAPACITY) {
+                c->capacity = c->ev_val[e.idx];
+            } else if (c->ev_kind[e.idx] == TE_OUTAGE) {
+                double end = c->now + c->ev_val[e.idx];
+                if (end > c->service_paused_until)
+                    c->service_paused_until = end;
+            } else {
+                c->muted[(int64_t)c->ev_val[e.idx]] = 1;
+            }
+            break;
+        }
+        c->processed++;
+        if (c->digest_on) core_digest(&rt);
+    }
+    if (rt.n_heap == 0 && until > c->now) c->now = until;
+    if (!rt.failed) core_record(&rt);
+
+    /* frames still resident in the queue, head first */
+    if (!rt.failed && rt.q_len > 0) {
+        c->res_src = malloc((size_t)rt.q_len * sizeof(int64_t));
+        c->res_t = malloc((size_t)rt.q_len * sizeof(double));
+        c->res_assoc = malloc((size_t)rt.q_len);
+        if (c->res_src == NULL || c->res_t == NULL || c->res_assoc == NULL) {
+            rt.failed = 1;
+        } else {
+            for (k = 0; k < rt.q_len; k++) {
+                core_frame *f = &rt.q[(rt.q_head + k) % rt.q_cap];
+                c->res_src[k] = f->src;
+                c->res_t[k] = f->t;
+                c->res_assoc[k] = f->assoc;
+            }
+            c->n_res = rt.q_len;
+        }
+    }
+    /* events still pending at the horizon, in heap order */
+    if (!rt.failed && rt.n_heap > 0) {
+        size_t n = (size_t)rt.n_heap;
+        c->pend_kind = malloc(n);
+        c->pend_idx = malloc(n * sizeof(int64_t));
+        c->pend_seq = malloc(n * sizeof(int64_t));
+        c->pend_t = malloc(n * sizeof(double));
+        c->pend_a = malloc(n * sizeof(double));
+        c->pend_b = malloc(n * sizeof(double));
+        c->pend_c = malloc(n * sizeof(double));
+        c->pend_d = malloc(n * sizeof(double));
+        c->pend_e = malloc(n * sizeof(double));
+        if (!c->pend_kind || !c->pend_idx || !c->pend_seq || !c->pend_t
+            || !c->pend_a || !c->pend_b || !c->pend_c || !c->pend_d
+            || !c->pend_e) {
+            rt.failed = 1;
+        } else {
+            for (k = 0; k < rt.n_heap; k++) {
+                core_ev *ev = &rt.heap[k];
+                c->pend_kind[k] = (int8_t)ev->kind;
+                c->pend_idx[k] = ev->idx;
+                c->pend_seq[k] = ev->seq;
+                c->pend_t[k] = ev->t;
+                c->pend_a[k] = ev->a;
+                c->pend_b[k] = ev->b;
+                c->pend_c[k] = ev->c;
+                c->pend_d[k] = ev->d;
+                c->pend_e[k] = ev->e;
+            }
+            c->n_pend = rt.n_heap;
+        }
+    }
+    free(rt.heap);
+    free(rt.q);
+    return rt.failed ? -1 : 0;
+}
+
+void k_event_core_free(ev_core *c)
+{
+    free(c->rec_t); free(c->rec_q); free(c->rec_r);
+    free(c->sig_t); free(c->sig_v);
+    free(c->log_kind); free(c->log_t); free(c->log_v); free(c->log_flow);
+    free(c->dig);
+    free(c->res_src); free(c->res_t); free(c->res_assoc);
+    free(c->pend_kind); free(c->pend_idx); free(c->pend_seq);
+    free(c->pend_t); free(c->pend_a); free(c->pend_b);
+    free(c->pend_c); free(c->pend_d); free(c->pend_e);
+    c->rec_t = c->rec_q = c->rec_r = c->sig_t = c->sig_v = NULL;
+    c->log_kind = NULL; c->log_t = c->log_v = NULL; c->log_flow = NULL;
+    c->dig = NULL; c->res_src = NULL; c->res_t = NULL; c->res_assoc = NULL;
+    c->pend_kind = NULL; c->pend_idx = c->pend_seq = NULL;
+    c->pend_t = c->pend_a = c->pend_b = NULL;
+    c->pend_c = c->pend_d = c->pend_e = NULL;
+}
+"""
+
+#: The core's state struct is declared once, in CDEF, and compiled from
+#: the same text.
+_CORE_STRUCT = CDEF[CDEF.index("typedef struct ev_core"):
+                    CDEF.index("} ev_core;") + len("} ev_core;")]
+
+SOURCE = ("#include <stdlib.h>\n#include <string.h>\n" + _COMMON + _FLUID
+          + _CORE_STRUCT + _CORE)
 
 
 def _build_root() -> Path:
@@ -988,8 +1639,13 @@ def _build_root() -> Path:
     return Path(__file__).resolve().parent / "_build"
 
 
+#: ``-ffp-contract=off``: no fused multiply-add may change a rounding
+#: against the python and numpy oracles, on any architecture.
+COMPILE_ARGS = ("-O2", "-fno-math-errno", "-ffp-contract=off")
+
+
 def _content_hash() -> str:
-    payload = (CDEF + SOURCE).encode()
+    payload = (CDEF + SOURCE + " ".join(COMPILE_ARGS)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -1018,7 +1674,7 @@ def load_cffi_kernels():
             ffi = cffi.FFI()
             ffi.cdef(CDEF)
             ffi.set_source(modname, SOURCE,
-                           extra_compile_args=["-O2", "-fno-math-errno"])
+                           extra_compile_args=list(COMPILE_ARGS))
             built = Path(ffi.compile(tmpdir=str(scratch), verbose=False))
             os.replace(built, target)  # atomic: concurrent builders race safely
         finally:

@@ -56,6 +56,8 @@ _Marshal = tuple[str | None, str | None]
 #: C-tier entry points without a ``KernelBackend`` twin, and why.
 _C_ONLY = {
     "fluid_rows": "its oracle is repro.fluid.batch.simulate_fluid_batch",
+    "event_core": "its oracle is the python Simulator loop of "
+                  "BCNNetworkSimulator's reference engine",
 }
 
 

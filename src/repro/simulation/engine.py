@@ -151,6 +151,11 @@ class Simulator:
         """Run ``callback`` every ``interval`` seconds until ``until``."""
         if interval <= 0:
             raise ValueError("interval must be positive")
+        self.schedule(interval, self._ticker(interval, callback, until))
+
+    def _ticker(self, interval: float, callback: Callable[[], None],
+                until: float) -> Callable[[], None]:
+        """The self-rescheduling tick :meth:`schedule_every` schedules."""
 
         def tick() -> None:
             callback()
@@ -158,7 +163,7 @@ class Simulator:
             if next_time <= until:
                 self.schedule_at(next_time, tick)
 
-        self.schedule(interval, tick)
+        return tick
 
     def run(self, until: float = math.inf, *, max_events: int | None = None) -> None:
         """Process events in order until the horizon or queue exhaustion.

@@ -480,7 +480,8 @@ class MultiHopNetwork:
     partition:
         Optional pinned :class:`~repro.topology.Partition` for a
         sharded run; defaults to
-        :func:`~repro.topology.partition_graph` over the graph.
+        :func:`~repro.topology.partition_graph` over the graph.  Giving
+        one without ``shards`` raises ``ValueError``.
     """
 
     def __init__(
@@ -517,8 +518,12 @@ class MultiHopNetwork:
         self.flows = flows
         self.obs = obs if (obs is not None and obs.enabled) else None
 
+        if shards is None and partition is not None:
+            raise ValueError(
+                "partition= pins the shard boundaries of a sharded run; "
+                "pass shards= (an integer or 'auto') with it")
         if shards is None:
-            n_shards, partition = 1, None
+            n_shards = 1
         elif partition is not None and shards == "auto":
             n_shards = partition.n_shards
         else:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.parameters import BCNParams
+from . import event_core
 from .engine import Simulator
 from .frames import EthernetFrame, PauseFrame
 from .link import Link
@@ -194,7 +195,14 @@ class BCNNetworkSimulator:
         tolerance — it computes queue/sigma/sampling exactly but
         applies control messages to the regulators at window
         boundaries, so rate changes can lag their reference timing by
-        up to one ``control_quantum``.
+        up to one ``control_quantum``.  The reference engine runs in
+        one of two places with the same result: when
+        :func:`repro.kernels.get_backend`'s tier is compiled, a fresh
+        network wired as built here runs its events on the C event
+        core (:mod:`repro.simulation.event_core`), bit for bit;
+        otherwise (numpy tier, or a network the core does not model:
+        an ``on_rate_change`` observer, a replaced callback, several
+        frame sizes...) the python :class:`Simulator` loop runs.
     control_quantum:
         Window length for the batched and compiled engines; defaults to
         twice the expected BCN inter-message time (small enough that
@@ -303,6 +311,10 @@ class BCNNetworkSimulator:
         self._delivered_bits = 0.0
         self._queue_samples = _SeriesBuffer()
         self._rate_samples = _SeriesBuffer()
+        #: Test hook of the C event core: a bytearray here receives one
+        #: ``<ddqd`` row of (now, occupancy, forwarded frames, sum of
+        #: rates) per executed event (see ``event_core``).
+        self._event_digest: bytearray | None = None
 
         for i in range(params.n_flows):
             regulator = RateRegulator(
@@ -724,6 +736,29 @@ class BCNNetworkSimulator:
 
     # -- driving ---------------------------------------------------------------
 
+    def _run_python_loop(self, duration: float) -> None:
+        """The reference engine on the python :class:`Simulator` loop:
+        the oracle of the C event core."""
+        # Timed events first: heap ties at the same timestamp break
+        # by insertion order, so events registered here fire before
+        # any frame arrival scheduled mid-run for the same instant.
+        for t_event, _, kind, payload in sorted(self._timed_events):
+            self.sim.schedule_at(
+                t_event,
+                lambda kind=kind, payload=payload: self._apply_event(
+                    kind, payload
+                ),
+            )
+        for source in self.sources:
+            if source.start_time > 0.0:
+                self.sim.schedule_at(source.start_time, source.start)
+            else:
+                source.start()
+        self._record()
+        self.sim.schedule_every(self._queue_dt, self._record, until=duration)
+        self.sim.run(until=duration)
+        self._record()
+
     def run(self, duration: float) -> SimulationResult:
         """Run the scenario for ``duration`` seconds of simulated time."""
         _require_positive_finite("duration", duration)
@@ -746,27 +781,13 @@ class BCNNetworkSimulator:
                 consume_warmup_span(self.obs)
             self._run_windows(duration, be)
         else:
-            # Timed events first: heap ties at the same timestamp break
-            # by insertion order, so events registered here fire before
-            # any frame arrival scheduled mid-run for the same instant.
-            for t_event, _, kind, payload in sorted(self._timed_events):
-                self.sim.schedule_at(
-                    t_event,
-                    lambda kind=kind, payload=payload: self._apply_event(
-                        kind, payload
-                    ),
-                )
-            for source in self.sources:
-                if source.start_time > 0.0:
-                    self.sim.schedule_at(source.start_time, source.start)
-                else:
-                    source.start()
-            self._record()
-            self.sim.schedule_every(
-                self._queue_dt, self._record, until=duration
-            )
-            self.sim.run(until=duration)
-            self._record()
+            from ..kernels import get_backend
+
+            be = get_backend()
+            if be.compiled and event_core.ineligible(self) is None:
+                event_core.run_event_core(self, duration, be)
+            else:
+                self._run_python_loop(duration)
 
         t_q, q = self._queue_samples.arrays()
         t_r, r = self._rate_samples.arrays()

@@ -17,6 +17,12 @@ through a separate arrival hop and whose fluid loop stepped on numpy
 arrays; the fabric pins on the network that wired its own ports apart
 from the sharded regions.  A refactor of any of these call paths must
 leave them unchanged.
+
+A dumbbell on the reference engine runs in one of two places: the
+python ``Simulator`` loop (the numpy kernel tier, where the stepping
+``sim.run`` below sees every event) or the C event core (the cffi
+tier), which writes the same tuple after each event into its digest
+buffer.  Both must hit the same two pins.
 """
 
 import hashlib
@@ -31,6 +37,7 @@ from repro.experiments import m1_victim_flow
 from repro.experiments.presets import CASE1, CASE2, CASE3, CASE4
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.delay import simulate_delayed
+from repro.kernels import _backend, get_backend
 from repro.simulation.multihop import MultiHopNetwork, PortConfig
 from repro.simulation.network import BCNNetworkSimulator
 from repro.topology.graphs import fat_tree, hosts
@@ -39,9 +46,30 @@ from repro.workloads import incast
 _STATE = struct.Struct("<ddqd")
 
 
+requires_core = pytest.mark.skipif(
+    not get_backend().compiled,
+    reason="no compiled backend (cffi + C compiler) available",
+)
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Pin the dumbbell to the numpy tier, where the python loop runs."""
+    monkeypatch.setattr(_backend, "_BACKEND", _backend.KernelBackend())
+
+
 def _fingerprint(net: BCNNetworkSimulator, duration: float) -> tuple[int, str]:
     """Run ``net`` and hash the observable state after every event."""
     return _stepped_digest(net, duration, [net.switch], net.sources)
+
+
+def _core_fingerprint(net: BCNNetworkSimulator,
+                      duration: float) -> tuple[int, str]:
+    """:func:`_fingerprint` from the C event core's digest buffer."""
+    net._event_digest = bytearray()
+    net.run(duration)
+    return net.sim.events_processed, hashlib.sha256(
+        net._event_digest).hexdigest()
 
 
 def _stepped_digest(net, duration, switches, sources) -> tuple[int, str]:
@@ -73,14 +101,15 @@ def _fabric_fingerprint(net: MultiHopNetwork, duration: float):
                            list(net.sources.values()))
 
 
-def test_paper_example_event_fingerprint():
-    net = BCNNetworkSimulator(paper_example_params())
-    assert _fingerprint(net, 0.005) == (
-        15_556,
-        "556523df7a494f7ea196bec73af87732d16a1ce2f2d71bfc3589d7122747c11a")
+PAPER_PIN = (
+    15_556,
+    "556523df7a494f7ea196bec73af87732d16a1ce2f2d71bfc3589d7122747c11a")
+V6_PIN = (
+    50_967,
+    "93a070fb15817e029a54293c02b5cf86421d0b62fa50f1a3876aefed146cd6f6")
 
 
-def test_v6_style_event_fingerprint():
+def _v6_style_network() -> BCNNetworkSimulator:
     # v6's validation regime (Bernoulli sampling, fluid-exact regulator,
     # no PAUSE) with its delay arm: per-source uplink delays spread 10x,
     # so arrivals from different sources interleave at distinct times.
@@ -97,9 +126,27 @@ def test_v6_style_event_fingerprint():
     rng = random.Random(3)
     for uplink in net.uplinks:
         uplink.delay = rng.uniform(0.1e-6, 1e-6)
-    assert _fingerprint(net, 0.02) == (
-        50_967,
-        "93a070fb15817e029a54293c02b5cf86421d0b62fa50f1a3876aefed146cd6f6")
+    return net
+
+
+def test_paper_example_event_fingerprint(python_loop):
+    net = BCNNetworkSimulator(paper_example_params())
+    assert _fingerprint(net, 0.005) == PAPER_PIN
+
+
+def test_v6_style_event_fingerprint(python_loop):
+    assert _fingerprint(_v6_style_network(), 0.02) == V6_PIN
+
+
+@requires_core
+def test_paper_example_core_fingerprint():
+    net = BCNNetworkSimulator(paper_example_params())
+    assert _core_fingerprint(net, 0.005) == PAPER_PIN
+
+
+@requires_core
+def test_v6_style_core_fingerprint():
+    assert _core_fingerprint(_v6_style_network(), 0.02) == V6_PIN
 
 
 def _m1_network(*, enable_bcn: bool) -> MultiHopNetwork:

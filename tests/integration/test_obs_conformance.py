@@ -28,6 +28,12 @@ shift individual samples, so counts agree within documented tolerances:
 Each packet engine's ``bcn`` event count must equal its own
 ``bcn_negative + bcn_positive`` stats exactly — events are emitted at
 the emission sites, not re-derived.
+
+**Packet, reference on both paths** — the reference engine runs on the
+python loop (numpy tier) or on the C event core (compiled tier), which
+logs ``drop``/``bcn``/``pause_on``/``pause_off`` as it emits them and
+replays the log after the run: the two paths must produce the same
+ordered event stream, record for record, and the same metrics.
 """
 
 import pytest
@@ -38,6 +44,7 @@ from repro.fluid.batch import simulate_fluid_batch
 from repro.fluid.integrate import simulate_fluid
 from repro.obs import Observability
 from repro.simulation.network import BCNNetworkSimulator
+from tests.unit.test_event_core import python_loop, requires_core
 
 PAUSE_DURATION = 50e-6
 
@@ -187,3 +194,44 @@ def test_packet_compiled_event_stream_matches_batched_exactly():
     assert com_res.bcn_positive == bat_res.bcn_positive
     assert com_res.pauses == bat_res.pauses
     assert com_res.dropped_frames == bat_res.dropped_frames
+
+
+def _ordered_stream(obs):
+    return [(r.kind, r.t, r.engine, r.node, r.row, r.flow, r.value,
+             r.detail) for r in obs.trace.records]
+
+
+def _metrics(obs):
+    m = obs.metrics
+    return ({name: c.value for name, c in m.counters.items()},
+            {name: (h.edges, h.counts.tolist(), h.sum)
+             for name, h in m.histograms.items()})
+
+
+_BASE = paper_example_params()
+
+
+@requires_core
+@pytest.mark.parametrize("params, duration, kwargs", [
+    pytest.param(_BASE, 0.03, {}, id="paper-message-mode"),
+    pytest.param(BCNParams(capacity=1e9, n_flows=10, q0=1e6,
+                           buffer_size=4e6, w=2.0, pm=0.1, gi=4.0, gd=1e-5,
+                           ru=8e6), 0.02, {}, id="drop-storm"),
+    pytest.param(_BASE.with_(q_sc=0.6 * _BASE.buffer_size), 0.03, {},
+                 id="pause-pairing"),
+    pytest.param(_BASE.with_(q_sc=0.6 * _BASE.buffer_size), 0.03,
+                 dict(random_sampling=True, regulator_mode="fluid-exact",
+                      fb_bits=None), id="bernoulli-fluid-exact"),
+])
+def test_packet_reference_streams_identical_on_python_loop_and_core(
+        params, duration, kwargs):
+    with python_loop():
+        py_obs, py_res = _packet_run(params, "reference", duration,
+                                     **kwargs)
+    core_obs, core_res = _packet_run(params, "reference", duration,
+                                     **kwargs)
+    assert _ordered_stream(core_obs) == _ordered_stream(py_obs)
+    assert _metrics(core_obs) == _metrics(py_obs)
+    assert core_res.bcn_negative == py_res.bcn_negative
+    assert core_res.dropped_frames == py_res.dropped_frames
+    assert core_res.pauses == py_res.pauses

@@ -6,7 +6,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_report import build_report, main, validate_report  # noqa: E402
+from bench_report import (build_report, gate_against_baseline,  # noqa: E402
+                          main, validate_report)
 
 
 def _bench(name, mean, *, workload=None, engine=None, **extra):
@@ -72,6 +73,78 @@ class TestThroughputFigures:
         assert report["kernels"]["a"]["ns_per_simulated_second"] == (
             0.3 / 0.2 * 1e9
         )
+
+
+class TestBaselineGate:
+    """``--baseline``/``--max-slowdown``: every row on its own clock."""
+
+    def _report(self, core_s, reference_s, extra_rows=()):
+        return build_report(_raw(
+            _bench("core", core_s, workload="w", engine="core",
+                   simulated_seconds=0.2),
+            _bench("ref", reference_s, workload="w", engine="reference",
+                   simulated_seconds=0.2),
+            *extra_rows))
+
+    def test_each_row_is_gated_on_its_own_committed_figure(self):
+        committed = self._report(0.01, 1.0)
+        rows = gate_against_baseline(self._report(0.025, 1.1), committed,
+                                     3.0)
+        assert [(r[0], round(r[4], 6), r[5]) for r in rows] == [
+            ("core", 2.5, True), ("ref", 1.1, True)]
+        # the core row alone regresses, however fast it is next to ref
+        rows = gate_against_baseline(self._report(0.05, 1.0), committed,
+                                     3.0)
+        assert [(r[0], r[5]) for r in rows] == [("core", False),
+                                                ("ref", True)]
+
+    def test_rows_missing_on_either_side_are_skipped(self):
+        committed = self._report(0.01, 1.0)
+        fresh = build_report(_raw(
+            _bench("ref", 1.0, workload="w", engine="reference",
+                   simulated_seconds=0.2),
+            _bench("new", 9.0, workload="w", engine="batched",
+                   simulated_seconds=0.2)))
+        assert [r[0] for r in gate_against_baseline(fresh, committed,
+                                                    3.0)] == ["ref"]
+
+    def test_cli_fails_only_on_a_row_regression(self, tmp_path, capsys):
+        import json
+
+        committed = tmp_path / "BENCH_committed.json"
+        committed.write_text(json.dumps(self._report(0.01, 1.0)))
+        out = tmp_path / "BENCH_new.json"
+        for core_s, want in ((0.02, 0), (0.05, 1)):
+            raw = tmp_path / "raw.json"
+            raw.write_text(json.dumps(_raw(
+                _bench("core", core_s, workload="w", engine="core",
+                       simulated_seconds=0.2),
+                _bench("ref", 1.0, workload="w", engine="reference",
+                       simulated_seconds=0.2))))
+            assert main([str(raw), "-o", str(out), "--baseline",
+                         str(committed), "--max-slowdown", "3"]) == want
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_no_speedup_gate_unless_asked(self, tmp_path):
+        import json
+
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps(_raw(
+            _bench("a", 2.0, workload="w", engine="batched"),
+            _bench("b", 1.0, workload="w", engine="reference"))))
+        out = str(tmp_path / "B.json")
+        assert main([str(raw), "-o", out]) == 0
+        assert main([str(raw), "-o", out, "--min-speedup", "1.0"]) == 1
+
+    def test_report_records_spread_and_cores(self):
+        bench = _bench("a", 1.0)
+        bench["stats"]["max"] = 1.5
+        raw = _raw(bench)
+        raw["machine_info"]["cpu"]["count"] = 2
+        report = build_report(raw)
+        assert report["cores"] == 2
+        assert report["kernels"]["a"]["max_s"] == 1.5
+        assert validate_report(report) == []
 
 
 class TestObservabilitySections:

@@ -56,9 +56,11 @@ def test_numpy_tier_is_the_scalar_reference():
     assert be.name == "numpy"
     assert not be.compiled
     assert be.warmup_seconds == 0.0
-    # the fluid kernel is the one C-only entry point: its numpy oracle
-    # is simulate_fluid_batch
+    # the two C-only entry points: the fluid kernel, whose numpy oracle
+    # is simulate_fluid_batch, and the event core, whose oracle is the
+    # python Simulator loop
     assert not hasattr(be, "fluid_rows")
+    assert not hasattr(be, "event_core")
 
 
 def test_unknown_backend_env_is_rejected(monkeypatch):

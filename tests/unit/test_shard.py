@@ -13,7 +13,7 @@ import networkx as nx
 import pytest
 
 from repro.shard import RemoteLink, ShardRuntime, build_plan, resolve_shards
-from repro.simulation.multihop import PortConfig
+from repro.simulation.multihop import MultiHopNetwork, PortConfig
 from repro.topology.graphs import dcell, fat_tree, hosts
 from repro.topology.partition import Partition
 from repro.workloads import permutation
@@ -106,6 +106,15 @@ class TestBuildPlan:
     def test_partition_shard_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             chain_plan(n_shards=3)
+
+    def test_partition_without_shards_rejected(self):
+        # a pinned partition with shards=None used to run serial silently
+        with pytest.raises(ValueError, match="shards="):
+            MultiHopNetwork(chain_graph(), [CHAIN_FLOW],
+                            PortConfig(q0=8 * 12_000,
+                                       buffer_bits=150 * 12_000),
+                            frame_bits=12_000, propagation_delay=DELAY,
+                            partition=SPLIT)
 
     def test_needs_flows(self):
         with pytest.raises(ValueError):

@@ -40,12 +40,23 @@ keeps what the perf trajectory needs:
   are interleaved inside one benchmark because separate per-variant
   blocks drift apart by far more than the 2% being gated.
 
-Exits non-zero when any workload's fast engine is slower than
-``--min-speedup`` × the reference, or (with ``--max-overhead``) when
-any workload's ``obs_disabled`` variant exceeds the baseline by more
-than that fraction — how the CI ``bench`` job fails on a regression
-while absorbing shared-runner noise (the committed report itself is
-regenerated on quiet hardware).
+Three gates, each opt-in, make the tool exit non-zero — how the CI
+jobs fail on a regression while absorbing shared-runner noise (the
+committed report itself is regenerated on quiet hardware):
+
+* ``--min-speedup X``: a workload's fast engine is slower than ``X`` ×
+  the reference;
+* ``--max-overhead F``: a workload's ``obs_disabled`` variant exceeds
+  the baseline by more than that fraction;
+* ``--baseline BENCH.json --max-slowdown X``: any benchmark row's ns
+  per simulated (or trajectory) second is more than ``X`` × the same
+  row's figure in the committed report.  This gates every engine on
+  its own clock, where a ratio against another engine would stop
+  meaning anything once that engine gets faster; rows absent from
+  either side (a tier this machine lacks) are skipped.
+
+Each kernel entry keeps its ``min_s``/``max_s`` (the run-to-run
+spread) and the report records the machine's ``cores``.
 
 ``--validate`` flips the tool into schema-check mode: the positional
 arguments are then committed ``BENCH_*.json`` reports, each checked
@@ -68,7 +79,7 @@ import json
 import sys
 from pathlib import Path
 
-__all__ = ["build_report", "main"]
+__all__ = ["build_report", "gate_against_baseline", "main"]
 
 #: engine tags paired against "reference" for the speedup/gate section
 #: (listed fastest-first: when a workload carries several fast rows the
@@ -82,6 +93,7 @@ def _kernel_entry(bench: dict) -> dict:
     entry = {
         "mean_s": stats["mean"],
         "min_s": stats["min"],
+        "max_s": stats.get("max"),
         "stddev_s": stats["stddev"],
         "rounds": stats["rounds"],
         "extra_info": extra,
@@ -148,6 +160,7 @@ def build_report(raws: dict | list[dict]) -> dict:
     return {
         "generated_by": "tools/bench_report.py",
         "source_datetime": first.get("datetime"),
+        "cores": (machine.get("cpu") or {}).get("count"),
         "machine": {
             key: machine.get(key)
             for key in ("node", "processor", "machine", "python_version",
@@ -159,6 +172,29 @@ def build_report(raws: dict | list[dict]) -> dict:
         "events": events,
         "overheads": overheads,
     }
+
+
+#: Per-row throughput figures the baseline gate compares.
+_THROUGHPUT_FIELDS = ("ns_per_simulated_second", "ns_per_trajectory_second")
+
+
+def gate_against_baseline(report: dict, baseline: dict,
+                          max_slowdown: float) -> list[tuple]:
+    """``(name, field, new, committed, ratio, ok)`` for every kernel row
+    whose throughput figure both reports carry; ``ok`` is False when the
+    new figure exceeds ``max_slowdown`` × the committed one."""
+    rows = []
+    committed = baseline.get("kernels", {})
+    for name, entry in sorted(report["kernels"].items()):
+        old = committed.get(name)
+        if old is None:
+            continue
+        for field in _THROUGHPUT_FIELDS:
+            if entry.get(field) and old.get(field):
+                ratio = entry[field] / old[field]
+                rows.append((name, field, entry[field], old[field], ratio,
+                             ratio <= max_slowdown))
+    return rows
 
 
 #: Required numeric fields of every ``kernels`` entry.
@@ -229,6 +265,11 @@ def validate_report(doc: object, label: str = "report") -> list[str]:
             if not isinstance(value, (int, float)) or value < 0:
                 err(f"kernels[{name!r}].{field} must be a non-negative "
                     f"number, got {value!r}")
+        max_s = entry.get("max_s")
+        if max_s is not None and (not isinstance(max_s, (int, float))
+                                  or max_s < entry.get("mean_s", 0)):
+            err(f"kernels[{name!r}].max_s must be a number no smaller "
+                f"than mean_s, got {max_s!r}")
         if not isinstance(entry.get("extra_info"), dict):
             err(f"kernels[{name!r}].extra_info must be an object")
 
@@ -343,13 +384,22 @@ def main(argv: list[str] | None = None) -> int:
                              "multiple files merge into one report")
     parser.add_argument("-o", "--output", type=Path,
                         default=Path("BENCH_fluid.json"))
-    parser.add_argument("--min-speedup", type=float, default=1.0,
+    parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail when any workload's fast/reference "
-                             "speedup drops below this (default: 1.0)")
+                             "speedup drops below this (default: no "
+                             "speedup gate)")
     parser.add_argument("--max-overhead", type=float, default=None,
                         help="fail when any workload's obs_disabled "
                              "variant exceeds the baseline by more than "
                              "this fraction (e.g. 0.02 for 2%%)")
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="committed report whose per-row ns per "
+                             "simulated/trajectory second --max-slowdown "
+                             "gates against (read before -o is written)")
+    parser.add_argument("--max-slowdown", type=float, default=3.0,
+                        help="with --baseline: fail when a row is more "
+                             "than this many times slower than its "
+                             "committed figure (default: 3.0)")
     parser.add_argument("--validate", action="store_true",
                         help="treat the positional arguments as "
                              "committed BENCH_*.json reports and check "
@@ -359,21 +409,34 @@ def main(argv: list[str] | None = None) -> int:
     if args.validate:
         return _cmd_validate(args.raw)
 
+    baseline = (json.loads(args.baseline.read_text())
+                if args.baseline is not None else None)
     report = build_report([json.loads(p.read_text()) for p in args.raw])
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     failed = False
     for workload, row in report["speedups"].items():
         verdict = "ok"
-        if row["speedup"] < args.min_speedup:
+        if args.min_speedup is not None and row["speedup"] < args.min_speedup:
             verdict = f"REGRESSION (< {args.min_speedup:g}x)"
             failed = True
         print(f"{workload}: {row['fast_engine']} {row['batch_s']:.4f}s vs "
               f"reference {row['reference_s']:.4f}s -> "
               f"{row['speedup']:.2f}x {verdict}")
-    if not report["speedups"]:
+    if args.min_speedup is not None and not report["speedups"]:
         print("warning: no fast/reference workload pairs found",
               file=sys.stderr)
+    if baseline is not None:
+        rows = gate_against_baseline(report, baseline, args.max_slowdown)
+        for name, field, new, old, ratio, ok in rows:
+            verdict = "ok" if ok else (
+                f"REGRESSION (> {args.max_slowdown:g}x committed)")
+            failed = failed or not ok
+            print(f"{name}: {new:.4g} {field} vs committed {old:.4g} -> "
+                  f"{ratio:.2f}x {verdict}")
+        if not rows:
+            print("warning: --baseline given but no row matches it",
+                  file=sys.stderr)
     for workload, row in report["overheads"].items():
         for variant in sorted(k[:-len("_overhead")] for k in row
                               if k.endswith("_overhead")):
