@@ -1,7 +1,7 @@
 """Bench C — the compiled kernel backend vs the batched numpy engine.
 
-Paired workloads gating the ``engine="compiled"`` /
-``fluid_method="compiled"`` hot paths against the *batched* engine
+Paired workloads gating the ``engine="compiled"`` packet path and the
+C batch fluid kernel against the *batched* engine
 (itself already ≥ 5× over the event-driven reference, see
 ``BENCH_packet.json``), i.e. the gate here is compiled-vs-vectorized,
 not compiled-vs-interpreted:
@@ -14,8 +14,8 @@ not compiled-vs-interpreted:
   struct-of-array message kernel, all through the bound-closure API.
 * **compiled_portrait_bundle** — a 64-trajectory phase-portrait bundle
   (CASE1, nonlinear mode, 40 s horizon) through the batch fluid RK4
-  kernel, ``simulate_fluid_batch_compiled`` against the numpy
-  integrator.
+  kernel: the default ``simulate_fluid_batch`` call (the C kernel on
+  this tier) against ``fluid_method="numpy"``.
 * **compiled_ensemble** — a 1024-orbit seeded ensemble (CASE3,
   nonlinear, 40 s horizon: 16,001 grid steps), the shape of the
   benchmark's fluid bundles.  At this width one grid step of samples
@@ -43,7 +43,7 @@ import pytest
 from repro.experiments.presets import CASE1, CASE3
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.batch import simulate_fluid_batch
-from repro.kernels import get_backend, simulate_fluid_batch_compiled
+from repro.kernels import get_backend
 from repro.obs import Observability
 from repro.simulation.network import BCNNetworkSimulator
 
@@ -119,10 +119,9 @@ def _fluid_numpy():
 
 
 def test_bench_portrait_bundle_compiled(benchmark):
-    simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0, **FLUID_KWARGS)
+    simulate_fluid_batch(CASE1, FLUID_X0, 0.0, **FLUID_KWARGS)
     res = benchmark.pedantic(
-        lambda: simulate_fluid_batch_compiled(CASE1, FLUID_X0, 0.0,
-                                              **FLUID_KWARGS),
+        lambda: simulate_fluid_batch(CASE1, FLUID_X0, 0.0, **FLUID_KWARGS),
         rounds=5, iterations=1)
     benchmark.extra_info.update(
         workload="compiled_portrait_bundle", engine="compiled",
@@ -145,8 +144,8 @@ def test_bench_portrait_bundle_numpy_baseline(benchmark):
 
 
 def _ensemble(**kw):
-    return simulate_fluid_batch_compiled(CASE3, ENSEMBLE_X0, ENSEMBLE_Y0,
-                                         **ENSEMBLE_KWARGS, **kw)
+    return simulate_fluid_batch(CASE3, ENSEMBLE_X0, ENSEMBLE_Y0,
+                                **ENSEMBLE_KWARGS, **kw)
 
 
 def test_bench_ensemble_compiled(benchmark):

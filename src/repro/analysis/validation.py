@@ -112,24 +112,18 @@ def fluid_vs_packet(
     frame_bits: int = 1500 * 8,
     initial_rate: float | None = None,
     regulator_mode: str = "fluid-exact",
-    fluid_mode: str = "physical",
-    fluid_engine: str = "reference",
     packet_engine: str = "reference",
 ) -> tuple[AgreementReport, dict]:
     """Run both substrates from matched initial conditions and compare.
 
     The DES uses the fluid-matched regulator semantics and unconditional
-    positive feedback (the paper's idealisation); the fluid model runs in
-    ``"physical"`` mode (buffer saturations included) so both sides see
-    the same constraints.
-
-    ``fluid_engine`` selects the fluid side: ``"reference"`` (default)
-    is the event-accurate ``solve_ivp`` integrator, ``"batch"`` the
-    vectorized RK4 kernel (:mod:`repro.fluid.batch`) — useful when the
-    comparison is swept over many parameter points and the fluid side
-    dominates the sweep cost.  ``packet_engine`` selects the packet
-    side the same way: ``"reference"`` (event-driven oracle) or
-    ``"batched"`` (frame-train batching, see
+    positive feedback (the paper's idealisation); the fluid side is the
+    event-accurate ``solve_ivp`` integrator
+    (:func:`repro.fluid.integrate.simulate_fluid`) in ``"physical"``
+    mode (buffer saturations included), so both sides see the same
+    constraints.  ``packet_engine`` selects the packet side:
+    ``"reference"`` (event-driven oracle), ``"batched"`` or
+    ``"compiled"`` (frame-train batching, see
     :class:`~repro.simulation.network.BCNNetworkSimulator`).
 
     Returns the agreement report plus a dict of the raw series for
@@ -152,28 +146,14 @@ def fluid_vs_packet(
     packet = net.run(duration)
 
     y0 = params.n_flows * initial_rate - params.capacity
-    if fluid_engine == "batch":
-        from ..fluid.batch import simulate_fluid_batch
-
-        fluid = simulate_fluid_batch(
-            params.normalized(),
-            np.array([-params.q0]),
-            np.array([y0]),
-            t_max=duration,
-            mode=fluid_mode,
-            max_switches=10_000,
-        ).trajectory(0)
-    elif fluid_engine == "reference":
-        fluid = simulate_fluid(
-            params.normalized(),
-            x0=-params.q0,
-            y0=y0,
-            t_max=duration,
-            mode=fluid_mode,
-            max_switches=10_000,
-        )
-    else:
-        raise ValueError(f"unknown fluid engine {fluid_engine!r}")
+    fluid = simulate_fluid(
+        params.normalized(),
+        x0=-params.q0,
+        y0=y0,
+        t_max=duration,
+        mode="physical",
+        max_switches=10_000,
+    )
     report = compare_series(
         fluid.t,
         fluid.queue(),

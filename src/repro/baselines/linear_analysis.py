@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from ..core.parameters import BCNParams, NormalizedParams
+from ..fluid.model import as_normalized
 
 __all__ = [
     "routh_hurwitz_stable",
@@ -40,10 +41,6 @@ __all__ = [
     "LinearVerdict",
     "linear_verdict",
 ]
-
-
-def _as_normalized(params: NormalizedParams | BCNParams) -> NormalizedParams:
-    return params.normalized() if isinstance(params, BCNParams) else params
 
 
 def routh_hurwitz_stable(params: NormalizedParams | BCNParams) -> bool:
@@ -55,7 +52,7 @@ def routh_hurwitz_stable(params: NormalizedParams | BCNParams) -> bool:
     [4] cannot distinguish a well-dimensioned BCN system from one that
     drops packets in every transient.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     for n in (p.n_increase, p.n_decrease):
         m = p.k * n
         if not (m > 0 and n > 0):
@@ -125,7 +122,7 @@ def linear_verdict(params: NormalizedParams | BCNParams) -> LinearVerdict:
     every transient — receive identical verdicts.  Contrast with
     :func:`repro.core.stability.theorem1_criterion`.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     n_i, n_d = p.n_increase, p.n_decrease
     return LinearVerdict(
         increase_stable=routh_hurwitz_stable(p),

@@ -210,7 +210,7 @@ def _run_observed(args: argparse.Namespace):
             simulate_fluid(p, t_max=args.duration, mode=args.fluid_mode,
                            obs=obs)
         else:
-            fluid_method = "compiled" if engine == "compiled" else "numpy"
+            fluid_method = "auto" if engine == "compiled" else "numpy"
             simulate_fluid_batch(p, -p.q0, 0.0, t_max=args.duration,
                                  mode=args.fluid_mode, obs=obs,
                                  fluid_method=fluid_method)

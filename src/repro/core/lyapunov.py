@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from ..fluid.model import as_normalized
 from .parameters import BCNParams, NormalizedParams
 
 __all__ = [
@@ -44,21 +45,17 @@ __all__ = [
 ]
 
 
-def _as_normalized(params: NormalizedParams | BCNParams) -> NormalizedParams:
-    return params.normalized() if isinstance(params, BCNParams) else params
-
-
 def increase_energy(params: NormalizedParams | BCNParams,
                     x: float, y: float) -> float:
     """``V_i = (a x^2 + y^2)/2`` — positive definite on the plane."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     return 0.5 * (p.a * x * x + y * y)
 
 
 def increase_energy_rate(params: NormalizedParams | BCNParams,
                          x: float, y: float) -> float:
     """Exact ``dV_i/dt = -a k y^2`` along the increase flow."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     return -p.a * p.k * y * y
 
 
@@ -69,7 +66,7 @@ def decrease_energy(params: NormalizedParams | BCNParams,
     The first integral of the undamped decrease flow; its level sets
     are the closed decrease-region arcs of the ``k -> 0`` orbits.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     c = p.capacity
     if y <= -c:
         raise ValueError("decrease energy requires y > -C (positive rate)")
@@ -83,7 +80,7 @@ def decrease_energy_rate(params: NormalizedParams | BCNParams,
     From the chain rule, ``dV_d/dt = b x y + (y/(y+C)) ydot`` with
     ``ydot = -b (y+C)(x+ky)``, which collapses to ``-b k y^2``.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     if y <= -p.capacity:
         raise ValueError("decrease energy requires y > -C")
     return -p.b * p.k * y * y
@@ -97,7 +94,7 @@ def energy_along(
     region: str,
 ) -> np.ndarray:
     """Evaluate the region energy along a sampled trajectory."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     if region == "increase":
@@ -122,7 +119,7 @@ def crossing_energy_ratio(
     ``y_exit < y_enter`` strictly: the nonlinear decrease pass loses
     amplitude even without damping.  Returns ``y_exit / y_enter``.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     c = p.capacity
     if not 0 < y_enter < c:
         raise ValueError("need 0 < y_enter < C")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fluid.batch import default_horizon, simulate_fluid_batch, switched_derivatives
+from ..fluid.batch import switched_derivatives
 from ..fluid.model import as_normalized
 from .parameters import BCNParams, NormalizedParams
 from .phase_plane import PhasePlaneAnalyzer
@@ -120,21 +120,16 @@ def phase_portrait(
     max_switches: int = 30,
     points_per_segment: int = 120,
     with_grid: bool = False,
-    method: str = "compose",
-    fluid_mode: str = "nonlinear",
-    t_max: float | None = None,
 ) -> PhasePortrait:
     """Compose a family of orbits from a spread of initial states.
 
-    ``starts`` defaults to eight points around the buffer strip: the
-    canonical ``(-q0, 0)``, points on both axes and both regions.
-
-    ``method`` selects the orbit engine: ``"compose"`` uses the
-    closed-form piecewise composition (exact eigensolutions, the
-    default), ``"batch"`` integrates the whole bundle in one
-    :func:`repro.fluid.batch.simulate_fluid_batch` call — the fast path
-    for large ensembles, which also unlocks ``fluid_mode`` (the
-    nonlinear or physical laws the closed forms cannot express).
+    ``starts`` defaults to seven points around the buffer strip: the
+    canonical ``(-q0, 0)``, points on both axes and both regions.  Each
+    orbit is the closed-form piecewise composition of
+    :meth:`PhasePlaneAnalyzer.compose` (exact eigensolutions per
+    region), sampled ``points_per_segment`` times per segment.  Large
+    bundles, and the nonlinear or physical laws the closed forms cannot
+    express, go through :func:`repro.fluid.batch.simulate_fluid_batch`.
     """
     p = as_normalized(params)
     if starts is None:
@@ -149,30 +144,11 @@ def phase_portrait(
             (-0.8 * q0, -0.02 * c),
         ]
     portrait = PhasePortrait(params=p)
-    if method == "batch":
-        if t_max is None:
-            t_max = default_horizon(p, max_switches=max_switches)
-        result = simulate_fluid_batch(
-            p,
-            np.array([s[0] for s in starts]),
-            np.array([s[1] for s in starts]),
-            t_max=t_max,
-            mode=fluid_mode,
-            max_switches=max_switches,
-        )
-        for row in range(result.n_rows):
-            mask = result.t <= result.t_end[row]
-            portrait.orbits.append(
-                np.column_stack([result.x[mask, row], result.y[mask, row]])
-            )
-    elif method == "compose":
-        analyzer = PhasePlaneAnalyzer(p)
-        for x0, y0 in starts:
-            traj = analyzer.compose(x0, y0, max_switches=max_switches)
-            samples = traj.sample(points_per_segment)
-            portrait.orbits.append(samples[:, 1:3])
-    else:
-        raise ValueError(f"unknown portrait method {method!r}")
+    analyzer = PhasePlaneAnalyzer(p)
+    for x0, y0 in starts:
+        traj = analyzer.compose(x0, y0, max_switches=max_switches)
+        samples = traj.sample(points_per_segment)
+        portrait.orbits.append(samples[:, 1:3])
     if with_grid:
         x_lo, x_hi, y_lo, y_hi = portrait.bounding_box()
         portrait.grid = vector_field_grid(

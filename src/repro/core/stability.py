@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..fluid.model import as_normalized
 from .parameters import BCNParams, NormalizedParams
 from .phase_plane import PaperCase, PhasePlaneAnalyzer, classify_case
 
@@ -42,10 +43,6 @@ __all__ = [
     "strong_stability_report",
     "is_strongly_stable",
 ]
-
-
-def _as_normalized(params: NormalizedParams | BCNParams) -> NormalizedParams:
-    return params.normalized() if isinstance(params, BCNParams) else params
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +71,7 @@ def case1_excursion_bounds(params: NormalizedParams | BCNParams) -> tuple[float,
     ValueError
         If the parameters are not in Case 1 (both regions spiral).
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     if classify_case(p) is not PaperCase.CASE1:
         raise ValueError("case1_excursion_bounds requires Case 1 parameters")
     a, b, c, k, q0 = p.a, p.b, p.capacity, p.k, p.q0
@@ -118,7 +115,7 @@ def case2_peak_bound(params: NormalizedParams | BCNParams) -> float:
     eq. 26), then spirals once through the decrease region; eq. (38)
     gives the resulting peak.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     if classify_case(p) is not PaperCase.CASE2:
         raise ValueError("case2_peak_bound requires Case 2 parameters")
     a, b, c, k, q0 = p.a, p.b, p.capacity, p.k, p.q0
@@ -149,7 +146,7 @@ def case2_peak_bound(params: NormalizedParams | BCNParams) -> float:
 
 def proposition2_holds(params: NormalizedParams | BCNParams) -> bool:
     """Proposition 2: Case-1 strong stability via the eq. 36/37 bounds."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     max1, min1 = case1_excursion_bounds(p)
     return max1 < p.buffer_size - p.q0 and min1 > -p.q0
 
@@ -161,7 +158,7 @@ def proposition3_holds(params: NormalizedParams | BCNParams) -> bool:
     signs by typographical error; the proof and Fig. 8 make clear it
     covers Case 2, ``a > 4 pm^2 C^2 / w^2`` and ``b < 4 pm^2 C / w^2``.)
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     return case2_peak_bound(p) < p.buffer_size - p.q0
 
 
@@ -173,7 +170,7 @@ def proposition4_applies(params: NormalizedParams | BCNParams) -> bool:
     its first crossing, and the system is strongly stable for any buffer
     ``B > q0``.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     thr = p.focus_threshold
     return p.n_decrease >= thr or p.n_increase == thr
 
@@ -184,7 +181,7 @@ def theorem1_criterion(params: NormalizedParams | BCNParams) -> bool:
     ``(1 + sqrt(a / (b C))) q0 < B`` — in physical parameters,
     ``(1 + sqrt(Ru Gi N / (Gd C))) q0 < B``.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     return required_buffer(p) < p.buffer_size
 
 
@@ -195,7 +192,7 @@ def required_buffer(params: NormalizedParams | BCNParams) -> float:
     Gi=4, Gd=1/128, Ru=8 Mbit/s) this evaluates to about 13.8 Mbit,
     nearly three times the 5 Mbit bandwidth-delay product.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     return (1.0 + math.sqrt(p.a / (p.b * p.capacity))) * p.q0
 
 
@@ -266,7 +263,7 @@ def strong_stability_report(
     max_switches: int = 400,
 ) -> StabilityReport:
     """Assess strong stability analytically and by exact composition."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     case = classify_case(p)
     analyzer = PhasePlaneAnalyzer(p)
     traj = analyzer.compose(max_switches=max_switches)

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .eigen import Region, region_eigenstructure
+from ..fluid.model import as_normalized
 from .parameters import BCNParams, NormalizedParams
 from .phase_plane import PaperCase, PhasePlaneAnalyzer, classify_case
 from .stability import case1_excursion_bounds, case2_peak_bound
@@ -40,13 +41,9 @@ __all__ = [
 ]
 
 
-def _as_normalized(params: NormalizedParams | BCNParams) -> NormalizedParams:
-    return params.normalized() if isinstance(params, BCNParams) else params
-
-
 def round_period(params: NormalizedParams | BCNParams) -> float:
     """One full oscillation round ``pi/beta_i + pi/beta_d`` (Case 1)."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     if classify_case(p) is not PaperCase.CASE1:
         raise ValueError("round_period requires Case 1 (both regions spiral)")
     beta_i = region_eigenstructure(p, Region.INCREASE).beta
@@ -83,7 +80,7 @@ def overshoot_ratio(params: NormalizedParams | BCNParams) -> float:
     0 for the node-decrease cases (no overshoot); the eq. 36 / eq. 38
     peak otherwise.
     """
-    p = _as_normalized(params)
+    p = as_normalized(params)
     case = classify_case(p)
     if case is PaperCase.CASE1:
         max1, _ = case1_excursion_bounds(p)
@@ -142,7 +139,7 @@ def transient_report(
     params: NormalizedParams | BCNParams, *, max_switches: int = 200
 ) -> TransientReport:
     """Build the closed-form transient profile of a configuration."""
-    p = _as_normalized(params)
+    p = as_normalized(params)
     case = classify_case(p)
     warmup = params.warmup_duration() if isinstance(params, BCNParams) else None
     traj = PhasePlaneAnalyzer(p).compose(max_switches=max_switches)

@@ -295,9 +295,8 @@ class KernelBackend:
 
     def bind_packet_commit(self, pm, q0, w, pos_only, req_assoc,
                            sigma_unit, full_scale, q_bits, starts,
-                           completions, msg_t, msg_src, msg_sigma,
-                           msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                           out_d, out_i):
+                           completions, msg_t, msg_src, msg_sigma, msg_fb,
+                           samp_t, samp_sigma, out_d, out_i):
         def call(m_eff, n_res, times, srcs, assoc, t_start, t_commit,
                  prev_inflight, prev_next_free, uniforms, use_rng,
                  interval, since, q_prev):
@@ -337,8 +336,6 @@ class KernelBackend:
                 msg_t[:n_msg] = samp_t[:n_samp][emit]
                 msg_src[:n_msg] = srcs[sample_idx[emit]]
                 msg_sigma[:n_msg] = sigma[emit]
-                msg_qoff[:n_msg] = q0 - qs[emit]
-                msg_dq[:n_msg] = dq[emit]
                 msg_fb[:n_msg] = _quantize(sigma[emit], sigma_unit,
                                            full_scale)
             delivered = int(completions[:total_eff].searchsorted(
@@ -364,9 +361,8 @@ class KernelBackend:
                       w, pos_only, req_assoc, sigma_unit, full_scale, backlog,
                       next_free0, inflight, frozen_until, pause_rearm_at,
                       pause_duration, pause_horizon, q_prev, msg_t, msg_src,
-                      msg_sigma, msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                      msg_j, drop_j, acc_arrivals, starts_out, pause_j,
-                      out_d, out_i):
+                      msg_sigma, msg_fb, samp_t, samp_sigma, msg_j, drop_j,
+                      acc_arrivals, starts_out, pause_j, out_d, out_i):
         """The window loop frame by frame, for windows where drop-tail
         engages (:meth:`CoreSwitch.receive` semantics).
 
@@ -388,7 +384,7 @@ class KernelBackend:
         acc = [t_start] * backlog
         starts: list[float] = []
         samples: list[tuple[float, float]] = []
-        msgs: list[tuple[int, float, float, float]] = []
+        msgs: list[tuple[int, float]] = []
         drops: list[int] = []
         pauses: list[int] = []
         any_started = committed = neg = pos = 0
@@ -431,11 +427,11 @@ class KernelBackend:
                 samples.append((a, sigma))
                 if sigma < 0.0:
                     neg += 1
-                    msgs.append((j, sigma, q0 - q_now, dq))
+                    msgs.append((j, sigma))
                 elif sigma > 0.0 and (q_now < q0 or not pos_only) and (
                         not req_assoc or assoc[j] != 0):
                     pos += 1
-                    msgs.append((j, sigma, q0 - q_now, dq))
+                    msgs.append((j, sigma))
             committed += 1
             if q_sc == q_sc and q_now > q_sc and a >= pause_rearm_at:
                 pause_at = a
@@ -457,8 +453,6 @@ class KernelBackend:
             msg_t[:n_msg] = times[js]
             msg_src[:n_msg] = srcs[js]
             msg_sigma[:n_msg] = cols[1]
-            msg_qoff[:n_msg] = cols[2]
-            msg_dq[:n_msg] = cols[3]
             msg_fb[:n_msg] = _quantize(msg_sigma[:n_msg], sigma_unit,
                                        full_scale)
         if n_samp:
@@ -569,9 +563,8 @@ class _CffiKernels(KernelBackend):
                       w, pos_only, req_assoc, sigma_unit, full_scale, backlog,
                       next_free0, inflight, frozen_until, pause_rearm_at,
                       pause_duration, pause_horizon, q_prev, msg_t, msg_src,
-                      msg_sigma, msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                      msg_j, drop_j, acc_arrivals, starts_out, pause_j,
-                      out_d, out_i):
+                      msg_sigma, msg_fb, samp_t, samp_sigma, msg_j, drop_j,
+                      acc_arrivals, starts_out, pause_j, out_d, out_i):
         self._lib.k_packet_scalar(
             times.shape[0], self._d(times), self._i(srcs), self._u8(assoc),
             self._d(uniforms), int(use_rng), float(pm), int(interval),
@@ -581,11 +574,10 @@ class _CffiKernels(KernelBackend):
             int(backlog), float(next_free0), int(inflight),
             float(frozen_until), float(pause_rearm_at), float(pause_duration),
             float(pause_horizon), float(q_prev), self._d(msg_t),
-            self._i(msg_src), self._d(msg_sigma), self._d(msg_qoff),
-            self._d(msg_dq), self._d(msg_fb), self._d(samp_t),
-            self._d(samp_sigma), self._i(msg_j), self._i(drop_j),
-            self._d(acc_arrivals), self._d(starts_out), self._i(pause_j),
-            self._d(out_d), self._i(out_i),
+            self._i(msg_src), self._d(msg_sigma), self._d(msg_fb),
+            self._d(samp_t), self._d(samp_sigma), self._i(msg_j),
+            self._i(drop_j), self._d(acc_arrivals), self._d(starts_out),
+            self._i(pause_j), self._d(out_d), self._i(out_i),
         )
 
     def fluid_rows(self, x0, y0, t_grid, a, b, cap, k, q0, x_full, x_empty,
@@ -761,18 +753,17 @@ class _CffiKernels(KernelBackend):
 
     def bind_packet_commit(self, pm, q0, w, pos_only, req_assoc,
                            sigma_unit, full_scale, q_bits, starts,
-                           completions, msg_t, msg_src, msg_sigma,
-                           msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma,
-                           out_d, out_i):
+                           completions, msg_t, msg_src, msg_sigma, msg_fb,
+                           samp_t, samp_sigma, out_d, out_i):
         lib = self._lib
         _d = self._d
         _i = self._i
         _u8 = self._u8
         keep = (q_bits, starts, completions, msg_t, msg_src, msg_sigma,
-                msg_qoff, msg_dq, msg_fb, samp_t, samp_sigma, out_d, out_i)
+                msg_fb, samp_t, samp_sigma, out_d, out_i)
         p_qb, p_st, p_cp = _d(q_bits), _d(starts), _d(completions)
-        p_mt, p_ms, p_mg = _d(msg_t), _i(msg_src), _d(msg_sigma)
-        p_mq, p_md, p_mf = _d(msg_qoff), _d(msg_dq), _d(msg_fb)
+        p_mt, p_ms, p_mg, p_mf = (_d(msg_t), _i(msg_src), _d(msg_sigma),
+                                  _d(msg_fb))
         p_st2, p_ss = _d(samp_t), _d(samp_sigma)
         p_od, p_oi = _d(out_d), _i(out_i)
         pm_f, q0_f, w_f = float(pm), float(q0), float(w)
@@ -787,7 +778,7 @@ class _CffiKernels(KernelBackend):
                 p_st, p_cp, t_start, t_commit, prev_inflight,
                 prev_next_free, _d(uniforms), use_rng, pm_f, interval,
                 since, q_prev, q0_f, w_f, po_i, ra_i, su_f, fs_f,
-                p_mt, p_ms, p_mg, p_mq, p_md, p_mf, p_st2, p_ss,
+                p_mt, p_ms, p_mg, p_mf, p_st2, p_ss,
                 p_od, p_oi,
             )
 

@@ -90,9 +90,8 @@ void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
     int64_t use_rng, double pm, int64_t interval, int64_t since,
     double q_prev, double q0, double w, int64_t pos_only,
     int64_t req_assoc, double sigma_unit, double full_scale,
-    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_qoff,
-    double *msg_dq, double *msg_fb, double *samp_t, double *samp_sigma,
-    double *out_d, int64_t *out_i);
+    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_fb,
+    double *samp_t, double *samp_sigma, double *out_d, int64_t *out_i);
 
 void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     uint8_t *assoc, double *uniforms, int64_t use_rng, double pm,
@@ -102,10 +101,10 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     double full_scale, int64_t backlog, double next_free0,
     int64_t inflight, double frozen_until, double pause_rearm_at,
     double pause_duration, double pause_horizon, double q_prev,
-    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_qoff,
-    double *msg_dq, double *msg_fb, double *samp_t, double *samp_sigma,
-    int64_t *msg_j, int64_t *drop_j, double *acc_arrivals,
-    double *starts_out, int64_t *pause_j, double *out_d, int64_t *out_i);
+    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_fb,
+    double *samp_t, double *samp_sigma, int64_t *msg_j, int64_t *drop_j,
+    double *acc_arrivals, double *starts_out, int64_t *pause_j,
+    double *out_d, int64_t *out_i);
 
 void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *msg_fb, double *msg_sigma, int64_t mode, double gi, double gd,
@@ -421,9 +420,8 @@ void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
     int64_t use_rng, double pm, int64_t interval, int64_t since,
     double q_prev, double q0, double w, int64_t pos_only,
     int64_t req_assoc, double sigma_unit, double full_scale,
-    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_qoff,
-    double *msg_dq, double *msg_fb, double *samp_t, double *samp_sigma,
-    double *out_d, int64_t *out_i)
+    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_fb,
+    double *samp_t, double *samp_sigma, double *out_d, int64_t *out_i)
 {
     int64_t total_eff = n_res + m_eff;
     int64_t n_msg = 0, n_samp = 0, neg = 0, pos = 0, j;
@@ -451,8 +449,6 @@ void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
             msg_t[n_msg] = times[j];
             msg_src[n_msg] = srcs[j];
             msg_sigma[n_msg] = sigma;
-            msg_qoff[n_msg] = q0 - qs;
-            msg_dq[n_msg] = dq;
             if (sigma_unit == sigma_unit)
                 msg_fb[n_msg] = quant_fb(sigma, sigma_unit, full_scale);
             else
@@ -504,10 +500,10 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
     double full_scale, int64_t backlog, double next_free0,
     int64_t inflight, double frozen_until, double pause_rearm_at,
     double pause_duration, double pause_horizon, double q_prev,
-    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_qoff,
-    double *msg_dq, double *msg_fb, double *samp_t, double *samp_sigma,
-    int64_t *msg_j, int64_t *drop_j, double *acc_arrivals,
-    double *starts_out, int64_t *pause_j, double *out_d, int64_t *out_i)
+    double *msg_t, int64_t *msg_src, double *msg_sigma, double *msg_fb,
+    double *samp_t, double *samp_sigma, int64_t *msg_j, int64_t *drop_j,
+    double *acc_arrivals, double *starts_out, int64_t *pause_j,
+    double *out_d, int64_t *out_i)
 {
     int64_t prev_inflight = inflight;
     double prev_next_free = next_free0;
@@ -568,8 +564,6 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
                 msg_t[n_msg] = a;
                 msg_src[n_msg] = srcs[j];
                 msg_sigma[n_msg] = sigma;
-                msg_qoff[n_msg] = q0 - q_now;
-                msg_dq[n_msg] = dq;
                 if (sigma_unit == sigma_unit)
                     msg_fb[n_msg] = quant_fb(sigma, sigma_unit, full_scale);
                 else msg_fb[n_msg] = sigma;

@@ -1,11 +1,12 @@
-"""Compiled batch fluid integrator (``fluid_method="compiled"``).
+"""The C stepping loop of :func:`repro.fluid.batch.simulate_fluid_batch`.
 
-:func:`simulate_fluid_batch_compiled` mirrors
-:func:`repro.fluid.batch.simulate_fluid_batch` — same signature, same
-:class:`~repro.fluid.batch.BatchFluidResult` — but runs the per-row
+:func:`simulate_fluid_batch` runs :func:`simulate_fluid_batch_compiled`
+by default whenever the kernel tier is compiled.  It sizes the sample
+grid and broadcasts the starts itself; this wrapper runs the per-row
 switched RK4 + cubic-Hermite event refinement as one C kernel call
-instead of a python stepping loop over numpy temporaries.  The numpy
-integrator is its oracle: the kernel commits the same floating-point
+(``fluid_rows``) instead of the numpy loop over ``(M,)`` temporaries,
+and builds the same :class:`~repro.fluid.batch.BatchFluidResult`.  The
+numpy loop is its oracle: the kernel commits the same floating-point
 operations in the same order, so the result matches it byte for byte
 in the ``nonlinear``/``linearized`` modes, sample count included.
 ``physical`` mode's pinned closed forms call libm ``exp``/``log``,
@@ -14,19 +15,18 @@ which may differ from numpy's vectorized transcendentals by an ulp;
 over an array of per-row states (every row advances one grid step,
 and that step's samples are stored side by side, before any row takes
 the next) and stops once no row is alive.  If it cannot allocate its
-row states it reports that and this wrapper raises
-:class:`MemoryError`.  Without a compiled backend this module
-delegates to the numpy implementation.
+row states this wrapper raises :class:`MemoryError`; if a row records
+more events than its preallocated slots it returns None, and
+:func:`simulate_fluid_batch` runs the numpy loop instead.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
-from ._backend import KernelBackend, consume_warmup_span, get_backend
+from ._backend import KernelBackend, consume_warmup_span
 
 __all__ = ["simulate_fluid_batch_compiled"]
 
@@ -35,51 +35,34 @@ _KINDS = ("switch", "extremum", "buffer_full", "buffer_empty")
 
 
 def simulate_fluid_batch_compiled(
-    params,
-    x0,
-    y0=0.0,
+    p,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    t_grid: np.ndarray,
     *,
-    t_max: float = 10.0,
-    mode: str = "nonlinear",
-    max_switches: int = 500,
-    dt: float | None = None,
-    dt_scale: float = 0.02,
-    convergence_rtol: float | None = None,
-    obs=None,
-    backend: KernelBackend | None = None,
+    mode: str,
+    max_switches: int,
+    convergence_rtol: float,
+    obs,
+    backend: KernelBackend,
 ):
-    """Compiled drop-in for :func:`repro.fluid.batch.simulate_fluid_batch`."""
+    """Integrate rows ``(x0, y0)`` over ``t_grid`` on ``backend``'s C kernel.
+
+    ``p`` is a :class:`~repro.core.parameters.NormalizedParams`,
+    ``x0``/``y0`` float arrays of one shape ``(M,)`` and ``t_grid`` the
+    sample grid from ``0`` to ``t_max``, as
+    :func:`repro.fluid.batch.simulate_fluid_batch` prepares them.
+    Returns a :class:`~repro.fluid.batch.BatchFluidResult`, or None
+    when the event buffers overflowed.
+    """
     from ..fluid import batch as _batch
 
-    if convergence_rtol is None:
-        convergence_rtol = _batch._CONVERGENCE_RTOL
-    be = backend if backend is not None else get_backend()
-    if not be.compiled:
-        return _batch.simulate_fluid_batch(
-            params, x0, y0, t_max=t_max, mode=mode,
-            max_switches=max_switches, dt=dt, dt_scale=dt_scale,
-            convergence_rtol=convergence_rtol, obs=obs,
-            fluid_method="numpy",
-        )
-
-    p = _batch.as_normalized(params)
-    if dt is None:
-        dt = _batch.default_time_step(p, dt_scale=dt_scale)
-    n_steps = max(1, math.ceil(t_max / dt))
-    if n_steps > _batch._MAX_STEPS:
-        raise ValueError(
-            f"t_max/dt = {n_steps} exceeds {_batch._MAX_STEPS} steps; "
-            "pass a larger dt or a shorter horizon"
-        )
-
-    x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0a = np.atleast_1d(np.asarray(y0, dtype=float))
-    xb, yb = np.broadcast_arrays(x0a, y0a)
-    xr = np.ascontiguousarray(xb)
-    yr = np.ascontiguousarray(yb)
+    xr = np.ascontiguousarray(x0)
+    yr = np.ascontiguousarray(y0)
     m = xr.size
+    n_steps = t_grid.size - 1
+    t_max = float(t_grid[-1])
 
-    t_grid = np.linspace(0.0, t_max, n_steps + 1)
     # Large zeroed buffers are mapped lazily: the pages past the step at
     # which every row has died are never written, so never resident.
     xs = np.zeros((n_steps + 1) * m)
@@ -98,12 +81,12 @@ def simulate_fluid_batch_compiled(
     out_i = np.zeros(2, dtype=np.int64)
 
     started = time.perf_counter()  # repro-lint: disable=wall-clock -- kernel span timing
-    be.fluid_rows(
+    backend.fluid_rows(
         xr, yr, t_grid, p.a, p.b, p.capacity, p.k, p.q0,
         p.buffer_size - p.q0, -p.q0,
         1 if mode == "linearized" else 0,
         1 if mode == "physical" else 0,
-        int(max_switches), float(convergence_rtol), float(t_max),
+        int(max_switches), float(convergence_rtol), t_max,
         xs, ys, reason, switches, t_end, x_end, y_end,
         ev_cap, n_events, ev_t, ev_kind, ev_x, ev_y, out_i,
     )
@@ -113,14 +96,7 @@ def simulate_fluid_batch_compiled(
         raise MemoryError(
             f"compiled fluid kernel could not allocate state for {m} rows")
     if out_i[1]:
-        # Pathological event density blew the preallocated buffers —
-        # redo on the numpy path, which allocates dynamically.
-        return _batch.simulate_fluid_batch(
-            params, x0, y0, t_max=t_max, mode=mode,
-            max_switches=max_switches, dt=dt, dt_scale=dt_scale,
-            convergence_rtol=convergence_rtol, obs=obs,
-            fluid_method="numpy",
-        )
+        return None
 
     last = int(out_i[0])
     xs = xs.reshape(n_steps + 1, m)

@@ -1,12 +1,11 @@
 """``engine-seam``: engine dispatch sites must stay total.
 
-Four engines reproduce the same dynamics behind two selector seams:
+Several engines reproduce the same dynamics behind two selector seams:
 ``engine=`` (packet: the registry literal ``PACKET_ENGINES`` in
-``repro/simulation/network.py``) and ``fluid_method=`` /
-``fluid_engine=`` (fluid).  Code that branches on a seam variable and
-silently routes an unknown name down a default path is how a newly
-registered engine ends up "working" while quietly running the wrong
-implementation.
+``repro/simulation/network.py``) and ``fluid_method=`` (fluid).  Code
+that branches on a seam variable and silently routes an unknown name
+down a default path is how a newly registered engine ends up "working"
+while quietly running the wrong implementation.
 
 Two rules, per seam variable name:
 
@@ -19,8 +18,8 @@ Two rules, per seam variable name:
   selector / the remaining engine).
 
 The packet registry is read from the AST of ``network.py`` so the lint
-can never drift from the code; the fluid seams are closed sets declared
-here (guarded by the lint test suite against the runtime modules).
+can never drift from the code; the fluid seam is a closed set declared
+here (guarded by the lint test suite against ``repro.fluid.batch``).
 """
 
 from __future__ import annotations
@@ -36,11 +35,8 @@ __all__ = ["check_engine_seam", "seam_registries"]
 #: Fallback when network.py is unavailable (synthetic test trees).
 _PACKET_ENGINES_DEFAULT = frozenset({"reference", "batched", "compiled"})
 
-#: fluid_vs_packet's fluid integrator selector.
-_FLUID_ENGINES = frozenset({"reference", "batch"})
-
-#: simulate_fluid_batch's kernel selector.
-_FLUID_METHODS = frozenset({"numpy", "compiled", "auto"})
+#: simulate_fluid_batch's stepping-loop selector.
+_FLUID_METHODS = frozenset({"auto", "numpy"})
 
 #: The sharded-fabric selector: ``shards=`` takes integers, None, or
 #: this one literal (``MultiHopNetwork`` / ``repro.shard``).
@@ -54,7 +50,7 @@ _JOB_KINDS = frozenset({"experiment", "scenario", "sweep"})
 #: Seam keyword names that are safe to validate as *call keywords* too.
 #: ``engine=`` is excluded there: obs records reuse the keyword for
 #: engine *tags* ("packet.reference"), a different vocabulary.
-_KEYWORD_SEAMS = ("fluid_method", "fluid_engine", "shards", "job_kind")
+_KEYWORD_SEAMS = ("fluid_method", "shards", "job_kind")
 
 #: Engine selectors the obs layer tags records with, per family.  The
 #: fluid family includes ``compiled`` (the CLI-level name for the
@@ -73,7 +69,6 @@ def seam_registries(project: LintProject) -> dict[str, frozenset[str]]:
             packet = extracted
     return {
         "engine": packet,
-        "fluid_engine": _FLUID_ENGINES,
         "fluid_method": _FLUID_METHODS,
         "shards": _SHARDS_LITERALS,
         "job_kind": _JOB_KINDS,

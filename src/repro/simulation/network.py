@@ -278,6 +278,10 @@ class BCNNetworkSimulator:
         #: scenario layer; ``seq`` preserves registration order among
         #: same-timestamp events (see :meth:`schedule_capacity`).
         self._timed_events: list[tuple[float, int, str, tuple]] = []
+        #: How many timed events and sources already have their events
+        #: on the heap: a later :meth:`run` continues the same heap and
+        #: schedules only the events and flows registered since.
+        self._armed = (0, 0)
         self._queue_dt = (
             queue_sample_interval
             if queue_sample_interval is not None
@@ -742,18 +746,21 @@ class BCNNetworkSimulator:
         # Timed events first: heap ties at the same timestamp break
         # by insertion order, so events registered here fire before
         # any frame arrival scheduled mid-run for the same instant.
-        for t_event, _, kind, payload in sorted(self._timed_events):
+        n_events, n_sources = self._armed
+        for t_event, _, kind, payload in sorted(
+                self._timed_events[n_events:]):
             self.sim.schedule_at(
                 t_event,
                 lambda kind=kind, payload=payload: self._apply_event(
                     kind, payload
                 ),
             )
-        for source in self.sources:
+        for source in self.sources[n_sources:]:
             if source.start_time > 0.0:
                 self.sim.schedule_at(source.start_time, source.start)
             else:
                 source.start()
+        self._armed = (len(self._timed_events), len(self.sources))
         self._record()
         self.sim.schedule_every(self._queue_dt, self._record, until=duration)
         self.sim.run(until=duration)
@@ -786,6 +793,9 @@ class BCNNetworkSimulator:
             be = get_backend()
             if be.compiled and event_core.ineligible(self) is None:
                 event_core.run_event_core(self, duration, be)
+                # the core ran every timed event and start that fell in
+                # the run and handed the rest back to the heap
+                self._armed = (len(self._timed_events), len(self.sources))
             else:
                 self._run_python_loop(duration)
 

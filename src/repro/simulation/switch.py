@@ -363,8 +363,6 @@ class BatchedWindow:
     msg_src: np.ndarray
     msg_fb: np.ndarray
     msg_sigma: np.ndarray
-    msg_q_off: np.ndarray
-    msg_dq: np.ndarray
     pause_at: float | None
     delivered_bits: float
     drops: int
@@ -522,9 +520,9 @@ class BatchedSwitchKernel:
         self._completions = np.empty(cap_t)
         self._arrivals = np.empty(cap_t)
         self._q_bits = np.empty(cap_m)
-        # msg_t, msg_src, msg_sigma, msg_qoff, msg_dq, msg_fb
+        # msg_t, msg_src, msg_sigma, msg_fb
         self._msg = (np.empty(cap_m), np.empty(cap_m, np.int64),
-                     *(np.empty(cap_m) for _ in range(4)))
+                     np.empty(cap_m), np.empty(cap_m))
         self._samp_t = np.empty(cap_m)
         self._samp_sigma = np.empty(cap_m)
         # arrival index of each message, drop and PAUSE (drop windows)
@@ -666,8 +664,8 @@ class BatchedSwitchKernel:
         self._win_arrivals = arrivals[:n_acc]
         self._win_starts = starts[:n_started]
 
-        w_msg = tuple(col[:n_msg] for col in msg) if n_msg else (_EMPTY,) * 6
-        msg_t, msg_src, msg_sigma, msg_qoff, msg_dq, msg_fb = w_msg
+        w_msg = tuple(col[:n_msg] for col in msg) if n_msg else (_EMPTY,) * 4
+        msg_t, msg_src, msg_sigma, msg_fb = w_msg
         if sw.obs is not None:
             if scalar:
                 # CoreSwitch.receive's order: per arrival, its drop,
@@ -688,8 +686,7 @@ class BatchedSwitchKernel:
         return BatchedWindow(
             t_start=t_start, t_commit=t_commit, committed=committed,
             msg_t=msg_t, msg_src=msg_src, msg_fb=msg_fb,
-            msg_sigma=msg_sigma, msg_q_off=msg_qoff, msg_dq=msg_dq,
-            pause_at=pause_at if n_pause else None,
+            msg_sigma=msg_sigma, pause_at=pause_at if n_pause else None,
             delivered_bits=delivered_bits, drops=n_drop,
         )
 

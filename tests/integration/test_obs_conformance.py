@@ -54,8 +54,10 @@ def _fluid_counts(p, *, mode, t_max, max_switches=30, x0_frac=-0.5):
     ref_obs, batch_obs = Observability(), Observability()
     simulate_fluid(p, x0=x0, y0=0.0, t_max=t_max, mode=mode,
                    max_switches=max_switches, obs=ref_obs)
+    # the numpy loop, whose events carry the "fluid.batch" tag
     simulate_fluid_batch(p, [x0], 0.0, t_max=t_max, mode=mode,
-                         max_switches=max_switches, obs=batch_obs)
+                         max_switches=max_switches, obs=batch_obs,
+                         fluid_method="numpy")
     return ref_obs, batch_obs
 
 

@@ -3,10 +3,13 @@
 The heavy differential coverage (batch vs ``solve_ivp`` on random
 parameters) lives in ``tests/property/test_prop_batch_fluid.py``; this
 module pins the deterministic contracts: step/horizon heuristics, edge
-cases of the ensemble state machine, input validation, and — the point
-of the fast path — that :func:`repro.core.limit_cycle.find_limit_cycle`
-locates the *same* cycle through the batched bracket scan as through
-the sequential reference scan.
+cases of the ensemble state machine, input validation, the kernel-tier
+dispatch of :func:`simulate_fluid_batch` (the C kernel by default on
+the compiled tier, byte for byte the numpy loop on the experiments'
+own calls), and — the point of the fast path — that
+:func:`repro.core.limit_cycle.find_limit_cycle` locates the *same*
+cycle through the batched bracket scan as through the sequential
+reference scan.
 """
 
 import math
@@ -16,8 +19,11 @@ import pytest
 
 import repro.core.limit_cycle as lc
 import repro.fluid.batch as batch_mod
+import repro.kernels.fluid as kernel_fluid
 from repro.core.limit_cycle import amplitude_scan, find_limit_cycle
 from repro.core.parameters import NormalizedParams
+from repro.experiments.presets import CASE1_SLOW, scale_free
+from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.batch import (
     batch_return_map,
     default_horizon,
@@ -25,7 +31,13 @@ from repro.fluid.batch import (
     simulate_fluid_batch,
     switched_derivatives,
 )
-from repro.experiments.presets import CASE1_SLOW
+from repro.kernels import KernelBackend, _backend, get_backend
+from tests.unit.test_kernels import _assert_same_result
+
+requires_compiled = pytest.mark.skipif(
+    not get_backend().compiled,
+    reason="no compiled backend (cffi + C compiler) available",
+)
 
 
 def norm(**overrides) -> NormalizedParams:
@@ -216,3 +228,155 @@ class TestFindLimitCycleScanParity:
         cycle = find_limit_cycle(CASE1_SLOW, scan="batch")
         assert cycle is not None
         assert cycle.entry_ordinate == pytest.approx(y_star, abs=1e-6)
+
+
+# -- kernel-tier dispatch ----------------------------------------------------
+
+
+@pytest.fixture
+def c_kernel_calls(monkeypatch):
+    """Count the calls that reach the C kernel's wrapper."""
+    calls = []
+    original = kernel_fluid.simulate_fluid_batch_compiled
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_fluid, "simulate_fluid_batch_compiled", spy)
+    return calls
+
+
+def _fig3_cycle():
+    p = CASE1_SLOW
+    p_cycle = scale_free(p.a, p.b, k=1e-6, capacity=p.capacity, q0=p.q0,
+                         buffer_size=p.buffer_size)
+    return (p_cycle, np.array([-0.8, -0.5]) * p.q0, 0.0,
+            dict(t_max=30.0, mode="nonlinear", max_switches=200))
+
+
+def _fig7_p0():
+    p = CASE1_SLOW
+    return scale_free(p.a, p.b, k=1e-6, capacity=p.capacity, q0=p.q0,
+                      buffer_size=1e6 * p.q0)
+
+
+def _fig7_family():
+    p0 = _fig7_p0()
+    return (p0, np.array([-0.8, -0.5, -0.25]) * p0.q0, 0.0,
+            dict(t_max=40.0, mode="linearized", max_switches=200))
+
+
+def _fig7_nonlinear_orbit():
+    p0 = _fig7_p0()
+    return (p0, np.array([-0.8 * p0.q0]), 0.0,
+            dict(t_max=40.0, mode="nonlinear", max_switches=200))
+
+
+class TestKernelTierDispatch:
+    @requires_compiled
+    def test_default_runs_the_c_kernel_on_the_compiled_tier(
+            self, c_kernel_calls):
+        p, x0, y0, kw = _fig3_cycle()
+        simulate_fluid_batch(p, x0, y0, **kw)
+        assert len(c_kernel_calls) == 1
+        simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+        assert len(c_kernel_calls) == 1  # the numpy pin never reaches C
+
+    def test_default_runs_the_numpy_loop_on_the_numpy_tier(
+            self, monkeypatch, c_kernel_calls):
+        monkeypatch.setattr(_backend, "_BACKEND", KernelBackend())
+        p, x0, y0, kw = _fig3_cycle()
+        got = simulate_fluid_batch(p, x0, y0, **kw)
+        want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+        assert c_kernel_calls == []
+        _assert_same_result(got, want)
+
+    @requires_compiled
+    @pytest.mark.parametrize("call", [_fig3_cycle, _fig7_family,
+                                      _fig7_nonlinear_orbit],
+                             ids=["fig3-cycle", "fig7-family-linearized",
+                                  "fig7-orbit-nonlinear"])
+    def test_default_equals_the_numpy_pin_on_the_figure_calls(
+            self, call, c_kernel_calls):
+        p, x0, y0, kw = call()
+        got = simulate_fluid_batch(p, x0, y0, **kw)
+        want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+        assert len(c_kernel_calls) == 1
+        _assert_same_result(got, want)
+
+    @requires_compiled
+    def test_default_tracks_the_numpy_pin_on_the_v6_ensemble(
+            self, c_kernel_calls):
+        params = validation_params()
+        y0 = np.array([1.0, 0.9, 1.1]) * 0.5 * params.capacity
+        kw = dict(t_max=0.3, mode="physical", max_switches=4000)
+        got = simulate_fluid_batch(params.normalized(), -params.q0, y0, **kw)
+        want = simulate_fluid_batch(params.normalized(), -params.q0, y0,
+                                    fluid_method="numpy", **kw)
+        assert len(c_kernel_calls) == 1
+        # physical mode's pinned closed forms: libm against numpy's exp
+        _assert_same_result(got, want, exact_y=False)
+        np.testing.assert_allclose(got.y, want.y, rtol=1e-13, atol=0.0)
+
+    @requires_compiled
+    def test_fig7_return_map_is_the_same_on_both_tiers(
+            self, monkeypatch, c_kernel_calls):
+        p = CASE1_SLOW
+        ys = np.geomspace(1e-3 * p.capacity, 0.9 * p.capacity, 10)
+        for mode in ("nonlinear", "linearized"):
+            got = batch_return_map(p, ys, mode=mode)
+            with monkeypatch.context() as numpy_tier:
+                numpy_tier.setattr(_backend, "_BACKEND", KernelBackend())
+                want = batch_return_map(p, ys, mode=mode)
+            assert got.tobytes() == want.tobytes(), mode
+        assert len(c_kernel_calls) == 2
+
+    def test_event_overflow_falls_back_to_the_numpy_loop(self, monkeypatch):
+        class _Overflowing(KernelBackend):
+            compiled = True
+
+            def fluid_rows(self, *args):
+                args[-1][:] = (1, 1)  # a row ran out of event slots
+
+        p, x0, y0, kw = _fig3_cycle()
+        want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+        monkeypatch.setattr(_backend, "_BACKEND", _Overflowing())
+        got = simulate_fluid_batch(p, x0, y0, **kw)
+        _assert_same_result(got, want)
+
+    def test_compiled_spelling_is_rejected(self):
+        with pytest.raises(ValueError, match="accepted: 'auto', 'numpy'"):
+            simulate_fluid_batch(norm(), [-1.0], t_max=1.0,
+                                 fluid_method="compiled")
+
+
+class TestReturnMapOnTheBatchIntegrator:
+    def test_every_row_ends_on_its_second_crossing(self, monkeypatch):
+        seen = []
+        original = batch_mod.simulate_fluid_batch
+
+        def spy(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen.append((kwargs, result))
+            return result
+
+        monkeypatch.setattr(batch_mod, "simulate_fluid_batch", spy)
+        p = CASE1_SLOW
+        ys = np.geomspace(1e-3 * p.capacity, 0.9 * p.capacity, 10)
+        exit_y = batch_return_map(p, ys)
+        [(kwargs, result)] = seen
+        assert kwargs["max_switches"] == 1
+        assert kwargs["convergence_rtol"] == 0.0
+        assert result.end_reason == ["max_switches"] * ys.size
+        for row, evs in enumerate(result.events):
+            switches = [e for e in evs if e.kind == "switch"]
+            assert len(switches) == 2
+            assert switches[0].y < 0.0 < switches[1].y
+            assert exit_y[row] == switches[1].y
+            assert result.t_end[row] == switches[1].time
+
+    def test_a_row_short_of_two_crossings_raises(self):
+        p = CASE1_SLOW
+        with pytest.raises(RuntimeError, match="re-cross"):
+            batch_return_map(p, np.array([0.1 * p.capacity]), t_max=1e-3)

@@ -285,6 +285,74 @@ def test_a_second_run_continues_as_on_the_python_loop(random_sampling):
     assert two_runs() == want
 
 
+def _scenario_network():
+    """V2's dumbbell with two delayed flows and three timed events,
+    one of each kind on either side of the 3 ms split below."""
+    from repro.experiments.v2_fluid_vs_packet import validation_params
+
+    params = validation_params()
+    net = BCNNetworkSimulator(params)
+    net.add_flow(start_time=1e-3)
+    net.add_flow(start_time=4e-3)
+    net.schedule_capacity(2e-3, 0.8 * params.capacity)
+    net.schedule_outage(4.5e-3, 1e-4)
+    net.schedule_departure(5e-3, 0)
+    return net
+
+
+def _scheduled(pending) -> list:
+    """The timed events and source starts among the pending events."""
+    return [row[2] for row in pending
+            if row[2][0] == "timed" or row[2][1] == "start"]
+
+
+def _non_tick_events(net, runs) -> int:
+    """Events executed, less the recorder ticks (each run records once
+    before and once after its events)."""
+    return net.sim.events_processed - (len(net._queue_samples) - 2 * runs)
+
+
+@pytest.mark.parametrize("tier", ["numpy", "cffi"])
+def test_a_second_run_fires_each_timed_event_and_start_once(tier):
+    # each timed event and delayed start is scheduled once per network:
+    # a second run continues the heap instead of scheduling them again
+    # (which raised for those already past)
+    if tier == "cffi" and not get_backend().compiled:
+        pytest.skip("no compiled backend (cffi + C compiler) available")
+    context = python_loop() if tier == "numpy" else contextlib.nullcontext()
+    with context:
+        net = _scenario_network()
+        first = snapshot(net, net.run(3e-3))
+        second = snapshot(net, net.run(6e-3))
+        whole = _scenario_network()
+        once = snapshot(whole, whole.run(6e-3))
+    # after 3 ms the later start and the two later events wait, once each
+    assert sorted(_scheduled(first["pending"])) == sorted([
+        (f"source{len(net.sources) - 1}", "start"),
+        ("timed", ("outage", (1e-4,))),
+        ("timed", ("departure", (0,)))])
+    assert _scheduled(second["pending"]) == []
+    # the split run executes the single run's events, one for one
+    assert _non_tick_events(net, 2) == _non_tick_events(whole, 1)
+    for key in ("queue", "stats", "sigma_history", "switch", "sources",
+                "regulators", "delivered"):
+        assert second[key] == once[key], key
+    assert net.switch.capacity == 0.8 * net.params.capacity
+    assert net.sources[0].muted and all(s._started for s in net.sources)
+
+
+@requires_core
+def test_a_second_run_with_timed_events_is_the_same_on_both_tiers():
+    def two_runs():
+        net = _scenario_network()
+        first = snapshot(net, net.run(3e-3))
+        return first, snapshot(net, net.run(6e-3))
+
+    with python_loop():
+        want = two_runs()
+    assert two_runs() == want
+
+
 @requires_core
 def test_a_recorder_tick_past_the_horizon_is_handed_back():
     # the first tick is queued even when the recorder period exceeds

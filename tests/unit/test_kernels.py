@@ -18,8 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.kernels import (get_backend, reset_backend,
-                           simulate_fluid_batch_compiled)
+from repro.kernels import get_backend, reset_backend
 from repro.kernels._backend import KernelBackend, consume_warmup_span
 from repro.kernels.packet import CompiledSwitchKernel
 from repro.simulation.engine import Simulator
@@ -857,16 +856,14 @@ def _run_commit(be, sampling, fb, cut):
     uniforms = rng.random(m_eff) if bernoulli else np.empty(0)
     sigma_unit, full_scale = ((150_000.0 / 16, 32.0) if fb == "quantised"
                               else (np.nan, 0.0))
-    bufs = _sentinels(msg_t=m, msg_src=m, msg_sigma=m, msg_qoff=m,
-                      msg_dq=m, msg_fb=m, samp_t=m, samp_sigma=m,
-                      out_d=2, out_i=9)
+    bufs = _sentinels(msg_t=m, msg_src=m, msg_sigma=m, msg_fb=m, samp_t=m,
+                      samp_sigma=m, out_d=2, out_i=9)
     commit = be.bind_packet_commit(
         0.5, 150_000.0, 2.0, 1, 1, sigma_unit, full_scale,
         plan["q_bits"].copy(), plan["starts"].copy(),
         plan["completions"].copy(), bufs["msg_t"], bufs["msg_src"],
-        bufs["msg_sigma"], bufs["msg_qoff"], bufs["msg_dq"],
-        bufs["msg_fb"], bufs["samp_t"], bufs["samp_sigma"], bufs["out_d"],
-        bufs["out_i"])
+        bufs["msg_sigma"], bufs["msg_fb"], bufs["samp_t"],
+        bufs["samp_sigma"], bufs["out_d"], bufs["out_i"])
     commit(m_eff, 4, _TIMES.copy(), srcs, assoc, _T0, t_commit, 1,
            _T0 + 5e-6, uniforms, 1 if bernoulli else 0, 3, 1, 100_000.0)
     return bufs
@@ -897,9 +894,8 @@ def _run_scalar(be, sampling, fb):
     uniforms = rng.random(m) if bernoulli else np.empty(0)
     sigma_unit, full_scale = ((30_000.0 / 16, 32.0) if fb == "quantised"
                               else (np.nan, 0.0))
-    bufs = _sentinels(msg_t=m, msg_src=m, msg_sigma=m, msg_qoff=m,
-                      msg_dq=m, msg_fb=m, samp_t=m, samp_sigma=m, msg_j=m,
-                      drop_j=m, acc_arrivals=n_res + m,
+    bufs = _sentinels(msg_t=m, msg_src=m, msg_sigma=m, msg_fb=m, samp_t=m,
+                      samp_sigma=m, msg_j=m, drop_j=m, acc_arrivals=n_res + m,
                       starts_out=n_res + m, pause_j=m, out_d=5, out_i=14)
     be.packet_scalar(
         times, srcs, assoc, uniforms, 1 if bernoulli else 0, 0.5, 3, 1,
@@ -936,8 +932,7 @@ def test_switch_window_rebinds_after_buffer_growth(tier):
         want = ref.process(t0, t1, times, srcs, assoc)
         closures.append((k._bound_plan, k._bound_commit))
         assert got.committed == want.committed == times.size
-        for field in ("msg_t", "msg_src", "msg_fb", "msg_sigma", "msg_q_off",
-                      "msg_dq"):
+        for field in ("msg_t", "msg_src", "msg_fb", "msg_sigma"):
             assert getattr(got, field).tobytes() \
                 == getattr(want, field).tobytes(), field
         np.testing.assert_array_equal(k.queue_at(_train(t0, 50, 2e-6)),
@@ -965,7 +960,7 @@ def test_fluid_compiled_is_bitwise_equal_to_numpy(mode):
     p, x0 = _fluid_case()
     ref = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode=mode,
                                fluid_method="numpy")
-    com = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0, mode=mode)
+    com = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode=mode)
     np.testing.assert_array_equal(com.t, ref.t)
     np.testing.assert_array_equal(com.x, ref.x)
     np.testing.assert_array_equal(com.y, ref.y)
@@ -984,32 +979,29 @@ def test_fluid_compiled_physical_mode_within_libm_tolerance():
     p, x0 = _fluid_case()
     ref = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode="physical",
                                fluid_method="numpy")
-    com = simulate_fluid_batch_compiled(p, x0, 0.0, t_max=20.0,
-                                        mode="physical")
+    com = simulate_fluid_batch(p, x0, 0.0, t_max=20.0, mode="physical")
     scale = max(p.q0, p.capacity * 1e-3)
     assert np.max(np.abs(com.x - ref.x)) <= 1e-9 * scale
     np.testing.assert_array_equal(com.switch_counts, ref.switch_counts)
 
 
-def test_fluid_method_seam_accepts_compiled_and_auto():
+def test_fluid_method_seam_accepts_auto_and_numpy():
     from repro.fluid.batch import simulate_fluid_batch
 
     p, x0 = _fluid_case()
     ref = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
                                fluid_method="numpy")
-    for method in ("compiled", "auto"):
-        out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
-                                   fluid_method=method)
-        np.testing.assert_array_equal(out.x, ref.x)
-        np.testing.assert_array_equal(out.y, ref.y)
-    with pytest.raises(ValueError):
-        simulate_fluid_batch(p, x0, 0.0, t_max=5.0, fluid_method="???")
+    out = simulate_fluid_batch(p, x0, 0.0, t_max=5.0, mode="nonlinear",
+                               fluid_method="auto")
+    np.testing.assert_array_equal(out.x, ref.x)
+    np.testing.assert_array_equal(out.y, ref.y)
+    # "compiled" was an alias of "auto"; it is gone, like any other name
+    for method in ("compiled", "???"):
+        with pytest.raises(ValueError, match="accepted: 'auto', 'numpy'"):
+            simulate_fluid_batch(p, x0, 0.0, t_max=5.0, fluid_method=method)
     # float64 is the only state precision
     with pytest.raises(TypeError):
         simulate_fluid_batch(p, x0, 0.0, t_max=5.0, precision="float32")
-    with pytest.raises(TypeError):
-        simulate_fluid_batch_compiled(p, x0, 0.0, t_max=5.0,
-                                      precision="float32")
 
 
 # -- fluid kernel: C against the numpy integrator ----------------------------
@@ -1020,10 +1012,11 @@ def test_fluid_method_seam_accepts_compiled_and_auto():
 
 
 def _fluid_pair(p, x0, y0, **kw):
+    """The default call (the C kernel on this tier) and the numpy pin."""
     from repro.fluid.batch import simulate_fluid_batch
 
     want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
-    got = simulate_fluid_batch_compiled(p, x0, y0, **kw)
+    got = simulate_fluid_batch(p, x0, y0, **kw)
     return got, want
 
 
@@ -1181,14 +1174,18 @@ def test_fluid_c_kernel_reports_allocation_failure(m):
     assert out_i.tolist() == [-1, 0]
 
 
-def test_fluid_wrapper_raises_memory_error_on_allocation_failure():
+def test_fluid_wrapper_raises_memory_error_on_allocation_failure(
+        monkeypatch):
+    from repro.fluid.batch import simulate_fluid_batch
+    from repro.kernels import _backend
+
     class _NoMemory(KernelBackend):
         compiled = True
 
         def fluid_rows(self, *args):
             args[-1][0] = -1
 
+    monkeypatch.setattr(_backend, "_BACKEND", _NoMemory())
     p, x0 = _fluid_case()
     with pytest.raises(MemoryError, match="6 rows"):
-        simulate_fluid_batch_compiled(p, x0, 0.0, t_max=1.0,
-                                      backend=_NoMemory())
+        simulate_fluid_batch(p, x0, 0.0, t_max=1.0)

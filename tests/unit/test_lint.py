@@ -283,6 +283,15 @@ def test_seam_registry_tracks_runtime_packet_engines():
     assert accepted["fluid_method"] == registries["fluid_method"]
 
 
+def test_seam_registry_tracks_runtime_fluid_methods():
+    from repro.fluid.batch import _FLUID_METHODS
+
+    project = LintProject(files=[], repro_root=SRC)
+    registries = seam_registries(project)
+    assert registries["fluid_method"] == frozenset(_FLUID_METHODS)
+    assert "fluid_engine" not in registries
+
+
 def test_seam_registry_tracks_runtime_job_kinds():
     from repro.serve import JOB_KINDS
 
