@@ -27,7 +27,10 @@ C only, and each has a python oracle that runs on the numpy tier:
   (:mod:`repro.simulation.event_core`);
 * the fluid kernel (``fluid_rows``): by default
   :func:`~repro.fluid.batch.simulate_fluid_batch` runs it through
-  :func:`~repro.kernels.fluid.simulate_fluid_batch_compiled`;
+  :func:`~repro.kernels.fluid.simulate_fluid_batch_compiled`, which
+  splits a wide bundle's rows into ranges run on one thread per usable
+  core (at least 64 rows each) and fills each range's dead rows
+  forward to the latest stop, so the result is the one-range call's;
   ``fluid_method="numpy"`` pins the numpy stepping loop.
 
 Select the tier with ``REPRO_KERNEL_BACKEND=auto|cffi|numpy``.  The

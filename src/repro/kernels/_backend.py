@@ -528,6 +528,8 @@ class _CffiKernels(KernelBackend):
         # the id cannot be recycled while the entry lives and keeps the
         # cached pointer valid; the cache is flushed when transient
         # arrays (slices, RNG draws) grow it past ``_PCACHE_LIMIT``.
+        # ``fluid_rows`` and ``event_core`` take one-shot buffers, which
+        # the cache would pin, and so cast theirs per call.
         self._pcache: dict = {}
         self.warmup_seconds = _cbuild.build_seconds
 
@@ -553,9 +555,6 @@ class _CffiKernels(KernelBackend):
     def _u8(self, arr):
         return self._ptr(arr, "uint8_t *")
 
-    def _i8(self, arr):
-        return self._ptr(arr, "int8_t *")
-
     # -- unbound kernels ---------------------------------------------------
 
     def packet_scalar(self, times, srcs, assoc, uniforms, use_rng, pm,
@@ -580,19 +579,31 @@ class _CffiKernels(KernelBackend):
             self._i(pause_j), self._d(out_d), self._i(out_i),
         )
 
-    def fluid_rows(self, x0, y0, t_grid, a, b, cap, k, q0, x_full, x_empty,
-                   linear_dec, physical, max_switches, conv_rtol, t_max,
-                   xs, ys, reason, switches, t_end, x_end, y_end,
+    def fluid_rows(self, lo, hi, x0, y0, t_grid, a, b, cap, k, q0, x_full,
+                   x_empty, linear_dec, physical, max_switches, conv_rtol,
+                   t_max, xs, ys, reason, switches, t_end, x_end, y_end,
                    ev_cap, n_events, ev_t, ev_kind, ev_x, ev_y, out_i):
+        """Run ``k_fluid`` on rows ``[lo, hi)`` of the ``x0.shape[0]``-row
+        buffers; ``out_i`` receives this range's ``[last, overflow]``.
+
+        The buffers are one-shot and the call may run on a worker
+        thread, so the pointers bypass the shared pointer cache: each
+        ``from_buffer`` lives only as long as the call.
+        """
+        buf = self._ffi.from_buffer
         self._lib.k_fluid(
-            x0.shape[0], t_grid.shape[0] - 1, self._d(t_grid), self._d(x0),
-            self._d(y0), float(a), float(b), float(cap), float(k), float(q0),
-            float(x_full), float(x_empty), int(linear_dec), int(physical),
-            int(max_switches), float(conv_rtol), float(t_max), self._d(xs),
-            self._d(ys), self._i8(reason), self._i(switches), self._d(t_end),
-            self._d(x_end), self._d(y_end), int(ev_cap), self._i(n_events),
-            self._d(ev_t), self._i8(ev_kind), self._d(ev_x), self._d(ev_y),
-            self._i(out_i),
+            x0.shape[0], int(lo), int(hi), t_grid.shape[0] - 1,
+            buf("double[]", t_grid), buf("double[]", x0),
+            buf("double[]", y0), float(a), float(b), float(cap), float(k),
+            float(q0), float(x_full), float(x_empty), int(linear_dec),
+            int(physical), int(max_switches), float(conv_rtol),
+            float(t_max), buf("double[]", xs), buf("double[]", ys),
+            buf("int8_t[]", reason), buf("int64_t[]", switches),
+            buf("double[]", t_end), buf("double[]", x_end),
+            buf("double[]", y_end), int(ev_cap), buf("int64_t[]", n_events),
+            buf("double[]", ev_t), buf("int8_t[]", ev_kind),
+            buf("double[]", ev_x), buf("double[]", ev_y),
+            buf("int64_t[]", out_i),
         )
 
     def event_core(self, scalars, arrays):

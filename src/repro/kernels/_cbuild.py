@@ -14,10 +14,14 @@ float64 operations in the same order:
   an array of per-row states advances every row by one grid step
   before taking the next, so each step's samples are stored side by
   side, and it stops once no row is alive, as the numpy loop does.
-  The rows are independent, so each row's arithmetic is the same as
-  in the numpy loop.  Only ``physical`` mode's pinned closed forms
-  differ: libm ``exp`` against numpy's vectorised ``exp`` can move a
-  sample by an ulp;
+  One call integrates a row range ``[lo, hi)`` of an ``m``-row bundle
+  (global row indices into the inputs, the ``xs``/``ys`` columns and
+  the event slots), so :mod:`repro.kernels.fluid` can run disjoint
+  ranges on separate threads.  The rows are independent, so each
+  row's arithmetic is the same as in the numpy loop, whatever the
+  split.  Only ``physical`` mode's pinned closed forms differ: libm
+  ``exp`` against numpy's vectorised ``exp`` can move a sample by an
+  ulp;
 * the reference dumbbell's event core ``k_event_core`` against the
   python ``Simulator`` loop of
   :class:`~repro.simulation.network.BCNNetworkSimulator`: one binary
@@ -112,9 +116,9 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *rate, double *last_update, uint8_t *assoc8, int64_t *updates,
     double *min_rate, double *line_rate, double *owed, double *out_d);
 
-void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
-    double *x0, double *y0, double a, double b, double cap, double kk,
-    double q0, double x_full, double x_empty, int64_t linear_dec,
+void k_fluid(int64_t m, int64_t lo, int64_t hi, int64_t n_steps,
+    double *t_grid, double *x0, double *y0, double a, double b,
+    double cap, double kk, double q0, double x_full, double x_empty, int64_t linear_dec,
     int64_t physical, int64_t max_switches, double conv_rtol,
     double t_max, double *xs, double *ys, int8_t *reason,
     int64_t *switches, double *t_end, double *x_end, double *y_end,
@@ -690,7 +694,7 @@ _FLUID = r"""
 
 typedef struct {
     double a, b, cap, k, q0, x_full, x_empty, conv_rtol, t_max;
-    int64_t linear_dec, physical, max_switches, ev_cap, m;
+    int64_t linear_dec, physical, max_switches, ev_cap;
     double *ev_t; int8_t *ev_kind; double *ev_x, *ev_y;
     int64_t overflow;
 } fparams;
@@ -904,12 +908,15 @@ static void fluid_advance(fparams *p, frow *rs, int64_t r, double t0,
     }
 }
 
-/* out_i = [last, overflow]: rows 0..last of xs/ys are written (the step
-   after which no row was alive, else n_steps), -1 if the row states
-   cannot be allocated; overflow is set when a row outgrew ev_cap. */
-void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
-    double *x0, double *y0, double a, double b, double cap, double kk,
-    double q0, double x_full, double x_empty, int64_t linear_dec,
+/* Integrate rows [lo, hi) of an m-row bundle: x0/y0, the columns of
+   xs/ys (stride m) and the event slots are indexed by the global row.
+   out_i = [last, overflow]: steps 0..last of this range's columns are
+   written (the step after which no row of the range was alive, else
+   n_steps), -1 if the row states cannot be allocated; overflow is set
+   when a row outgrew ev_cap. */
+void k_fluid(int64_t m, int64_t lo, int64_t hi, int64_t n_steps,
+    double *t_grid, double *x0, double *y0, double a, double b,
+    double cap, double kk, double q0, double x_full, double x_empty, int64_t linear_dec,
     int64_t physical, int64_t max_switches, double conv_rtol,
     double t_max, double *xs, double *ys, int8_t *reason,
     int64_t *switches, double *t_end, double *x_end, double *y_end,
@@ -919,30 +926,31 @@ void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
     /* Step-major: every row advances one grid step before any row takes
        the next, so each step's samples land in one contiguous run of
        xs/ys.  Rows share nothing but the read-only parameters (each has
-       its own event slots), so the interleaving changes no row's
-       arithmetic.  Once no row is alive the loop stops, as the numpy
-       loop does; later samples are never written. */
+       its own event slots), so neither the interleaving nor a split of
+       the rows into ranges run on separate threads changes any row's
+       arithmetic.  Once no row of the range is alive the loop stops, as
+       the numpy loop does; later samples are never written. */
     fparams p;
     frow *rows;
     double K = kk, XF = x_full, XE = x_empty;
     int64_t r, i, last = n_steps;
 
     out_i[1] = 0;
-    if (m <= 0) { out_i[0] = 1; return; }
-    rows = (uint64_t)m > SIZE_MAX / sizeof(frow) ? NULL
-           : (frow *)malloc((size_t)m * sizeof(frow));
+    if (hi <= lo) { out_i[0] = 1; return; }
+    rows = (uint64_t)(hi - lo) > SIZE_MAX / sizeof(frow) ? NULL
+           : (frow *)malloc((size_t)(hi - lo) * sizeof(frow));
     if (rows == NULL) { out_i[0] = -1; return; }  /* caller raises */
 
     p.a = a; p.b = b; p.cap = cap; p.k = kk; p.q0 = q0;
     p.x_full = x_full; p.x_empty = x_empty;
     p.conv_rtol = conv_rtol; p.t_max = t_max;
     p.linear_dec = linear_dec; p.physical = physical;
-    p.max_switches = max_switches; p.ev_cap = ev_cap; p.m = m;
+    p.max_switches = max_switches; p.ev_cap = ev_cap;
     p.ev_t = ev_t; p.ev_kind = ev_kind; p.ev_x = ev_x; p.ev_y = ev_y;
     p.overflow = 0;
 
-    for (r = 0; r < m; r++) {
-        frow *rs = &rows[r];
+    for (r = lo; r < hi; r++) {
+        frow *rs = &rows[r - lo];
         double s;
         rs->x = x0[r]; rs->y = y0[r];
         s = rs->x + K * rs->y;
@@ -974,8 +982,8 @@ void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
         double t0 = t_grid[i], t1 = t_grid[i + 1];
         double *xs_i = xs + (i + 1) * m, *ys_i = ys + (i + 1) * m;
         int64_t live = 0;
-        for (r = 0; r < m; r++) {
-            frow *rs = &rows[r];
+        for (r = lo; r < hi; r++) {
+            frow *rs = &rows[r - lo];
             if (rs->alive && rs->pinned == 0)
                 fluid_advance(&p, rs, r, t0, t1 - t0);
             if (physical && rs->alive && rs->pinned != 0
@@ -1006,8 +1014,8 @@ void k_fluid(int64_t m, int64_t n_steps, double *t_grid,
         if (live == 0) { last = i + 1; break; }
     }
 
-    for (r = 0; r < m; r++) {
-        frow *rs = &rows[r];
+    for (r = lo; r < hi; r++) {
+        frow *rs = &rows[r - lo];
         if (rs->alive) {
             int conv = rs->pinned == 0
                 && fabs(rs->x) / q0 <= conv_rtol

@@ -282,6 +282,8 @@ class BCNNetworkSimulator:
         #: on the heap: a later :meth:`run` continues the same heap and
         #: schedules only the events and flows registered since.
         self._armed = (0, 0)
+        #: Set by a window engine's run, which cannot be continued.
+        self._windows_ran = False
         self._queue_dt = (
             queue_sample_interval
             if queue_sample_interval is not None
@@ -767,7 +769,12 @@ class BCNNetworkSimulator:
         self._record()
 
     def run(self, duration: float) -> SimulationResult:
-        """Run the scenario for ``duration`` seconds of simulated time."""
+        """Run the scenario for ``duration`` seconds of simulated time.
+
+        On the reference engine a later call continues the run up to
+        its own ``duration``; the window engines run once per network
+        and raise :class:`RuntimeError` on a second call.
+        """
         _require_positive_finite("duration", duration)
         for _, _, kind, payload in self._timed_events:
             if kind == "departure" and payload[0] >= len(self.sources):
@@ -775,6 +782,14 @@ class BCNNetworkSimulator:
                     f"departure of unknown source address {payload[0]}; "
                     f"this network has {len(self.sources)} sources"
                 )
+        if self.engine != "reference":
+            # _run_windows plans every source from its start time and
+            # records from t=0, so a second call would re-send the run.
+            if self._windows_ran:
+                raise RuntimeError(
+                    f"the {self.engine} engine runs once per network; "
+                    f"engine=\"reference\" continues a run")
+            self._windows_ran = True
         wall_start = _time.monotonic() if self.obs is not None else 0.0  # repro-lint: disable=wall-clock -- obs run-span wall-time
         if self.engine == "batched":
             from ..kernels import KernelBackend

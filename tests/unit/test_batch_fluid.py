@@ -12,7 +12,9 @@ cycle through the batched bracket scan as through the sequential
 reference scan.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ import repro.fluid.batch as batch_mod
 import repro.kernels.fluid as kernel_fluid
 from repro.core.limit_cycle import amplitude_scan, find_limit_cycle
 from repro.core.parameters import NormalizedParams
-from repro.experiments.presets import CASE1_SLOW, scale_free
+from repro.experiments.presets import CASE1, CASE1_SLOW, scale_free
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.batch import (
     batch_return_map,
@@ -336,7 +338,8 @@ class TestKernelTierDispatch:
         class _Overflowing(KernelBackend):
             compiled = True
 
-            def fluid_rows(self, *args):
+            def fluid_rows(self, lo, hi, *args):
+                assert (lo, hi) == (0, 2)  # two rows stay on one thread
                 args[-1][:] = (1, 1)  # a row ran out of event slots
 
         p, x0, y0, kw = _fig3_cycle()
@@ -380,3 +383,160 @@ class TestReturnMapOnTheBatchIntegrator:
         p = CASE1_SLOW
         with pytest.raises(RuntimeError, match="re-cross"):
             batch_return_map(p, np.array([0.1 * p.capacity]), t_max=1e-3)
+
+
+# -- the C kernel's rows split across threads -------------------------------
+
+
+def _uneven_case1(mode):
+    """37 CASE1 rows (chunks of 8 rows leave an uneven tail): the first
+    eight start at the origin, so a chunk of them stops at step 1, and
+    the rest die at steps that grow with their amplitude."""
+    p = CASE1
+    x0 = -np.linspace(0.05, 0.9, 37) * p.q0
+    x0[:8] = 0.0
+    return p, x0, 0.0, dict(t_max=40.0, mode=mode)
+
+
+def _uneven_physical():
+    """37 rows of a 15-q0 buffer: every fourth starts pinned at the
+    empty buffer, and some later fill it."""
+    p = scale_free(2.0, 0.02, k=0.1, buffer_size=15.0)
+    x0 = np.resize(np.array([-1.2, 0.0, 0.5, -0.3]), 37) * p.q0
+    y0 = np.resize(np.array([-5.0, 0.0, 0.0, 2.0]), 37) \
+        * np.linspace(0.5, 1.5, 37)
+    return p, x0, y0, dict(t_max=12.0, max_switches=20, mode="physical")
+
+
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """Record ``(lo, hi, [last, overflow])`` of each C kernel chunk."""
+    be = get_backend()
+    calls = []
+    original = be.fluid_rows
+
+    def spy(lo, hi, *args):
+        original(lo, hi, *args)
+        calls.append((lo, hi, args[-1].tolist()))
+
+    monkeypatch.setattr(be, "fluid_rows", spy)
+    return calls
+
+
+def _force_threads(monkeypatch, n):
+    monkeypatch.setattr(kernel_fluid, "_fluid_threads", lambda m: n)
+
+
+class TestRowSplit:
+    @requires_compiled
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("call", [
+        lambda: _uneven_case1("nonlinear"),
+        lambda: _uneven_case1("linearized"),
+        _uneven_physical,
+    ], ids=["case1-nonlinear", "case1-linearized", "physical-pinned"])
+    def test_every_chunk_count_equals_the_one_range_call(
+            self, monkeypatch, chunk_calls, call, n):
+        p, x0, y0, kw = call()
+        _force_threads(monkeypatch, 1)
+        one = simulate_fluid_batch(p, x0, y0, **kw)
+        _force_threads(monkeypatch, n)
+        chunk_calls.clear()
+        got = simulate_fluid_batch(p, x0, y0, **kw)
+        ranges = sorted((lo, hi) for lo, hi, _ in chunk_calls)
+        assert len(ranges) == n
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in
+                                                  ranges[:-1]]
+        assert ranges[-1][1] == 37 and all(lo % 8 == 0 for lo, _ in ranges)
+        if n > 1 and kw["mode"] == "nonlinear":
+            # the chunks stop at different steps: the merge fills forward
+            assert len({out[0] for _, _, out in chunk_calls}) > 1
+        _assert_same_result(got, one)
+        want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+        if kw["mode"] == "physical":
+            assert any(e.kind == "buffer_empty" and e.time == 0.0
+                       for evs in got.events for e in evs)
+            # pinned closed forms: libm against numpy's exp
+            _assert_same_result(got, want, exact_y=False)
+            np.testing.assert_allclose(got.y, want.y, rtol=1e-13, atol=0.0)
+        else:
+            _assert_same_result(got, want)
+
+    @requires_compiled
+    def test_the_default_thread_count_equals_the_one_range_call(
+            self, monkeypatch, chunk_calls):
+        # 256 rows run on every core of the CPU set, one thread per
+        # core, so this runs the split path or the one-thread path
+        # depending on where it is pinned
+        p = CASE1
+        x0 = -np.linspace(0.05, 0.9, 256) * p.q0
+        got = simulate_fluid_batch(p, x0, 0.0, t_max=40.0)
+        assert len(chunk_calls) == kernel_fluid._fluid_threads(256)
+        _force_threads(monkeypatch, 1)
+        one = simulate_fluid_batch(p, x0, 0.0, t_max=40.0)
+        _assert_same_result(got, one)
+
+    def test_thread_count_follows_the_cpu_set_with_64_rows_a_thread(
+            self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert [kernel_fluid._fluid_threads(m)
+                for m in (0, 44, 127, 128, 1024)] == [1, 1, 1, 2, 8]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert kernel_fluid._fluid_threads(1024) == 3
+
+    def test_an_overflow_in_one_chunk_falls_back_to_the_numpy_loop(
+            self, monkeypatch):
+        class _TailOverflows(KernelBackend):
+            compiled = True
+
+            def fluid_rows(self, lo, hi, *args):
+                args[-1][:] = (1, int(lo > 0))  # only a later chunk
+
+        p, x0, y0, kw = _uneven_case1("nonlinear")
+        want = simulate_fluid_batch(p, x0, y0, fluid_method="numpy", **kw)
+        monkeypatch.setattr(_backend, "_BACKEND", _TailOverflows())
+        _force_threads(monkeypatch, 3)
+        got = simulate_fluid_batch(p, x0, y0, **kw)
+        _assert_same_result(got, want)
+
+    def test_a_worker_thread_error_reaches_the_caller(self, monkeypatch):
+        import threading
+
+        class _WorkerFails(KernelBackend):
+            compiled = True
+
+            def __init__(self):
+                self.threads = {}
+
+            def fluid_rows(self, lo, hi, *args):
+                self.threads[lo] = threading.current_thread()
+                if lo > 0:
+                    raise FloatingPointError(f"rows {lo}..{hi}")
+                args[-1][:] = (1, 0)
+
+        fake = _WorkerFails()
+        monkeypatch.setattr(_backend, "_BACKEND", fake)
+        _force_threads(monkeypatch, 2)
+        p, x0, y0, kw = _uneven_case1("nonlinear")
+        with pytest.raises(FloatingPointError, match="rows 16..37"):
+            simulate_fluid_batch(p, x0, y0, **kw)
+        assert fake.threads[0] is threading.current_thread()
+        assert fake.threads[16] is not threading.current_thread()
+
+    @requires_compiled
+    def test_the_c_kernel_keeps_no_reference_to_its_sample_buffers(self):
+        # the kernel's pointers must not pin xs/ys once the result is
+        # dropped: a wide bundle's pair runs to hundreds of MB
+        p, x0, y0, kw = _fig3_cycle()
+        result = simulate_fluid_batch(p, x0, y0, **kw)
+        base = result.x
+        while base.base is not None:
+            base = base.base
+        samples = weakref.ref(base)
+        del result, base
+        gc.collect()
+        assert samples() is None

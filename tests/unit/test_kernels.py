@@ -1124,7 +1124,7 @@ def _fluid_rows_outputs(fn, p, x0, y0, *, t_max, mode, max_switches):
         ev_x=np.full(m * ev_cap, np.nan), ev_y=np.full(m * ev_cap, np.nan),
         out_i=np.full(2, -7, dtype=np.int64),
     )
-    fn(x0, y0, t_grid, p.a, p.b, p.capacity, p.k, p.q0,
+    fn(0, m, x0, y0, t_grid, p.a, p.b, p.capacity, p.k, p.q0,
        p.buffer_size - p.q0, -p.q0,
        1 if mode == "linearized" else 0, 1 if mode == "physical" else 0,
        max_switches, batch._CONVERGENCE_RTOL, t_max,
@@ -1168,7 +1168,7 @@ def test_fluid_c_kernel_reports_allocation_failure(m):
     null = be._ffi.NULL
     out_i = np.zeros(2, dtype=np.int64)
     be._lib.k_fluid(
-        m, 10, null, null, null, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 0, 0,
+        m, 0, m, 10, null, null, null, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 0, 0,
         4, 1e-4, 1.0, null, null, null, null, null, null, null, 8, null,
         null, null, null, null, be._i(out_i))
     assert out_i.tolist() == [-1, 0]
@@ -1182,7 +1182,8 @@ def test_fluid_wrapper_raises_memory_error_on_allocation_failure(
     class _NoMemory(KernelBackend):
         compiled = True
 
-        def fluid_rows(self, *args):
+        def fluid_rows(self, lo, hi, *args):
+            assert (lo, hi) == (0, 6)  # six rows stay on one thread
             args[-1][0] = -1
 
     monkeypatch.setattr(_backend, "_BACKEND", _NoMemory())

@@ -127,6 +127,20 @@ class TestDumbbell:
         with pytest.raises(NotImplementedError, match="engine='reference'"):
             net.run(0.01)
 
+    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    def test_window_engines_reject_a_second_run(self, engine):
+        # A window run plans every source from its start time and
+        # records from t=0, so a second call would send the first
+        # run's frames again; it must fail instead.
+        net = BCNNetworkSimulator(small_params(), frame_bits=8000,
+                                  engine=engine)
+        net.add_flow(start_time=1e-3)
+        net.schedule_capacity(2e-3, 0.8 * net.params.capacity)
+        first = net.run(3e-3)
+        with pytest.raises(RuntimeError, match='engine="reference"'):
+            net.run(6e-3)
+        assert net.switch.stats.forwarded_frames == first.forwarded_frames
+
     @pytest.mark.parametrize("engine", ["reference", "batched"])
     def test_unknown_departure_address_rejected_before_the_run(self, engine):
         net = BCNNetworkSimulator(small_params(), frame_bits=8000,
