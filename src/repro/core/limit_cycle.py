@@ -222,6 +222,17 @@ class LimitCycle:
         return float(self.orbit[:, 2].max() - self.orbit[:, 2].min())
 
 
+def _first_bracket(ys, values) -> tuple[float, float] | None:
+    """The first scan interval where ``P(y) - y`` changes sign, ``(y, y)``
+    at an exact zero, or None."""
+    for (ya, va), (yb, vb) in zip(zip(ys, values), zip(ys[1:], values[1:])):
+        if va == 0.0:
+            return float(ya), float(ya)
+        if va * vb < 0.0:
+            return float(ya), float(yb)
+    return None
+
+
 def find_limit_cycle(
     params: NormalizedParams | BCNParams,
     *,
@@ -229,7 +240,6 @@ def find_limit_cycle(
     y_hi: float | None = None,
     mode: str = "nonlinear",
     xtol_rel: float = 1e-10,
-    scan: str = "batch",
 ) -> LimitCycle | None:
     """Search the upper half-line for a fixed point of the return map.
 
@@ -238,14 +248,15 @@ def find_limit_cycle(
     None when every scanned amplitude contracts (no cycle), which is the
     generic Case-1 outcome for paper-recommended parameters.
 
-    ``scan`` selects how the bracket scan is evaluated: ``"batch"``
-    (default) runs all 25 ordinates as one vectorized integration
-    (:func:`repro.fluid.batch.batch_return_map`) and re-checks any
-    bracket it finds with the ``solve_ivp`` reference before root
-    refinement; ``"reference"`` evaluates each ordinate sequentially.
-    Both paths hand the bracket to the same Brent refinement on the
-    reference map, so the located cycle is scan-independent.
+    The scan runs all 25 ordinates as one vectorized integration
+    (:func:`repro.fluid.batch.batch_return_map`) and re-checks a
+    bracket it finds on the ``solve_ivp`` map :func:`return_map`.  When
+    the batch integration fails or its bracket does not hold there, the
+    scan is repeated with :func:`return_map` itself.  Brent's method
+    always refines on :func:`return_map`.
     """
+    from ..fluid.batch import batch_return_map
+
     p = as_normalized(params)
     if y_lo is None:
         y_lo = 1e-4 * p.capacity
@@ -256,39 +267,21 @@ def find_limit_cycle(
         return return_map(p, y, mode=mode) - y
 
     ys = np.geomspace(y_lo, y_hi, 25)
-    if scan == "batch":
-        from ..fluid.batch import batch_return_map
-
-        try:
-            values = list(batch_return_map(p, ys, mode=mode) - ys)
-        except RuntimeError:
-            # a row failed to re-cross within the horizon — fall back
-            values = [residual(float(y)) for y in ys]
-    elif scan == "reference":
-        values = [residual(float(y)) for y in ys]
-    else:
-        raise ValueError(f"unknown scan method {scan!r}")
-    bracket = None
-    for (ya, va), (yb, vb) in zip(zip(ys, values), zip(ys[1:], values[1:])):
-        if va == 0.0:
-            bracket = (float(ya), float(ya))
-            break
-        if va * vb < 0.0:
-            bracket = (float(ya), float(yb))
-            break
-    if bracket is None:
-        return None
-    if scan == "batch" and bracket[0] != bracket[1]:
-        # Verify the batch-located bracket against the reference map;
-        # a sign flip inside the batch tolerance band is not a cycle.
+    try:
+        values = batch_return_map(p, ys, mode=mode) - ys
+    except RuntimeError:
+        values = None  # a row failed to re-cross within the horizon
+    bracket = None if values is None else _first_bracket(ys, values)
+    if bracket is not None and bracket[0] != bracket[1]:
         va, vb = residual(bracket[0]), residual(bracket[1])
         if va == 0.0:
             bracket = (bracket[0], bracket[0])
         elif va * vb >= 0.0:
-            return find_limit_cycle(
-                p, y_lo=y_lo, y_hi=y_hi, mode=mode,
-                xtol_rel=xtol_rel, scan="reference",
-            )
+            values = None  # a sign flip inside the batch tolerance band
+    if values is None:
+        bracket = _first_bracket(ys, [residual(float(y)) for y in ys])
+    if bracket is None:
+        return None
     if bracket[0] == bracket[1]:
         y_star = bracket[0]
     else:
@@ -312,29 +305,18 @@ def amplitude_scan(
     ordinates: np.ndarray,
     *,
     mode: str = "nonlinear",
-    method: str = "batch",
 ) -> np.ndarray:
     """Evaluate ``P(y)/y`` over a grid of entry ordinates.
 
     Returns rows ``(y, ratio)``; ratios above 1 mark amplitude growth.
     Useful for mapping where cycles can live before running the root
     finder, and for the Fig. 7 benchmark's convergence diagnostics.
-
-    ``method="batch"`` (default) evaluates the whole grid as one
-    vectorized integration; ``"reference"`` maps the ``solve_ivp``
-    return map over the ordinates sequentially.
+    The whole grid runs as one vectorized integration
+    (:func:`repro.fluid.batch.batch_return_map`).
     """
+    from ..fluid.batch import batch_return_map
+
     p = as_normalized(params)
     ordinates = np.asarray(ordinates, dtype=float)
-    if method == "batch":
-        from ..fluid.batch import batch_return_map
-
-        ratios = batch_return_map(p, ordinates, mode=mode) / ordinates
-        return np.column_stack([ordinates, ratios])
-    if method == "reference":
-        rows = [
-            (float(y), contraction_ratio(p, float(y), mode=mode))
-            for y in ordinates
-        ]
-        return np.array(rows)
-    raise ValueError(f"unknown scan method {method!r}")
+    ratios = batch_return_map(p, ordinates, mode=mode) / ordinates
+    return np.column_stack([ordinates, ratios])

@@ -59,9 +59,7 @@ def vector_field_grid(
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     gx, gy = np.meshgrid(xs, ys)
-    derivs = switched_derivatives(
-        p, np.stack([gx, gy], axis=-1), on_line="decrease"
-    )
+    derivs = switched_derivatives(p, np.stack([gx, gy], axis=-1))
     u, v = derivs[..., 0], derivs[..., 1]
     magnitude = np.hypot(u, v)
     safe = np.where(magnitude > 0, magnitude, 1.0)

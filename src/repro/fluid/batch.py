@@ -114,26 +114,18 @@ def switched_derivatives(
     states: np.ndarray,
     *,
     mode: Mode = "nonlinear",
-    on_line: str = "decrease",
 ) -> np.ndarray:
     """Batched evaluation of the switched field at ``(..., 2)`` states.
 
-    ``on_line`` resolves points exactly on the switching line:
-    ``"decrease"`` assigns them to the decrease region (the
-    :func:`repro.fluid.model.full_field` convention) and ``"flow"``
-    resolves by the crossing direction ``sign(y)`` (the integrator's
-    convention).  Returns derivatives with the same ``(..., 2)`` shape.
+    Points exactly on the switching line belong to the decrease region
+    (the :func:`repro.fluid.model.full_field` convention).  Returns
+    derivatives with the same ``(..., 2)`` shape.
     """
     p = as_normalized(params)
     states = np.asarray(states, dtype=float)
     x, y = states[..., 0], states[..., 1]
     s = x + p.k * y
-    if on_line == "decrease":
-        dec = s >= 0.0
-    elif on_line == "flow":
-        dec = (s > 0.0) | ((s == 0.0) & (y > 0.0))
-    else:
-        raise ValueError(f"unknown on_line rule {on_line!r}")
+    dec = s >= 0.0
     derivs = batched_derivative_fn(p, "linearized" if mode == "linearized" else "nonlinear")
     dx, dy = derivs(x, y, dec)
     return np.stack([np.broadcast_to(dx, s.shape), dy], axis=-1)

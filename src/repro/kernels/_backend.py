@@ -25,6 +25,15 @@ Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
     ``auto`` picks this tier whenever cffi and a C compiler are
     available.
 
+Neither tier restates the BCN control law.  The numpy closures call
+the python law, :func:`~repro.simulation.switch.bcn_feedback` (sigma,
+eq. 1, and the emission rule; ``bind_packet_commit`` is its one array
+form), :func:`~repro.simulation.switch.quantize_fb` (the FB field) and
+:func:`~repro.simulation.source.rate_law` (eqs. 2/7), which the
+reference ``CoreSwitch`` and ``RateRegulator`` call too; the C kernels
+share its compiled twins ``bcn_sample``, ``quant_fb`` and
+``bcn_rate_step`` in :mod:`repro.kernels._cbuild`.
+
 The one-time C build cost is accumulated in ``warmup_seconds`` and
 surfaced to the observability layer by :func:`consume_warmup_span`, so
 ``repro profile`` separates first-call compilation from steady-state
@@ -38,6 +47,9 @@ import os
 
 import numpy as np
 
+from ..simulation.source import rate_law
+from ..simulation.switch import bcn_feedback, quantize_fb
+
 __all__ = [
     "KernelBackend",
     "consume_warmup_span",
@@ -50,15 +62,6 @@ WARMUP_SPAN = "kernels.jit_warmup"
 
 #: Accepted ``REPRO_KERNEL_BACKEND`` values.
 _CHOICES = ("auto", "cffi", "numpy")
-
-
-def _quantize(sigma, sigma_unit, full_scale):
-    """The wire FB value of raw ``sigma`` (:meth:`CoreSwitch.quantize_fb`);
-    a NaN ``sigma_unit`` carries raw sigma."""
-    if sigma_unit != sigma_unit:
-        return sigma
-    return np.minimum(np.maximum(np.rint(sigma / sigma_unit), -full_scale),
-                      full_scale - 1)
 
 
 class KernelBackend:
@@ -169,55 +172,22 @@ class KernelBackend:
                             last_update, assoc8, updates, min_rate,
                             line_rate, owed, out_d):
         def call(msg_t, msg_src, msg_fb, msg_sigma, t_commit):
-            # RateRegulator.apply over struct-of-array state (mode 0
-            # message, 1 fluid-euler, 2 fluid-exact; NaN last_update
-            # means never updated; max_dt < 0 disables the dt cap),
-            # message by message.  Each rate change accrues the
-            # owed-bits ledger for the lag to the commit boundary and
-            # moves the running total rate kept in out_d[0].
+            # rate_law over struct-of-array state, message by message
+            # (mode: a REGULATOR_MODES code).  Each rate change accrues
+            # the owed-bits ledger for the lag to the commit boundary
+            # and moves the running total rate kept in out_d[0].
             total_rate = out_d[0]
             for k in range(msg_t.shape[0]):
                 i = int(msg_src[k])
                 now = msg_t[k] + d
                 r0 = rate[i]
-                r = r0
-                if mode == 0:
-                    fb = msg_fb[k]
-                    if fb > 0.0:
-                        r = r + gi * ru * fb
-                    elif fb < 0.0:
-                        factor = 1.0 + gd * fb
-                        if factor < 0.0:
-                            factor = 0.0
-                        r = r * factor
-                else:
-                    sigma = msg_sigma[k]
-                    lu = last_update[i]
-                    dt = 0.0 if lu != lu else now - lu
-                    if max_dt >= 0.0 and dt > max_dt:
-                        dt = max_dt
-                    last_update[i] = now
-                    if sigma > 0.0:
-                        r = r + gi * ru * sigma * dt
-                    elif sigma < 0.0:
-                        if mode == 2:
-                            r = r * math.exp(gd * sigma * dt)
-                        else:
-                            factor = 1.0 + gd * sigma * dt
-                            if factor < 0.0:
-                                factor = 0.0
-                            r = r * factor
-                if r < min_rate[i]:
-                    r = min_rate[i]
-                if r > line_rate[i]:
-                    r = line_rate[i]
+                r, last_update[i], hold = rate_law(
+                    mode, gi, gd, ru, max_dt, min_rate[i], line_rate[i], r0,
+                    last_update[i], now, msg_fb[k], msg_sigma[k])
                 rate[i] = r
                 updates[i] += 1
-                fb_sign = msg_fb[k] if mode == 0 else msg_sigma[k]
-                if fb_sign < 0.0:
-                    assoc8[i] = 1
-                elif r >= line_rate[i]:
-                    assoc8[i] = 0
+                if hold is not None:
+                    assoc8[i] = hold
                 if r != r0:
                     delta = r - r0
                     lag = t_commit - now
@@ -336,8 +306,8 @@ class KernelBackend:
                 msg_t[:n_msg] = samp_t[:n_samp][emit]
                 msg_src[:n_msg] = srcs[sample_idx[emit]]
                 msg_sigma[:n_msg] = sigma[emit]
-                msg_fb[:n_msg] = _quantize(sigma[emit], sigma_unit,
-                                           full_scale)
+                msg_fb[:n_msg] = quantize_fb(sigma[emit], sigma_unit,
+                                             full_scale)
             delivered = int(completions[:total_eff].searchsorted(
                 t_commit, side="right"))
             if prev_inflight and t_start < prev_next_free <= t_commit:
@@ -421,17 +391,16 @@ class KernelBackend:
                 drops.append(j)
                 q_now = occ
             if sampled:
-                dq = q_now - q_last
+                sigma, _, emit = bcn_feedback(q_now, q_last, q0, w, pos_only,
+                                              req_assoc, assoc[j] != 0)
                 q_last = q_now
-                sigma = (q0 - q_now) - w * dq
                 samples.append((a, sigma))
-                if sigma < 0.0:
-                    neg += 1
+                if emit:
                     msgs.append((j, sigma))
-                elif sigma > 0.0 and (q_now < q0 or not pos_only) and (
-                        not req_assoc or assoc[j] != 0):
-                    pos += 1
-                    msgs.append((j, sigma))
+                    if emit < 0:
+                        neg += 1
+                    else:
+                        pos += 1
             committed += 1
             if q_sc == q_sc and q_now > q_sc and a >= pause_rearm_at:
                 pause_at = a
@@ -453,8 +422,8 @@ class KernelBackend:
             msg_t[:n_msg] = times[js]
             msg_src[:n_msg] = srcs[js]
             msg_sigma[:n_msg] = cols[1]
-            msg_fb[:n_msg] = _quantize(msg_sigma[:n_msg], sigma_unit,
-                                       full_scale)
+            msg_fb[:n_msg] = quantize_fb(msg_sigma[:n_msg], sigma_unit,
+                                         full_scale)
         if n_samp:
             samp_t[:n_samp], samp_sigma[:n_samp] = zip(*samples)
         drop_j[:len(drops)] = drops
@@ -522,12 +491,15 @@ class _CffiKernels(KernelBackend):
         self._ffi = ffi
         # ``ffi.from_buffer`` + ``ffi.cast`` cost ~0.5 µs per argument,
         # which dominates the per-window overhead once the kernels are
-        # fast.  The engines pass the same preallocated scratch buffers
-        # on every call, so cache the cast per (id, ctype).  Each entry
-        # keeps a strong reference to its array, which both guarantees
-        # the id cannot be recycled while the entry lives and keeps the
-        # cached pointer valid; the cache is flushed when transient
-        # arrays (slices, RNG draws) grow it past ``_PCACHE_LIMIT``.
+        # fast.  The bound closures cast their persistent buffers once;
+        # the per-call arrays (window slices, message columns, RNG
+        # draws) are new objects nearly every call and mostly miss this
+        # (id, ctype) cache: 48,640 of the 75,613 casts of the 96
+        # compiled scenario runs in perfbench's fast_engines seed-1
+        # plan.  Each entry keeps a strong reference to its array, which
+        # both guarantees the id cannot be recycled while the entry
+        # lives and keeps the cached pointer valid; the cache is flushed
+        # when those transient arrays grow it past ``_PCACHE_LIMIT``.
         # ``fluid_rows`` and ``event_core`` take one-shot buffers, which
         # the cache would pin, and so cast theirs per call.
         self._pcache: dict = {}

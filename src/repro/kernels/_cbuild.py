@@ -4,6 +4,11 @@ The C source below is the fast path of the two hot spots; each kernel
 is checked bit for bit against its numpy oracle, which runs the same
 float64 operations in the same order:
 
+* the BCN control law, written once for every C kernel as ``static``
+  helpers: ``bcn_sample`` (sigma, eq. 1, and the emission rule; the
+  twin of :func:`repro.simulation.switch.bcn_feedback`), ``quant_fb``
+  (the FB field; :func:`repro.simulation.switch.quantize_fb`) and
+  ``bcn_rate_step`` (eqs. 2/7; :func:`repro.simulation.source.rate_law`);
 * the packet window loop — ``k_pacing_plan``, ``k_merge_trains``,
   ``k_pacing_commit``, ``k_owed_repay``, ``k_apply_messages`` and the
   switch window's ``k_packet_plan``, ``k_packet_commit`` and
@@ -27,11 +32,11 @@ float64 operations in the same order:
   :class:`~repro.simulation.network.BCNNetworkSimulator`: one binary
   heap ordered by ``(time, seq)`` and pushed in the callbacks' order,
   the sources, links, :class:`~repro.simulation.switch.CoreSwitch`
-  (CPython's MT19937 ``random()`` for Bernoulli sampling, ``nearbyint``
-  for half-even FB rounding) and the regulator laws (libm ``exp``, the
-  one ``math.exp`` calls), so the events, their order and every state
-  they leave, the events still pending at the horizon included, are
-  the same bit for bit.
+  (CPython's MT19937 ``random()`` for Bernoulli sampling, the shared
+  ``bcn_sample``) and the regulator laws (``bcn_rate_step``; libm
+  ``exp``, the one ``math.exp`` calls), so the events, their order and
+  every state they leave, the events still pending at the horizon
+  included, are the same bit for bit.
 
 Every kernel is compiled with ``-ffp-contract=off`` (:data:`COMPILE_ARGS`,
 part of the content hash): no fused multiply-add may change a rounding
@@ -137,7 +142,7 @@ typedef struct ev_core {
     int64_t *ev_kind;
     double capacity, q0, w, pm, q_sc, pause_duration, buffer_bits;
     double sigma_unit, full_scale, q_last, service_paused_until;
-    int64_t quantize, pos_only, req_assoc, interval, since, use_rng;
+    int64_t pos_only, req_assoc, interval, since, use_rng;
     int64_t busy, armed, mt_index;
     uint32_t *mt;
     double occ, enq_bits, deq_bits, drop_bits, fwd_bits, delivered;
@@ -173,9 +178,6 @@ void k_event_core_free(ev_core *c);
 _COMMON = r"""
 #include <math.h>
 #include <stdint.h>
-
-/* np.round / python round(): ties to even (default FP rounding mode). */
-static double round_half_even(double v) { return rint(v); }
 
 static int64_t bisect_right(const double *arr, int64_t n, double v) {
     int64_t lo = 0, hi = n;
@@ -405,11 +407,81 @@ void k_packet_plan(int64_t m, double *times, double t_start, double t_end,
     out_d[1] = t_commit;
 }
 
+/* ---- the BCN control law, once (python: repro.simulation.switch and
+   repro.simulation.source) --------------------------------------------- */
+
+/* quantize_fb: the wire FB field of raw sigma, round(sigma / sigma_unit)
+   ties to even (rint in the default rounding mode, as np.rint),
+   clamped to [-full_scale, full_scale - 1]; + 0.0 turns a rounded -0.0
+   into +0.0.  A NaN sigma_unit carries raw sigma. */
 static double quant_fb(double sigma, double sigma_unit, double full_scale) {
-    double fb = round_half_even(sigma / sigma_unit);
+    double fb;
+    if (sigma_unit != sigma_unit) return sigma;
+    fb = rint(sigma / sigma_unit);
     if (fb < -full_scale) fb = -full_scale;
     else if (fb > full_scale - 1.0) fb = full_scale - 1.0;
-    return fb;
+    return fb + 0.0;
+}
+
+/* bcn_feedback at one sample with queue q: sigma = (q0 - q) - w*dq with
+   dq = q - q_last (eq. 1); emit -1 for negative BCN, 1 for positive BCN
+   (below q0 unless !pos_only, to an associated source unless
+   !req_assoc), 0 for none; fb is an emitted message's wire FB. */
+typedef struct { double sigma, dq, fb; int emit; } bcn_fb;
+
+static bcn_fb bcn_sample(double q, double q_last, double q0, double w,
+    int64_t pos_only, int64_t req_assoc, int associated,
+    double sigma_unit, double full_scale)
+{
+    bcn_fb s;
+    s.dq = q - q_last;
+    s.sigma = (q0 - q) - w * s.dq;
+    if (s.sigma < 0.0) s.emit = -1;
+    else if (s.sigma > 0.0 && (q < q0 || pos_only == 0)
+             && (req_assoc == 0 || associated)) s.emit = 1;
+    else s.emit = 0;
+    s.fb = s.emit != 0 ? quant_fb(s.sigma, sigma_unit, full_scale) : 0.0;
+    return s;
+}
+
+/* rate_law for one BCN message: mode 0 applies the wire FB once, modes 1
+   (Euler) and 2 (exact, libm exp as math.exp) integrate raw sigma over
+   the time since *last_update (NaN: never updated) capped at max_dt
+   (NaN: no cap); the rate is clamped to [min_rate, line_rate].  Negative
+   feedback sets *assoc, recovery to the line rate clears it. */
+static double bcn_rate_step(int64_t mode, double gi, double gd, double ru,
+    double max_dt, double min_rate, double line_rate, double rate,
+    double *last_update, double now, double fb, double sigma,
+    uint8_t *assoc)
+{
+    double sign;
+    if (mode == 0) {
+        sign = fb;
+        if (fb > 0.0) rate = rate + gi * ru * fb;
+        else if (fb < 0.0) {
+            double factor = 1.0 + gd * fb;
+            rate = rate * (factor < 0.0 ? 0.0 : factor);
+        }
+    } else {
+        double lu = *last_update;
+        double dt = lu != lu ? 0.0 : now - lu;
+        if (dt > max_dt) dt = max_dt;
+        *last_update = now;
+        sign = sigma;
+        if (sigma > 0.0) rate = rate + gi * ru * sigma * dt;
+        else if (sigma < 0.0) {
+            if (mode == 2) rate = rate * exp(gd * sigma * dt);
+            else {
+                double factor = 1.0 + gd * sigma * dt;
+                rate = rate * (factor < 0.0 ? 0.0 : factor);
+            }
+        }
+    }
+    if (rate < min_rate) rate = min_rate;
+    if (rate > line_rate) rate = line_rate;
+    if (sign < 0.0) *assoc = 1;
+    else if (rate >= line_rate) *assoc = 0;
+    return rate;
 }
 
 /* Commit the planned no-drop window: sampling (pre-drawn uniforms when
@@ -432,33 +504,24 @@ void k_packet_commit(int64_t m_eff, int64_t n_res, double *times,
     int64_t delivered, n_started, inflight;
     double prev = q_prev, next_free;
     for (j = 0; j < m_eff; j++) {
-        int sampled, negative, positive;
-        double qs, dq, sigma;
+        int sampled;
+        bcn_fb s;
         if (use_rng != 0) sampled = uniforms[j] < pm;
         else sampled = (since + (j + 1)) % interval == 0;
         if (!sampled) continue;
-        qs = q_bits[j];
-        dq = qs - prev;
-        sigma = (q0 - qs) - w * dq;
-        prev = qs;
+        s = bcn_sample(q_bits[j], prev, q0, w, pos_only, req_assoc,
+                       assoc[j] != 0, sigma_unit, full_scale);
+        prev = q_bits[j];
         samp_t[n_samp] = times[j];
-        samp_sigma[n_samp] = sigma;
+        samp_sigma[n_samp] = s.sigma;
         n_samp++;
-        negative = sigma < 0.0;
-        positive = sigma > 0.0 && (qs < q0 || pos_only == 0)
-                   && (req_assoc == 0 || assoc[j] != 0);
-        if (negative) neg++;
-        if (positive) pos++;
-        if (negative || positive) {
-            msg_t[n_msg] = times[j];
-            msg_src[n_msg] = srcs[j];
-            msg_sigma[n_msg] = sigma;
-            if (sigma_unit == sigma_unit)
-                msg_fb[n_msg] = quant_fb(sigma, sigma_unit, full_scale);
-            else
-                msg_fb[n_msg] = sigma;
-            n_msg++;
-        }
+        if (s.emit == 0) continue;
+        if (s.emit < 0) neg++; else pos++;
+        msg_t[n_msg] = times[j];
+        msg_src[n_msg] = srcs[j];
+        msg_sigma[n_msg] = s.sigma;
+        msg_fb[n_msg] = s.fb;
+        n_msg++;
     }
     if (use_rng == 0) since = (since + m_eff) % interval;
 
@@ -553,24 +616,19 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
             q_now = occ;
         }
         if (sampled) {
-            double dq = q_now - q_last, sigma;
-            int emit = 0;
+            bcn_fb s = bcn_sample(q_now, q_last, q0, w, pos_only, req_assoc,
+                                  assoc[j] != 0, sigma_unit, full_scale);
             q_last = q_now;
-            sigma = (q0 - q_now) - w * dq;
             samp_t[n_samp] = a;
-            samp_sigma[n_samp] = sigma;
+            samp_sigma[n_samp] = s.sigma;
             n_samp++;
-            if (sigma < 0.0) { neg++; emit = 1; }
-            else if (sigma > 0.0 && (q_now < q0 || pos_only == 0)
-                     && (req_assoc == 0 || assoc[j] != 0)) { pos++; emit = 1; }
-            if (emit) {
+            if (s.emit != 0) {
+                if (s.emit < 0) neg++; else pos++;
                 msg_j[n_msg] = j;
                 msg_t[n_msg] = a;
                 msg_src[n_msg] = srcs[j];
-                msg_sigma[n_msg] = sigma;
-                if (sigma_unit == sigma_unit)
-                    msg_fb[n_msg] = quant_fb(sigma, sigma_unit, full_scale);
-                else msg_fb[n_msg] = sigma;
+                msg_sigma[n_msg] = s.sigma;
+                msg_fb[n_msg] = s.fb;
                 n_msg++;
             }
         }
@@ -627,10 +685,8 @@ void k_packet_scalar(int64_t m, double *times, int64_t *srcs,
 }
 
 /* Apply one window's BCN messages to struct-of-array regulator state
-   (RateRegulator.apply; mode 0 message, 1 fluid-euler, 2 fluid-exact;
-   NaN last_update means never updated; max_dt < 0 disables the cap),
-   accrue the owed-bits ledger and keep the running total rate in
-   out_d[0]. */
+   (bcn_rate_step, message by message), accrue the owed-bits ledger and
+   keep the running total rate in out_d[0]. */
 void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     double *msg_fb, double *msg_sigma, int64_t mode, double gi, double gd,
     double ru, double max_dt, double d, double t_commit,
@@ -642,38 +698,12 @@ void k_apply_messages(int64_t n, double *msg_t, int64_t *msg_src,
     for (k = 0; k < n; k++) {
         int64_t i = msg_src[k];
         double now = msg_t[k] + d;
-        double r0 = rate[i], r = r0, fb_sign;
-        if (mode == 0) {
-            double fb = msg_fb[k];
-            if (fb > 0.0) r = r + gi * ru * fb;
-            else if (fb < 0.0) {
-                double factor = 1.0 + gd * fb;
-                if (factor < 0.0) factor = 0.0;
-                r = r * factor;
-            }
-        } else {
-            double sigma = msg_sigma[k];
-            double lu = last_update[i];
-            double dt = lu != lu ? 0.0 : now - lu;
-            if (max_dt >= 0.0 && dt > max_dt) dt = max_dt;
-            last_update[i] = now;
-            if (sigma > 0.0) r = r + gi * ru * sigma * dt;
-            else if (sigma < 0.0) {
-                if (mode == 2) r = r * exp(gd * sigma * dt);
-                else {
-                    double factor = 1.0 + gd * sigma * dt;
-                    if (factor < 0.0) factor = 0.0;
-                    r = r * factor;
-                }
-            }
-        }
-        if (r < min_rate[i]) r = min_rate[i];
-        if (r > line_rate[i]) r = line_rate[i];
+        double r0 = rate[i];
+        double r = bcn_rate_step(mode, gi, gd, ru, max_dt, min_rate[i],
+                                 line_rate[i], r0, &last_update[i], now,
+                                 msg_fb[k], msg_sigma[k], &assoc8[i]);
         rate[i] = r;
         updates[i]++;
-        fb_sign = mode == 0 ? msg_fb[k] : msg_sigma[k];
-        if (fb_sign < 0.0) assoc8[i] = 1;
-        else if (r >= line_rate[i]) assoc8[i] = 0;
         if (r != r0) {
             double delta = r - r0;
             double lag = t_commit - now;
@@ -1269,12 +1299,11 @@ static void core_serve(core_rt *rt)
 static void core_sample(core_rt *rt, int64_t src, uint8_t assoc)
 {
     ev_core *c = rt->c;
-    double q = c->occ, dq, sigma;
-    int emitted = 0;
+    double q = c->occ;
+    bcn_fb s = bcn_sample(q, c->q_last, c->q0, c->w, c->pos_only,
+                          c->req_assoc, assoc, c->sigma_unit, c->full_scale);
     c->samples++;
-    dq = q - c->q_last;
     c->q_last = q;
-    sigma = (c->q0 - q) - c->w * dq;
     if (c->n_sig == c->cap_sig) {
         void **ptrs[2] = {(void **)&c->sig_t, (void **)&c->sig_v};
         size_t sizes[2] = {sizeof(double), sizeof(double)};
@@ -1284,30 +1313,13 @@ static void core_sample(core_rt *rt, int64_t src, uint8_t assoc)
         }
     }
     c->sig_t[c->n_sig] = c->now;
-    c->sig_v[c->n_sig] = sigma;
+    c->sig_v[c->n_sig] = s.sigma;
     c->n_sig++;
-    if (sigma < 0) {
-        emitted = 1;
-        c->bcn_neg++;
-    } else if (sigma > 0 && (q < c->q0 || !c->pos_only)
-               && (!c->req_assoc || assoc)) {
-        emitted = 1;
-        c->bcn_pos++;
-    }
-    if (!emitted) return;
-    {
-        double fb = sigma;
-        if (c->quantize) {
-            double quantum = nearbyint(sigma / c->sigma_unit);
-            double hi = c->full_scale - 1;
-            fb = hi < quantum ? hi : quantum;
-            fb = fb > -c->full_scale ? fb : -c->full_scale;
-            fb += 0.0;  /* float(int): no negative zero */
-        }
-        core_push5(rt, c->now + c->back_delay[src], EV_BCN, src, fb, sigma,
-                   c->q0 - q, dq, c->now);
-    }
-    if (c->log_on) core_log(rt, LOG_BCN, c->now, src, sigma);
+    if (s.emit == 0) return;
+    if (s.emit < 0) c->bcn_neg++; else c->bcn_pos++;
+    core_push5(rt, c->now + c->back_delay[src], EV_BCN, src, s.fb, s.sigma,
+               c->q0 - q, s.dq, c->now);
+    if (c->log_on) core_log(rt, LOG_BCN, c->now, src, s.sigma);
 }
 
 /* CoreSwitch.receive */
@@ -1391,42 +1403,6 @@ static void core_emit(core_rt *rt, int64_t i)
         return;
     }
     core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
-}
-
-/* RateRegulator.apply (math.exp is the same libm exp) */
-static void core_apply(ev_core *c, int64_t i, double fb, double sigma)
-{
-    double rate = c->rate[i], fb_sign;
-    if (c->mode[i] == 0) {
-        if (fb > 0) {
-            rate += c->gi[i] * c->ru[i] * fb;
-        } else if (fb < 0) {
-            double f = 1.0 + c->gd[i] * fb;
-            rate *= 0.0 > f ? 0.0 : f;
-        }
-        fb_sign = fb;
-    } else {
-        double dt = isnan(c->last_update[i]) ? 0.0 : c->now - c->last_update[i];
-        if (c->max_dt[i] < dt) dt = c->max_dt[i];  /* NaN max_dt: None */
-        c->last_update[i] = c->now;
-        if (sigma > 0) {
-            rate += c->gi[i] * c->ru[i] * sigma * dt;
-        } else if (sigma < 0) {
-            if (c->mode[i] == 2) {
-                rate *= exp(c->gd[i] * sigma * dt);
-            } else {
-                double f = 1.0 + c->gd[i] * sigma * dt;
-                rate *= 0.0 > f ? 0.0 : f;
-            }
-        }
-        fb_sign = sigma;
-    }
-    if (c->min_rate[i] > rate) rate = c->min_rate[i];
-    if (c->line_rate[i] < rate) rate = c->line_rate[i];
-    c->rate[i] = rate;
-    c->updates[i]++;
-    if (fb_sign < 0) c->assoc[i] = 1;
-    else if (rate >= c->line_rate[i]) c->assoc[i] = 0;
 }
 
 static void core_digest(core_rt *rt)
@@ -1516,8 +1492,12 @@ int64_t k_event_core(ev_core *c)
         case EV_SERVE:
             core_serve(&rt);
             break;
-        case EV_BCN:
-            core_apply(c, e.idx, e.a, e.b);
+        case EV_BCN:  /* RateRegulator.apply: a = wire FB, b = raw sigma */
+            c->rate[e.idx] = bcn_rate_step(c->mode[e.idx], c->gi[e.idx],
+                c->gd[e.idx], c->ru[e.idx], c->max_dt[e.idx],
+                c->min_rate[e.idx], c->line_rate[e.idx], c->rate[e.idx],
+                &c->last_update[e.idx], c->now, e.a, e.b, &c->assoc[e.idx]);
+            c->updates[e.idx]++;
             break;
         case EV_PAUSE:
             if (c->now + e.a > c->paused_until[e.idx])

@@ -42,7 +42,7 @@ from .engine import _NO_ARG, Simulator
 from .frames import BCNMessage, EthernetFrame, PauseFrame
 from .link import Link
 from .queueing import DropTailQueue
-from .source import RateRegulator, TrafficSource
+from .source import REGULATOR_MODES, RateRegulator, TrafficSource
 from .switch import CoreSwitch
 
 if TYPE_CHECKING:
@@ -61,7 +61,6 @@ _RECEIVE_CONTROL = TrafficSource.receive_control
 #: recorder's aggregate rate must follow the running interpreter.
 NEUMAIER_SUM = sys.version_info >= (3, 12)
 
-_MODES = {"message": 0, "fluid-euler": 1, "fluid-exact": 2}
 _TIMED = {"capacity": 0, "outage": 1, "departure": 2}
 _LOG_KINDS = ("drop", "bcn", "pause_on", "pause_off")
 #: A digest row as the event fingerprints pack it.
@@ -218,7 +217,7 @@ def run_event_core(net: BCNNetworkSimulator, duration: float, backend) -> None:
     backlinks = [switch._bcn_links[i] for i in range(len(sources))]
     index_of = {id(link): i for i, link in enumerate(backlinks)}
     events = sorted(net._timed_events)
-    quantize = switch.fb_bits is not None and switch.sigma_unit is not None
+    sigma_unit, full_scale = switch.fb_scale
     if rng is not None:
         version, internal, gauss_next = rng.getstate()
         mt = np.array(internal[:-1], dtype=np.uint32)
@@ -230,10 +229,10 @@ def run_event_core(net: BCNNetworkSimulator, duration: float, backend) -> None:
         "gi": _f8([r.gi for r in regs]),
         "gd": _f8([r.gd for r in regs]),
         "ru": _f8([r.ru for r in regs]),
-        "max_dt": _f8([_nan_if_none(r.max_dt) for r in regs]),
+        "max_dt": _f8([r.max_dt for r in regs]),
         "min_rate": _f8([r.min_rate for r in regs]),
         "line_rate": _f8([r.line_rate for r in regs]),
-        "last_update": _f8([_nan_if_none(r._last_update) for r in regs]),
+        "last_update": _f8([r._last_update for r in regs]),
         "up_delay": _f8([link.delay for link in net.uplinks]),
         "back_delay": _f8([link.delay for link in backlinks]),
         "start_time": _f8([s.start_time for s in sources]),
@@ -241,7 +240,8 @@ def run_event_core(net: BCNNetworkSimulator, duration: float, backend) -> None:
         "paused_until": _f8([s.paused_until for s in sources]),
         "bits_sent": _f8([s.bits_sent for s in sources]),
         "finish_time": _f8([_nan_if_none(s.finish_time) for s in sources]),
-        "mode": np.array([_MODES[r.mode] for r in regs], dtype=np.int64),
+        "mode": np.array([REGULATOR_MODES[r.mode] for r in regs],
+                         dtype=np.int64),
         "updates": np.array([r.updates_applied for r in regs],
                             dtype=np.int64),
         "frames_sent": np.array([s.frames_sent for s in sources],
@@ -269,9 +269,7 @@ def run_event_core(net: BCNNetworkSimulator, duration: float, backend) -> None:
         "pm": switch.pm, "q_sc": _nan_if_none(switch.q_sc),
         "pause_duration": switch.pause_duration,
         "buffer_bits": queue.capacity_bits,
-        "sigma_unit": switch.sigma_unit if quantize else 0.0,
-        "full_scale": float(2 ** (switch.fb_bits - 1)) if quantize else 0.0,
-        "quantize": int(quantize),
+        "sigma_unit": sigma_unit, "full_scale": full_scale,
         "pos_only": int(bool(switch.positive_only_below_q0)),
         "req_assoc": int(bool(switch.require_association)),
         "interval": switch._sample_interval,

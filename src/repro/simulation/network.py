@@ -23,7 +23,8 @@ from . import event_core
 from .engine import Simulator
 from .frames import EthernetFrame, PauseFrame
 from .link import Link
-from .source import RateRegulator, TrafficSource, expected_message_interval
+from .source import (REGULATOR_MODES, RateRegulator, TrafficSource,
+                     expected_message_interval)
 from .switch import BatchedSwitchKernel, CoreSwitch
 
 __all__ = ["SimulationResult", "BCNNetworkSimulator", "PACKET_ENGINES"]
@@ -322,36 +323,36 @@ class BCNNetworkSimulator:
         #: rates) per executed event (see ``event_core``).
         self._event_digest: bytearray | None = None
 
-        for i in range(params.n_flows):
-            regulator = RateRegulator(
-                gi=params.gi,
-                gd=params.gd,
-                ru=params.ru,
-                initial_rate=initial_rate,
-                min_rate=min_rate,
-                line_rate=params.capacity,
-                mode=regulator_mode,
-                max_dt=4.0
-                * expected_message_interval(
-                    params.n_flows, frame_bits, params.pm, params.capacity
-                ),
-            )
-            uplink = Link(self.sim, propagation_delay, self.switch.receive)
-            source = TrafficSource(
-                self.sim,
-                address=i,
-                regulator=regulator,
-                send=uplink.transmit,
-                frame_bits=frame_bits,
-            )
-            backlink = Link(self.sim, propagation_delay, source.receive_control)
-            self.switch.register_bcn_link(i, backlink)
-            if enable_pause:
-                self.switch.register_pause_link(backlink)
-            self.sources.append(source)
-            self.uplinks.append(uplink)
+        for _ in range(params.n_flows):
+            self._wire_source(initial_rate, min_rate, params.capacity)
 
     # -- internal ------------------------------------------------------------
+
+    def _wire_source(self, rate: float, min_rate: float, line_rate: float,
+                     **source_kwargs) -> TrafficSource:
+        """Add the next source: its regulator under the network's BCN law,
+        its uplink to the switch and its backlink for BCN and PAUSE."""
+        params = self.params
+        regulator = RateRegulator(
+            gi=params.gi, gd=params.gd, ru=params.ru, initial_rate=rate,
+            min_rate=min_rate, line_rate=line_rate,
+            mode=self._regulator_mode,
+            max_dt=4.0 * expected_message_interval(
+                params.n_flows, self.frame_bits, params.pm, params.capacity),
+        )
+        address = len(self.sources)
+        uplink = Link(self.sim, self._propagation_delay, self.switch.receive)
+        source = TrafficSource(self.sim, address=address, regulator=regulator,
+                               send=uplink.transmit,
+                               frame_bits=self.frame_bits, **source_kwargs)
+        backlink = Link(self.sim, self._propagation_delay,
+                        source.receive_control)
+        self.switch.register_bcn_link(address, backlink)
+        if self._enable_pause:
+            self.switch.register_pause_link(backlink)
+        self.sources.append(source)
+        self.uplinks.append(uplink)
+        return source
 
     def _deliver(self, frame: EthernetFrame) -> None:
         self._delivered_bits += frame.size_bits
@@ -383,39 +384,8 @@ class BCNNetworkSimulator:
             demand = self._initial_rate
         if demand <= 0:
             raise ValueError("demand must be positive")
-        address = len(self.sources)
-        regulator = RateRegulator(
-            gi=self.params.gi,
-            gd=self.params.gd,
-            ru=self.params.ru,
-            initial_rate=demand,
-            min_rate=min(self._min_rate, demand),
-            line_rate=demand,
-            mode=self._regulator_mode,
-            max_dt=4.0
-            * expected_message_interval(
-                self.params.n_flows, self.frame_bits, self.params.pm,
-                self.params.capacity,
-            ),
-        )
-        uplink = Link(self.sim, self._propagation_delay, self.switch.receive)
-        source = TrafficSource(
-            self.sim,
-            address=address,
-            regulator=regulator,
-            send=uplink.transmit,
-            frame_bits=self.frame_bits,
-            total_bits=size_bits,
-            start_time=start_time,
-        )
-        backlink = Link(self.sim, self._propagation_delay,
-                        source.receive_control)
-        self.switch.register_bcn_link(address, backlink)
-        if self._enable_pause:
-            self.switch.register_pause_link(backlink)
-        self.sources.append(source)
-        self.uplinks.append(uplink)
-        return source
+        return self._wire_source(demand, min(self._min_rate, demand), demand,
+                                 total_bits=size_bits, start_time=start_time)
 
     def _register_event(self, t: float, kind: str, payload: tuple) -> None:
         if t < 0:
@@ -595,13 +565,7 @@ class BCNNetworkSimulator:
         frames_acc = np.zeros(n, dtype=np.int64)
         owed_bits = np.zeros(n)  # lag-compensation ledger
 
-        mode_code = {"message": 0, "fluid-euler": 1,
-                     "fluid-exact": 2}[reg0.mode]
-        reg_max_dt = -1.0 if reg0.max_dt is None else float(reg0.max_dt)
-        last_update = np.array([
-            np.nan if r._last_update is None else r._last_update
-            for r in regs
-        ])
+        last_update = np.array([r._last_update for r in regs])
         updates = np.zeros(n, dtype=np.int64)
         min_rate_a = np.array([r.min_rate for r in regs])
         line_rate_a = np.array([r.line_rate for r in regs])
@@ -643,7 +607,8 @@ class BCNNetworkSimulator:
             remaining, active, frames_acc, comm, fin_idx, fin_t)
         bound_owed = be.bind_owed_repay(owed_bits, next_emit, rates)
         bound_apply = be.bind_apply_messages(
-            mode_code, reg0.gi, reg0.gd, reg0.ru, reg_max_dt, d,
+            REGULATOR_MODES[reg0.mode], reg0.gi, reg0.gd, reg0.ru,
+            reg0.max_dt, d,
             rates, last_update, assoc8, updates, min_rate_a,
             line_rate_a, owed_bits, reg_d)
 
@@ -734,8 +699,7 @@ class BCNNetworkSimulator:
         # would after the reference engine's per-message delivery.
         for i, reg in enumerate(regs):
             reg.rate = float(rates[i])
-            lu = float(last_update[i])
-            reg._last_update = None if lu != lu else lu
+            reg._last_update = float(last_update[i])
             reg.updates_applied += int(updates[i])
             reg.associated_cpid = cpid if assoc8[i] else None
         self.sim._now = duration

@@ -32,7 +32,52 @@ from typing import Callable
 from .engine import Simulator
 from .frames import BCNMessage, EthernetFrame, PauseFrame
 
-__all__ = ["RateRegulator", "TrafficSource", "expected_message_interval"]
+__all__ = ["REGULATOR_MODES", "RateRegulator", "TrafficSource",
+           "expected_message_interval", "rate_law"]
+
+#: :class:`RateRegulator` modes and the codes :func:`rate_law` and the
+#: kernels take for them.
+REGULATOR_MODES = {"message": 0, "fluid-euler": 1, "fluid-exact": 2}
+
+
+def rate_law(mode, gi, gd, ru, max_dt, min_rate, line_rate, rate,
+             last_update, now, fb, sigma):
+    """One BCN message at a reaction point: eq. (2) or eq. (7).
+
+    Mode 0 applies the wire FB ``fb`` once; modes 1 (Euler) and 2
+    (exact) integrate the raw ``sigma`` over the time since
+    ``last_update``, capped at ``max_dt``.  A NaN ``last_update`` means
+    never updated (no time has passed) and a NaN ``max_dt`` means no
+    cap.  Returns ``(rate, last_update, hold)``: the new rate clamped to
+    ``[min_rate, line_rate]``, the new update time, and ``hold``: True
+    when negative feedback associates the source with the sender's
+    congestion point, False when the rate is back at the line rate (the
+    association is released), else None.  Every python engine applies
+    BCN through this function; the C kernels' ``bcn_rate_step`` is its
+    compiled twin.
+    """
+    if mode == 0:
+        sign = fb
+        if fb > 0:
+            rate += gi * ru * fb
+        elif fb < 0:
+            rate *= max(1.0 + gd * fb, 0.0)
+    else:
+        sign = sigma
+        dt = min(0.0 if last_update != last_update else now - last_update,
+                 max_dt)
+        last_update = now
+        if sigma > 0:
+            rate += gi * ru * sigma * dt
+        elif sigma < 0:
+            if mode == 2:
+                rate *= math.exp(gd * sigma * dt)
+            else:
+                rate *= max(1.0 + gd * sigma * dt, 0.0)
+    rate = min(max(rate, min_rate), line_rate)
+    if sign < 0:
+        return rate, last_update, True
+    return rate, last_update, False if rate >= line_rate else None
 
 
 class RateRegulator:
@@ -58,6 +103,10 @@ class RateRegulator:
         for any message spacing; preferred for fluid-vs-packet
         validation.  Both fluid modes read the *raw* sigma in bits
         (``fb_raw``), not the quantized FB field.
+
+    ``max_dt=None`` (no cap) is stored as NaN, and a regulator that was
+    never updated has a NaN ``_last_update``: :func:`rate_law`'s
+    conventions.
     """
 
     def __init__(
@@ -76,7 +125,7 @@ class RateRegulator:
             raise ValueError("initial_rate must be positive")
         if not 0 < min_rate <= line_rate:
             raise ValueError("need 0 < min_rate <= line_rate")
-        if mode not in ("message", "fluid-euler", "fluid-exact"):
+        if mode not in REGULATOR_MODES:
             raise ValueError(f"unknown regulator mode {mode!r}")
         self.gi = gi
         self.gd = gd
@@ -85,39 +134,20 @@ class RateRegulator:
         self.min_rate = min_rate
         self.line_rate = line_rate
         self.rate = min(initial_rate, line_rate)
-        self.max_dt = max_dt
+        self.max_dt = math.nan if max_dt is None else max_dt
         self.associated_cpid: str | None = None
         self.updates_applied = 0
-        self._last_update: float | None = None
+        self._last_update = math.nan
 
     def apply(self, message: BCNMessage, now: float = 0.0) -> None:
         """Apply eq. (2) / eq. (7) to this regulator's rate."""
-        if self.mode == "message":
-            fb = message.fb
-            if fb > 0:
-                self.rate += self.gi * self.ru * fb
-            elif fb < 0:
-                self.rate *= max(1.0 + self.gd * fb, 0.0)
-        else:
-            sigma = message.fb_raw
-            dt = 0.0 if self._last_update is None else now - self._last_update
-            if self.max_dt is not None:
-                dt = min(dt, self.max_dt)
-            self._last_update = now
-            if sigma > 0:
-                self.rate += self.gi * self.ru * sigma * dt
-            elif sigma < 0:
-                if self.mode == "fluid-exact":
-                    self.rate *= math.exp(self.gd * sigma * dt)
-                else:
-                    self.rate *= max(1.0 + self.gd * sigma * dt, 0.0)
-        self.rate = min(max(self.rate, self.min_rate), self.line_rate)
+        self.rate, self._last_update, hold = rate_law(
+            REGULATOR_MODES[self.mode], self.gi, self.gd, self.ru,
+            self.max_dt, self.min_rate, self.line_rate, self.rate,
+            self._last_update, now, message.fb, message.fb_raw)
         self.updates_applied += 1
-        fb_sign = message.fb if self.mode == "message" else message.fb_raw
-        if fb_sign < 0:
-            self.associated_cpid = message.cpid
-        elif self.rate >= self.line_rate:
-            self.associated_cpid = None
+        if hold is not None:
+            self.associated_cpid = message.cpid if hold else None
 
 
 class TrafficSource:

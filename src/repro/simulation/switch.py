@@ -34,9 +34,46 @@ from .frames import BCNMessage, EthernetFrame, PauseFrame
 from .link import Link
 from .queueing import DropTailQueue
 
-__all__ = ["CoreSwitch", "SwitchStats", "BatchedSwitchKernel", "BatchedWindow"]
+__all__ = ["CoreSwitch", "SwitchStats", "BatchedSwitchKernel", "BatchedWindow",
+           "bcn_feedback", "quantize_fb"]
 
 _EMPTY = np.empty(0)
+
+
+def bcn_feedback(q, q_last, q0, w, pos_only, req_assoc, associated):
+    """The congestion point's law at one sample with queue ``q``.
+
+    ``sigma = (q0 - q) - w * dq`` with ``dq = q - q_last`` (eq. 1).
+    Negative sigma always draws negative BCN (``emit = -1``).  Positive
+    sigma draws positive BCN (``emit = 1``) only below ``q0`` (unless
+    not ``pos_only``) and only to an ``associated`` source (unless not
+    ``req_assoc``).  Returns ``(sigma, dq, emit)``, ``emit = 0`` for no
+    message.  The python engines sample through this function; the
+    numpy window's ``bind_packet_commit`` is its one array form and the
+    C kernels' ``bcn_sample`` its compiled twin.
+    """
+    dq = q - q_last
+    sigma = (q0 - q) - w * dq
+    if sigma < 0:
+        return sigma, dq, -1
+    if sigma > 0 and (q < q0 or not pos_only) and (
+            not req_assoc or associated):
+        return sigma, dq, 1
+    return sigma, dq, 0
+
+
+def quantize_fb(sigma, sigma_unit, full_scale):
+    """The wire FB field of raw ``sigma`` (a float or an array).
+
+    ``round(sigma / sigma_unit)`` (ties to even), clamped to
+    ``[-full_scale, full_scale - 1]``; a zero FB is always +0.0.  A NaN
+    ``sigma_unit`` carries raw sigma.  The C kernels' ``quant_fb`` is
+    its compiled twin.
+    """
+    if sigma_unit != sigma_unit:
+        return sigma
+    return np.minimum(np.maximum(np.rint(sigma / sigma_unit), -full_scale),
+                      full_scale - 1) + 0.0
 
 
 @dataclass
@@ -215,34 +252,34 @@ class CoreSwitch:
         """Compute sigma for a sampled frame and emit BCN if warranted."""
         self.stats.samples += 1
         q = self.queue.occupancy_bits
-        dq = q - self._q_at_last_sample
+        sigma, dq, emit = bcn_feedback(
+            q, self._q_at_last_sample, self.q0, self.w,
+            self.positive_only_below_q0, self.require_association,
+            frame.rrt_cpid == self.cpid)
         self._q_at_last_sample = q
-        sigma = (self.q0 - q) - self.w * dq
         self.sigma_history.append((self.sim.now, sigma))
-
-        if sigma < 0:
-            self._send_bcn(frame.src, sigma, q, dq)
+        if not emit:
+            return
+        if emit < 0:
             self.stats.bcn_negative += 1
-            emitted = True
-        elif sigma > 0 and (q < self.q0 or not self.positive_only_below_q0) and (
-            not self.require_association or frame.rrt_cpid == self.cpid
-        ):
-            self._send_bcn(frame.src, sigma, q, dq)
-            self.stats.bcn_positive += 1
-            emitted = True
         else:
-            emitted = False
-        if emitted and self.obs is not None:
+            self.stats.bcn_positive += 1
+        self._send_bcn(frame.src, sigma, q, dq)
+        if self.obs is not None:
             self.obs.event("bcn", self.sim.now, engine=self.obs_engine,
                            node=self.cpid, flow=frame.src, value=sigma)
 
+    @property
+    def fb_scale(self) -> tuple[float, float]:
+        """``(sigma_unit, full_scale)`` for :func:`quantize_fb`; a NaN
+        unit when the switch carries raw sigma."""
+        if self.fb_bits is None or self.sigma_unit is None:
+            return math.nan, 0.0
+        return float(self.sigma_unit), float(2 ** (self.fb_bits - 1))
+
     def quantize_fb(self, sigma: float) -> float:
         """Map raw sigma (bits) to the wire FB value."""
-        if self.fb_bits is None or self.sigma_unit is None:
-            return sigma
-        full_scale = 2 ** (self.fb_bits - 1)
-        quantum = round(sigma / self.sigma_unit)
-        return float(max(-full_scale, min(full_scale - 1, quantum)))
+        return float(quantize_fb(sigma, *self.fb_scale))
 
     def _send_bcn(self, src: int, sigma: float, q: float, dq: float) -> None:
         link = self._bcn_links.get(src)
@@ -463,13 +500,7 @@ class BatchedSwitchKernel:
         # arrays of the last committed window, for queue_at()
         self._win_arrivals = np.empty(0)
         self._win_starts = np.empty(0)
-        #: the kernels' scalar forms of the FB quantizer (NaN unit:
-        #: raw-sigma feedback) and of the PAUSE threshold (NaN: none)
-        self._fb = (
-            (float(switch.sigma_unit), float(2 ** (switch.fb_bits - 1)))
-            if switch.fb_bits is not None and switch.sigma_unit is not None
-            else (math.nan, 0.0)
-        )
+        #: the kernels' scalar form of the PAUSE threshold (NaN: none)
         self._q_sc = (float(switch.q_sc) if switch.q_sc is not None
                       else math.nan)
         # Per-window buffers, reused across windows and grown (with the
@@ -534,7 +565,7 @@ class BatchedSwitchKernel:
             self._q_bits, self._plan_d, self._plan_i)
         self._bound_commit = be.bind_packet_commit(
             sw.pm, sw.q0, sw.w, 1 if sw.positive_only_below_q0 else 0,
-            1 if sw.require_association else 0, *self._fb, self._q_bits,
+            1 if sw.require_association else 0, *sw.fb_scale, self._q_bits,
             self._starts, self._completions, *self._msg, self._samp_t,
             self._samp_sigma, self._out_d, self._out_i)
 
@@ -594,7 +625,7 @@ class BatchedSwitchKernel:
                 float(t_start), float(t_end), self._ssvc, Lf,
                 float(sw.queue.capacity_bits), self._q_sc, float(sw.q0),
                 float(sw.w), 1 if sw.positive_only_below_q0 else 0,
-                1 if sw.require_association else 0, *self._fb,
+                1 if sw.require_association else 0, *sw.fb_scale,
                 n_res, self._next_free, 1 if self._inflight else 0,
                 self._frozen_until, self._pause_rearm_at,
                 float(sw.pause_duration), self.pause_commit_horizon,

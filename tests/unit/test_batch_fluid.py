@@ -112,27 +112,20 @@ class TestSwitchedDerivatives:
         p = norm()
         states = np.array([[5.0, 2.0],    # s > 0: decrease law
                            [-5.0, 2.0]])  # s < 0: increase law
-        for rule in ("decrease", "flow"):
-            d = switched_derivatives(p, states, on_line=rule)
-            s = states[:, 0] + p.k * states[:, 1]
-            np.testing.assert_allclose(d[:, 0], states[:, 1])
-            assert d[0, 1] == pytest.approx(
-                -p.b * (states[0, 1] + p.capacity) * s[0])
-            assert d[1, 1] == pytest.approx(-p.a * s[1])
+        d = switched_derivatives(p, states)
+        s = states[:, 0] + p.k * states[:, 1]
+        np.testing.assert_allclose(d[:, 0], states[:, 1])
+        assert d[0, 1] == pytest.approx(
+            -p.b * (states[0, 1] + p.capacity) * s[0])
+        assert d[1, 1] == pytest.approx(-p.a * s[1])
 
-    def test_on_line_acceleration_vanishes_under_both_conventions(self):
-        # exactly on s = 0 the acceleration is -coef * s = 0 whichever
-        # region the convention assigns, so the two rules agree there
+    def test_on_line_acceleration_vanishes(self):
+        # exactly on s = 0 the acceleration is -coef * s = 0
         p = norm()
         state = np.array([-p.k * -5.0, -5.0])
-        for rule in ("decrease", "flow"):
-            d = switched_derivatives(p, state, on_line=rule)
-            assert d[0] == -5.0
-            assert d[1] == 0.0
-
-    def test_unknown_on_line_rule_raises(self):
-        with pytest.raises(ValueError, match="on_line"):
-            switched_derivatives(norm(), np.zeros(2), on_line="bogus")
+        d = switched_derivatives(p, state)
+        assert d[0] == -5.0
+        assert d[1] == 0.0
 
 
 class TestBatchReturnMapValidation:
@@ -152,22 +145,21 @@ class TestBatchReturnMapValidation:
 
 
 class TestFindLimitCycleScanParity:
-    def test_both_scans_agree_no_cycle_exists(self):
+    def test_no_cycle_exists(self):
         # Proposition 1: the nonlinear Case-1 map contracts everywhere,
-        # so the generic outcome — through either scan — is None.
-        assert find_limit_cycle(CASE1_SLOW, scan="batch") is None
-        assert find_limit_cycle(CASE1_SLOW, scan="reference") is None
+        # so the generic outcome is None, and the reference map agrees
+        # that P(y) - y keeps one sign over the scanned ordinates.
+        assert find_limit_cycle(CASE1_SLOW) is None
+        ys = np.geomspace(1e-4, 0.95, 7) * CASE1_SLOW.capacity
+        assert all(lc.return_map(CASE1_SLOW, float(y)) < y for y in ys)
 
-    def test_unknown_scan_method_raises(self):
-        with pytest.raises(ValueError, match="scan"):
-            find_limit_cycle(CASE1_SLOW, scan="bogus")
-
-    def test_amplitude_scan_methods_agree(self):
+    def test_amplitude_scan_matches_return_map(self):
         p = CASE1_SLOW
         ys = np.geomspace(0.01, 0.8, 9) * p.capacity
-        fast = amplitude_scan(p, ys, method="batch")
-        slow = amplitude_scan(p, ys, method="reference")
-        np.testing.assert_allclose(fast[:, 1], slow[:, 1], rtol=0, atol=1e-3)
+        fast = amplitude_scan(p, ys)
+        slow = [lc.contraction_ratio(p, float(y)) for y in ys]
+        np.testing.assert_array_equal(fast[:, 0], ys)
+        np.testing.assert_allclose(fast[:, 1], slow, rtol=0, atol=1e-3)
 
     @staticmethod
     def _patch_synthetic_cycle(monkeypatch, batch_values=None,
@@ -202,19 +194,19 @@ class TestFindLimitCycleScanParity:
 
     def test_batched_scan_finds_same_cycle_amplitude(self, monkeypatch):
         y_star = self._patch_synthetic_cycle(monkeypatch)
-        via_batch = find_limit_cycle(CASE1_SLOW, scan="batch")
-        via_ref = find_limit_cycle(CASE1_SLOW, scan="reference")
-        assert via_batch is not None and via_ref is not None
+        cycle = find_limit_cycle(CASE1_SLOW)
+        assert cycle is not None
         tol = 1e-3 * CASE1_SLOW.capacity
-        assert abs(via_batch.entry_ordinate - y_star) < tol
-        assert abs(via_batch.entry_ordinate - via_ref.entry_ordinate) < tol
-        assert abs(via_batch.queue_amplitude - via_ref.queue_amplitude) < tol
-        assert via_batch.stable and via_batch.derivative == pytest.approx(0.5)
+        assert abs(cycle.entry_ordinate - y_star) < tol
+        _, _, orbit = lc.return_map(CASE1_SLOW, cycle.entry_ordinate,
+                                    with_orbit=True)
+        np.testing.assert_array_equal(cycle.orbit, orbit)
+        assert cycle.stable and cycle.derivative == pytest.approx(0.5)
 
     def test_batch_scan_falls_back_on_runtime_error(self, monkeypatch):
         y_star = self._patch_synthetic_cycle(
             monkeypatch, batch_error=RuntimeError("no re-cross"))
-        cycle = find_limit_cycle(CASE1_SLOW, scan="batch")
+        cycle = find_limit_cycle(CASE1_SLOW)
         assert cycle is not None
         assert cycle.entry_ordinate == pytest.approx(y_star, abs=1e-6)
 
@@ -227,7 +219,7 @@ class TestFindLimitCycleScanParity:
             monkeypatch,
             batch_values=lambda ys: 0.5 * ys + 0.05 * c,  # fixed pt 0.1 C
         )
-        cycle = find_limit_cycle(CASE1_SLOW, scan="batch")
+        cycle = find_limit_cycle(CASE1_SLOW)
         assert cycle is not None
         assert cycle.entry_ordinate == pytest.approx(y_star, abs=1e-6)
 

@@ -223,30 +223,36 @@ def test_bound_merge_trains_raises_memory_error_on_allocation_failure():
 _MODES = [("message", 0), ("fluid-euler", 1), ("fluid-exact", 2)]
 
 
-def _apply_case(mode, n_windows=1):
+#: The dt caps the apply tests run: a cap, and None (no cap), which the
+#: regulators and the closures both read as NaN.
+_MAX_DTS = (5e-4, None)
+
+
+def _apply_case(mode, max_dt, n_windows=1):
     """Random BCN messages applied the object way (RateRegulator.apply
     plus the window loop's owed-bits bookkeeping), delivered in
     ``n_windows`` consecutive windows; returns the message arrays, the
     constants, the expected per-source outcome and the windows as
     ``(message slice, t_commit)``.  Past the first window each commit
     boundary falls just short of its last message's arrival, so the
-    lag clamp is exercised too."""
+    lag clamp is exercised too.  Every 17th wire FB is exactly 0."""
     rng = np.random.default_rng(7)
     n, n_msg = 6, 400
-    const = dict(gi=4.0, gd=1 / 128, ru=8e6, max_dt=5e-4, d=5e-6,
-                 t_commit=0.0105)
+    const = dict(gi=4.0, gd=1 / 128, ru=8e6, d=5e-6, t_commit=0.0105)
     regs = [
         RateRegulator(gi=const["gi"], gd=const["gd"], ru=const["ru"],
                       initial_rate=2e7, min_rate=1e5, line_rate=1e9,
-                      mode=mode, max_dt=const["max_dt"])
+                      mode=mode, max_dt=max_dt)
         for _ in range(n)
     ]
+    const["max_dt"] = regs[0].max_dt
     msgs = dict(
         msg_t=np.sort(rng.uniform(0.0, 0.01, n_msg)),
         msg_src=rng.integers(0, n, n_msg).astype(np.int64),
         msg_fb=rng.uniform(-128.0, 127.0, n_msg),
         msg_sigma=rng.uniform(-3e6, 3e6, n_msg),
     )
+    msgs["msg_fb"][::17] = 0.0
     edges = np.linspace(0, n_msg, n_windows + 1).astype(int)
     windows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -304,11 +310,8 @@ def _assert_soa_matches(st, regs, owed, total):
                                   [r.updates_applied for r in regs])
     for i, reg in enumerate(regs):
         assert bool(st["assoc8"][i]) == (reg.associated_cpid == "cp")
-        lu = float(st["last_update"][i])
-        if reg._last_update is None:
-            assert lu != lu  # NaN encodes "never updated"
-        else:
-            assert lu == reg._last_update
+        # NaN on both sides encodes "never updated"
+        np.testing.assert_array_equal(st["last_update"][i], reg._last_update)
 
 
 @pytest.mark.parametrize("mode, code", _MODES)
@@ -316,26 +319,29 @@ def test_apply_messages_matches_regulator_objects(mode, code):
     # One binding per tier, five windows: the selected backend's state
     # equals the numpy tier's after every window and the regulator
     # objects' at the end.
-    msgs, c, regs, owed, total, windows = _apply_case(mode, n_windows=5)
-    n = len(regs)
-    got, want = _soa_state(n), _soa_state(n)
-    bound_got = _bind_apply(get_backend(), code, c, got)
-    bound_want = _bind_apply(ORACLE, code, c, want)
-    for sl, t_commit in windows:
-        _deliver(bound_got, msgs, sl, t_commit)
-        _deliver(bound_want, msgs, sl, t_commit)
-        for key in want:
-            assert got[key].tobytes() == want[key].tobytes(), key
-    _assert_soa_matches(got, regs, owed, total)
+    for max_dt in _MAX_DTS:
+        msgs, c, regs, owed, total, windows = _apply_case(mode, max_dt,
+                                                          n_windows=5)
+        n = len(regs)
+        got, want = _soa_state(n), _soa_state(n)
+        bound_got = _bind_apply(get_backend(), code, c, got)
+        bound_want = _bind_apply(ORACLE, code, c, want)
+        for sl, t_commit in windows:
+            _deliver(bound_got, msgs, sl, t_commit)
+            _deliver(bound_want, msgs, sl, t_commit)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), key
+        _assert_soa_matches(got, regs, owed, total)
 
 
 @pytest.mark.parametrize("mode, code", _MODES)
 def test_bound_apply_messages_matches_regulator_objects(tier, mode, code):
-    msgs, c, regs, owed, total, windows = _apply_case(mode)
-    st = _soa_state(len(regs))
-    (sl, t_commit), = windows
-    _deliver(_bind_apply(tier, code, c, st), msgs, sl, t_commit)
-    _assert_soa_matches(st, regs, owed, total)
+    for max_dt in _MAX_DTS:
+        msgs, c, regs, owed, total, windows = _apply_case(mode, max_dt)
+        st = _soa_state(len(regs))
+        (sl, t_commit), = windows
+        _deliver(_bind_apply(tier, code, c, st), msgs, sl, t_commit)
+        _assert_soa_matches(st, regs, owed, total)
 
 
 # -- pacing closures: the C tier against the numpy tier ---------------------

@@ -1,11 +1,17 @@
 """Unit tests for the BCN core switch (repro.simulation.switch)."""
 
+import math
+
+import numpy as np
 import pytest
 
+import repro.kernels._backend as backend
+from repro.core.parameters import BCNParams
 from repro.simulation.engine import Simulator
 from repro.simulation.frames import BCNMessage, EthernetFrame, PauseFrame
 from repro.simulation.link import Link
-from repro.simulation.switch import CoreSwitch
+from repro.simulation.network import BCNNetworkSimulator
+from repro.simulation.switch import BatchedSwitchKernel, CoreSwitch
 
 
 FRAME_BITS = 12000
@@ -238,3 +244,65 @@ class TestDataPlane:
             make_switch(Simulator(), capacity=0.0)
         with pytest.raises(ValueError):
             make_switch(Simulator(), pm=0.0)
+
+
+# -- a zero FB is +0.0 on every path ---------------------------------------
+
+#: With q0 = 35,400 bits, w = 2 and 12,000-bit frames, a sample of an
+#: empty queue's first arrival reads q = dq = L, so sigma = q0 - 3L =
+#: -600 bits: negative, and under half of the 2,212.5-bit FB quantum
+#: (q0 / 16 for a 6-bit FB), so it rounds to a zero FB.
+ZERO_FB_Q0 = 35_400.0
+
+
+def _pending_bcn_fb(compiled: bool, monkeypatch) -> float:
+    """The FB of the first BCN of a one-source reference dumbbell, read
+    off the event heap before its delivery, on the C event core or on
+    the python loop."""
+    if compiled:
+        if not backend.get_backend().compiled:
+            pytest.skip("no compiled backend (cffi + C compiler) available")
+    else:
+        monkeypatch.setattr(backend, "_BACKEND", backend.KernelBackend())
+    params = BCNParams(capacity=1e9, n_flows=1, q0=ZERO_FB_Q0,
+                       buffer_size=1e6, pm=1.0, gi=4.0, gd=1 / 128, ru=8e6)
+    net = BCNNetworkSimulator(params, frame_bits=FRAME_BITS)
+    # first emission at 12 us (line rate), its sample at 12.5 us, the
+    # BCN lands at 13 us
+    net.run(12.7e-6)
+    fbs = [arg.fb for _, _, _, arg in net.sim._heap
+           if isinstance(arg, BCNMessage)]
+    assert len(fbs) == 1 and net.switch.sigma_history[0][1] == -600.0
+    return fbs[0]
+
+
+def _window_fb(compiled: bool, buffer_bits: float) -> float:
+    """The FB of the first message of one switch window: the planned
+    commit, or (buffer of one frame) the per-frame drop loop."""
+    be = backend.get_backend() if compiled else backend.KernelBackend()
+    if be.compiled != compiled:
+        pytest.skip("no compiled backend (cffi + C compiler) available")
+    switch = make_switch(Simulator(), q0=ZERO_FB_Q0, buffer_bits=buffer_bits,
+                         pm=1.0, fb_bits=6)
+    kernel = BatchedSwitchKernel(switch, FRAME_BITS, backend=be)
+    window = kernel.process(0.0, 1e-3, np.array([1e-6, 1.1e-6, 1.2e-6]),
+                            np.zeros(3, np.int64), np.zeros(3, np.uint8))
+    assert window.drops == (1 if buffer_bits == FRAME_BITS else 0)
+    assert window.msg_sigma[0] == -600.0
+    return float(window.msg_fb[0])
+
+
+@pytest.mark.parametrize("path", [
+    "quantize_fb", "python-loop", "event-core", "numpy-commit",
+    "numpy-drop-loop", "c-commit", "c-drop-loop",
+])
+def test_a_zero_fb_is_positive_zero_on_every_path(path, monkeypatch):
+    if path == "quantize_fb":
+        fb = make_switch(Simulator(), q0=ZERO_FB_Q0,
+                         fb_bits=6).quantize_fb(-600.0)
+    elif path in ("python-loop", "event-core"):
+        fb = _pending_bcn_fb(path == "event-core", monkeypatch)
+    else:
+        fb = _window_fb(path.startswith("c-"),
+                        FRAME_BITS if path.endswith("drop-loop") else 6e5)
+    assert fb == 0.0 and math.copysign(1.0, fb) == 1.0
