@@ -74,18 +74,78 @@ def find_peaks(
 
     ``min_prominence_frac`` filters out ripples: a peak must rise at
     least that fraction of the signal's span above its surroundings
-    (scipy prominence).  0 keeps every strict local maximum.
+    (scipy prominence).  0 keeps every strict local maximum.  The
+    indices are those of ``scipy.signal.find_peaks``; ``values`` must
+    be finite.
     """
-    from scipy.signal import find_peaks as _scipy_find_peaks
-
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"find_peaks: values[{bad[0]}] = {v[bad[0]]} is "
+                         "not finite")
     if v.size < 3:
         return []
     span = float(v.max() - v.min())
     prominence = min_prominence_frac * span if span > 0 else None
-    idx, _ = _scipy_find_peaks(v, prominence=prominence or None)
+    idx = _peak_indices(v, prominence or None)
     return [(float(t[i]), float(v[i])) for i in idx]
+
+
+def _peak_indices(v: np.ndarray, min_prominence: float | None) -> list[int]:
+    """``scipy.signal.find_peaks(v, prominence=min_prominence)[0]``.
+
+    A peak is a sample, or a flat run of equal samples reported at its
+    middle index ``(left + right) // 2``, with a strictly lower sample
+    on each side.  Its prominence is its height above the higher of
+    its two bases; a base is the lowest sample between the peak and
+    the first strictly higher sample on that side (or the end).
+    """
+    change = np.flatnonzero(v[1:] != v[:-1]) + 1
+    first = np.concatenate(([0], change))
+    last = np.concatenate((change - 1, [v.size - 1]))
+    runs = v[first]  # one value per run of equal samples
+    # tops: runs above both neighbours, the two end runs included (an
+    # end run is a peak's higher side but never a peak itself)
+    tops = np.flatnonzero(np.concatenate(([True], runs[1:] > runs[:-1]))
+                          & np.concatenate((runs[:-1] > runs[1:], [True])))
+    inner = ((tops > 0) & (tops < runs.size - 1)).tolist()
+    middle = ((first[tops] + last[tops]) // 2).tolist()
+    if min_prominence is None:
+        return [i for i, keep in zip(middle, inner) if keep]
+    # The first strictly higher sample beside a peak lies on the slope of
+    # the nearest strictly higher top, so each base is the lowest run
+    # between the peak and that top: the tops' valleys suffice.
+    heights = runs[tops].tolist()
+    valleys = np.minimum.reduceat(runs, tops)[:-1].tolist()
+    left = _bases(heights, valleys, float(runs[0]))
+    right = _bases(heights[::-1], valleys[::-1], float(runs[-1]))[::-1]
+    return [i for i, keep, h, lo, hi in zip(middle, inner, heights, left,
+                                            right)
+            if keep and h - max(lo, hi) >= min_prominence]
+
+
+def _bases(heights: list[float], valleys: list[float],
+           end: float) -> list[float]:
+    """Lowest run between each top and the nearest strictly higher top
+    before it (or the start, whose value is ``end``); ``valleys[i]`` is
+    the lowest run between tops ``i`` and ``i + 1``.  One monotonic
+    stack pass: each entry is a top's height and the lowest run from it
+    up to the next entry."""
+    stack_h, stack_low = [math.inf], [end]
+    bases = []
+    for i, h in enumerate(heights):
+        if i:
+            stack_low[-1] = min(stack_low[-1], valleys[i - 1])
+        low = math.inf
+        while stack_h[-1] <= h:
+            stack_h.pop()
+            low = min(low, stack_low.pop())
+        stack_low[-1] = min(stack_low[-1], low)
+        bases.append(stack_low[-1])
+        stack_h.append(h)
+        stack_low.append(math.inf)
+    return bases
 
 
 def oscillation_period(

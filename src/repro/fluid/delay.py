@@ -16,7 +16,11 @@ feedback delay ``tau`` earlier,
 
 with ``s = x + k y``.  Integration is by the method of steps: fixed-step
 RK4 whose delayed argument is linearly interpolated from the stored
-history (requires ``tau >= step``).
+history (requires ``tau >= step``).  On the compiled kernel tier the
+steps run in C (``k_delayed``, one of the C tier's three entry points
+beside the batch fluid kernel and the event core); the python loop,
+:func:`_simulate_delayed_python`, runs them otherwise and is the C
+kernel's oracle, bit for bit.
 
 Alongside the integrator, :func:`critical_delay` locates the empirical
 stability boundary by bisection on the amplitude trend — the quantity
@@ -80,6 +84,20 @@ class DelayedTrajectory:
         return "marginal"
 
 
+def _require_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def _require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def simulate_delayed(
     params: NormalizedParams | BCNParams,
     *,
@@ -91,6 +109,10 @@ def simulate_delayed(
 ) -> DelayedTrajectory:
     """Integrate the delayed switched model with RK4 + history lookup.
 
+    On the compiled kernel tier the steps run in C (``k_delayed``);
+    otherwise :func:`_simulate_delayed_python`, the C kernel's oracle,
+    runs them.  Both give the same samples bit for bit.
+
     Parameters
     ----------
     tau:
@@ -98,31 +120,65 @@ def simulate_delayed(
     step:
         Integration step; defaults to ``min(tau/8, T_fast/200)`` where
         ``T_fast`` is the fastest natural period.
+
+    ``tau``, ``t_max`` and ``step`` must be finite and positive and
+    ``x0``/``y0`` finite; otherwise a ``ValueError`` names the argument.
     """
     p = as_normalized(params)
-    if tau <= 0:
-        raise ValueError("tau must be positive; use simulate_fluid for tau=0")
-    if x0 is None:
-        x0 = -p.q0
+    tau = _require_positive("tau", tau)
+    t_max = _require_positive("t_max", t_max)
+    x0 = _require_finite("x0", -p.q0 if x0 is None else x0)
+    y0 = _require_finite("y0", y0)
     fastest = math.sqrt(max(p.n_increase, p.n_decrease))
     if step is None:
         step = min(tau / 8.0, (2.0 * math.pi / fastest) / 200.0)
+    step = _require_positive("step", step)
     if step > tau:
         raise ValueError("step must not exceed the delay")
 
     n_steps = int(math.ceil(t_max / step))
+    limit = 1e6 * max(abs(x0), p.q0)
+    s_initial = x0 + p.k * y0
+
+    from ..kernels import get_backend
+
+    backend = get_backend()
+    if backend.compiled:
+        t, x, y = _simulate_delayed_compiled(backend, p, tau, step, n_steps,
+                                             x0, y0, s_initial, limit)
+    else:
+        t, x, y = _simulate_delayed_python(p, tau, step, n_steps, x0, y0,
+                                           s_initial, limit)
+    return DelayedTrajectory(params=p, tau=tau, t=t, x=x, y=y)
+
+
+def _simulate_delayed_compiled(backend, p, tau, step, n_steps, x0, y0,
+                               s_initial, limit):
+    """The C method of steps (``k_delayed``) into one-shot buffers."""
+    try:
+        t, x, y = (np.empty(n_steps + 1) for _ in range(3))
+    except (MemoryError, ValueError) as exc:
+        raise MemoryError(f"simulate_delayed: cannot allocate {n_steps + 1} "
+                          "samples") from exc
+    t[0], x[0], y[0] = 0.0, x0, y0
+    n = backend.delayed(tau, step, p.a, p.b, p.capacity, p.k, s_initial,
+                        limit, t, x, y)
+    if n <= n_steps:  # stopped early: drop the unused slots
+        t, x, y = t[:n].copy(), x[:n].copy(), y[:n].copy()
+    return t, x, y
+
+
+def _simulate_delayed_python(p, tau, step, n_steps, x0, y0, s_initial,
+                             limit):
+    """The python method of steps: the oracle of ``k_delayed``."""
     # The loop runs on plain double buffers (``array("d")``): the same
     # IEEE doubles as numpy arrays, read back as Python floats instead
     # of boxed numpy scalars, and as compact as the arrays they become
     # once at the end.
-    x0, y0 = float(x0), float(y0)
     t = array("d", [0.0])
     x = array("d", [x0])
     y = array("d", [y0])
-    limit = 1e6 * max(abs(x0), p.q0)
-
     a, b, c, k = p.a, p.b, p.capacity, p.k
-    s_initial = x0 + k * y0
 
     def delayed_s(time: float, upto: int) -> float:
         """Interpolated s(time - tau); constant initial history."""
@@ -155,9 +211,7 @@ def simulate_delayed(
         if abs(x_next) > limit:
             # unambiguous divergence: stop early
             break
-
-    return DelayedTrajectory(params=p, tau=tau, t=np.array(t), x=np.array(x),
-                             y=np.array(y))
+    return np.array(t), np.array(x), np.array(y)
 
 
 def critical_delay(
@@ -170,10 +224,18 @@ def critical_delay(
 ) -> float:
     """Bisect for the delay at which the oscillation stops decaying.
 
-    ``tau_lo`` must classify stable and ``tau_hi`` unstable; returns the
+    ``tau_lo`` must classify stable and ``tau_hi`` unstable, with
+    ``0 < tau_lo < tau_hi`` and ``iterations >= 0``; returns the
     midpoint of the final bracket.
     """
     p = as_normalized(params)
+    tau_lo = _require_positive("tau_lo", tau_lo)
+    tau_hi = _require_positive("tau_hi", tau_hi)
+    if tau_lo >= tau_hi:
+        raise ValueError(f"tau_lo ({tau_lo!r}) must be below tau_hi "
+                         f"({tau_hi!r})")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations!r}")
 
     def is_stable(tau: float) -> bool:
         traj = simulate_delayed(p, tau=tau, t_max=t_max)

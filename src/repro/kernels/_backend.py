@@ -19,9 +19,11 @@ Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
     The C kernels of :mod:`repro.kernels._cbuild`, compiled once into
     a content-addressed cache directory.  They run the same float64
     operations in the same order as the numpy tier, so the two tiers
-    agree bit for bit.  This tier alone has ``event_core``, which runs
-    the ``engine="reference"`` dumbbell's events in C, bit for bit with
-    the python ``Simulator`` loop that runs it on the numpy tier.
+    agree bit for bit.  This tier alone has three entry points, each
+    bit for bit with the python or numpy loop that runs on the numpy
+    tier: ``fluid_rows`` (the batch fluid kernel), ``delayed`` (the
+    delayed-feedback model's method of steps) and ``event_core``
+    (the ``engine="reference"`` dumbbell's events).
     ``auto`` picks this tier whenever cffi and a C compiler are
     available.
 
@@ -472,10 +474,12 @@ _CORE_OUTPUTS = {
 
 class _CffiKernels(KernelBackend):
     """The C tier: every entry point of the numpy tier, same arguments,
-    plus two C-only ones: the batch fluid kernel ``fluid_rows``, whose
-    numpy oracle is :func:`repro.fluid.batch.simulate_fluid_batch`, and
-    the reference dumbbell's ``event_core``, whose oracle is the python
-    ``Simulator`` loop."""
+    plus three C-only ones: the batch fluid kernel ``fluid_rows``, whose
+    numpy oracle is :func:`repro.fluid.batch.simulate_fluid_batch`, the
+    delayed fluid model's ``delayed``, whose oracle is the python loop
+    of :func:`repro.fluid.delay.simulate_delayed`, and the reference
+    dumbbell's ``event_core``, whose oracle is the python ``Simulator``
+    loop."""
 
     name = "cffi"
     compiled = True
@@ -500,8 +504,8 @@ class _CffiKernels(KernelBackend):
         # both guarantees the id cannot be recycled while the entry
         # lives and keeps the cached pointer valid; the cache is flushed
         # when those transient arrays grow it past ``_PCACHE_LIMIT``.
-        # ``fluid_rows`` and ``event_core`` take one-shot buffers, which
-        # the cache would pin, and so cast theirs per call.
+        # ``fluid_rows``, ``delayed`` and ``event_core`` take one-shot
+        # buffers, which the cache would pin, and so cast theirs per call.
         self._pcache: dict = {}
         self.warmup_seconds = _cbuild.build_seconds
 
@@ -577,6 +581,18 @@ class _CffiKernels(KernelBackend):
             buf("double[]", ev_x), buf("double[]", ev_y),
             buf("int64_t[]", out_i),
         )
+
+    def delayed(self, tau, step, a, b, cap, k, s_initial, limit, t, x, y):
+        """Run ``k_delayed``, the delayed fluid model's method of steps,
+        from sample 0 of ``t``/``x``/``y`` over their remaining slots;
+        returns the sample count.  Its oracle is
+        :func:`repro.fluid.delay._simulate_delayed_python`.  The buffers
+        are one-shot, so they bypass the pointer cache."""
+        buf = self._ffi.from_buffer
+        return self._lib.k_delayed(
+            t.shape[0] - 1, float(tau), float(step), float(a), float(b),
+            float(cap), float(k), float(s_initial), float(limit),
+            buf("double[]", t), buf("double[]", x), buf("double[]", y))
 
     def event_core(self, scalars, arrays):
         """Run one reference dumbbell's events in C (``k_event_core``).

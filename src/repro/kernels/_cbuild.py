@@ -1,8 +1,8 @@
 """cffi build recipe for the C kernels of the ``cffi`` tier.
 
-The C source below is the fast path of the two hot spots; each kernel
-is checked bit for bit against its numpy oracle, which runs the same
-float64 operations in the same order:
+The C source below is the fast path of the hot spots; each kernel
+is checked bit for bit against its numpy or python oracle, which runs
+the same float64 operations in the same order:
 
 * the BCN control law, written once for every C kernel as ``static``
   helpers: ``bcn_sample`` (sigma, eq. 1, and the emission rule; the
@@ -27,6 +27,11 @@ float64 operations in the same order:
   split.  Only ``physical`` mode's pinned closed forms differ: libm
   ``exp`` against numpy's vectorised ``exp`` can move a sample by an
   ulp;
+* the delayed-feedback fluid model's method of steps ``k_delayed``
+  against :func:`repro.fluid.delay._simulate_delayed_python`: one
+  trajectory, RK4 stages and history interpolation in the python
+  loop's float64 operations and order, with the same early stop, so
+  the sample count and every sample are the same;
 * the reference dumbbell's event core ``k_event_core`` against the
   python ``Simulator`` loop of
   :class:`~repro.simulation.network.BCNNetworkSimulator`: one binary
@@ -41,6 +46,9 @@ float64 operations in the same order:
 Every kernel is compiled with ``-ffp-contract=off`` (:data:`COMPILE_ARGS`,
 part of the content hash): no fused multiply-add may change a rounding
 against a python or numpy oracle on any architecture.
+``REPRO_KERNEL_CFLAGS`` adds flags to the compile and link lines (a
+sanitised build, say); they enter the content hash too, so such a
+build never shadows the normal one.
 
 Builds are out-of-line cffi API-mode extensions, keyed by a content
 hash of the declarations + source, cached under
@@ -57,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import shlex
 import shutil
 import sys
 import sysconfig
@@ -129,6 +138,10 @@ void k_fluid(int64_t m, int64_t lo, int64_t hi, int64_t n_steps,
     int64_t *switches, double *t_end, double *x_end, double *y_end,
     int64_t ev_cap, int64_t *n_events, double *ev_t, int8_t *ev_kind,
     double *ev_x, double *ev_y, int64_t *out_i);
+
+int64_t k_delayed(int64_t n_steps, double tau, double step, double a,
+    double b, double cap, double kk, double s_initial, double limit,
+    double *t, double *x, double *y);
 
 typedef struct ev_core {
     int64_t n, n_pause, n_timed, neumaier, log_on, digest_on;
@@ -1068,6 +1081,63 @@ void k_fluid(int64_t m, int64_t lo, int64_t hi, int64_t n_steps,
 }
 """
 
+_DELAYED = r"""
+/* ---- delayed-feedback fluid model: RK4 method of steps ----------------- */
+/* The python oracle is repro.fluid.delay._simulate_delayed_python: the
+   same float operations in the same order and the same early stop, so
+   t, x, y and the sample count match it bit for bit. */
+
+typedef struct {
+    const double *t, *x, *y;
+    double tau, step, a, b, cap, kk, s_initial;
+} dde;
+
+/* dy/dt at `time` with rate yv (dx/dt is yv itself).  The law acts on
+   s(time - tau), linearly interpolated from samples [0, upto]; the
+   history before t = 0 is the constant s_initial. */
+static double dde_dy(const dde *d, double time, double yv, int64_t upto)
+{
+    double target = time - d->tau, s = d->s_initial;
+    if (target > 0.0) {
+        int64_t idx = (int64_t)(target / d->step);
+        double frac;
+        if (idx > upto - 1) idx = upto - 1;
+        frac = (target - d->t[idx]) / d->step;
+        s = (d->x[idx] + frac * (d->x[idx + 1] - d->x[idx]))
+            + d->kk * (d->y[idx] + frac * (d->y[idx + 1] - d->y[idx]));
+    }
+    if (s < 0.0) return -d->a * s;
+    return -d->b * (yv + d->cap) * s;
+}
+
+/* Advance from sample 0 for up to n_steps steps into t/x/y (n_steps + 1
+   slots); returns the sample count, which is smaller when |x| passes
+   `limit` (the step that passes it is kept). */
+int64_t k_delayed(int64_t n_steps, double tau, double step, double a,
+    double b, double cap, double kk, double s_initial, double limit,
+    double *t, double *x, double *y)
+{
+    dde d = {t, x, y, tau, step, a, b, cap, kk, s_initial};
+    int64_t i;
+    for (i = 0; i < n_steps; i++) {
+        double ti = t[i], yi = y[i], y2, y3, y4, k1, k2, k3, k4;
+        int64_t upto = i > 0 ? i : 1;
+        k1 = dde_dy(&d, ti, yi, upto);
+        y2 = yi + step / 2 * k1;
+        k2 = dde_dy(&d, ti + step / 2, y2, upto);
+        y3 = yi + step / 2 * k2;
+        k3 = dde_dy(&d, ti + step / 2, y3, upto);
+        y4 = yi + step * k3;
+        k4 = dde_dy(&d, ti + step, y4, upto);
+        x[i + 1] = x[i] + step / 6 * (yi + 2 * y2 + 2 * y3 + y4);
+        y[i + 1] = yi + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4);
+        t[i + 1] = ti + step;
+        if (fabs(x[i + 1]) > limit) return i + 2;
+    }
+    return n_steps + 1;
+}
+"""
+
 _CORE = r"""
 /* ---- exact event core of the reference dumbbell ------------------------ */
 /* The oracle is the python Simulator loop running BCNNetworkSimulator's
@@ -1611,7 +1681,7 @@ _CORE_STRUCT = CDEF[CDEF.index("typedef struct ev_core"):
                     CDEF.index("} ev_core;") + len("} ev_core;")]
 
 SOURCE = ("#include <stdlib.h>\n#include <string.h>\n" + _COMMON + _FLUID
-          + _CORE_STRUCT + _CORE)
+          + _DELAYED + _CORE_STRUCT + _CORE)
 
 
 def _build_root() -> Path:
@@ -1626,8 +1696,15 @@ def _build_root() -> Path:
 COMPILE_ARGS = ("-O2", "-fno-math-errno", "-ffp-contract=off")
 
 
+def _extra_args() -> list[str]:
+    """``REPRO_KERNEL_CFLAGS``: flags added to the compile and link
+    lines, e.g. ``-fsanitize=address,undefined`` for a sanitised build."""
+    return shlex.split(os.environ.get("REPRO_KERNEL_CFLAGS", ""))
+
+
 def _content_hash() -> str:
-    payload = (CDEF + SOURCE + " ".join(COMPILE_ARGS)).encode()
+    args = list(COMPILE_ARGS) + _extra_args()
+    payload = (CDEF + SOURCE + " ".join(args)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -1655,8 +1732,10 @@ def load_cffi_kernels():
         try:
             ffi = cffi.FFI()
             ffi.cdef(CDEF)
+            extra = _extra_args()
             ffi.set_source(modname, SOURCE,
-                           extra_compile_args=list(COMPILE_ARGS))
+                           extra_compile_args=list(COMPILE_ARGS) + extra,
+                           extra_link_args=extra)
             built = Path(ffi.compile(tmpdir=str(scratch), verbose=False))
             os.replace(built, target)  # atomic: concurrent builders race safely
         finally:

@@ -56,6 +56,7 @@ _Marshal = tuple[str | None, str | None]
 #: C-tier entry points without a ``KernelBackend`` twin, and why.
 _C_ONLY = {
     "fluid_rows": "its oracle is repro.fluid.batch.simulate_fluid_batch",
+    "delayed": "its oracle is repro.fluid.delay._simulate_delayed_python",
     "event_core": "its oracle is the python Simulator loop of "
                   "BCNNetworkSimulator's reference engine",
 }

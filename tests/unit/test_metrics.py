@@ -82,6 +82,34 @@ class TestPeaks:
     def test_too_short_signal(self):
         assert find_peaks(np.array([0.0]), np.array([1.0])) == []
 
+    def test_plateau_reported_at_its_middle(self):
+        v = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 0.0])
+        t = np.arange(v.size, dtype=float)
+        assert find_peaks(t, v) == [(2.0, 2.0), (6.0, 3.0)]
+
+    def test_plateau_at_the_end_is_not_a_peak(self):
+        v = np.array([0.0, 1.0, 0.0, 2.0, 2.0])
+        t = np.arange(v.size, dtype=float)
+        assert find_peaks(t, v) == [(1.0, 1.0)]
+
+    def test_prominence_measured_against_higher_base(self):
+        # the 2.0 peak's bases are 1.5 (left, bounded by the 3.0 peak)
+        # and 0.0 (right): prominence 0.5, which a 20% filter keeps
+        v = np.array([0.0, 3.0, 1.5, 2.0, 0.0, 1.0, 0.0])
+        t = np.arange(v.size, dtype=float)
+        assert [p for p, _ in find_peaks(t, v, min_prominence_frac=0.15)] \
+            == [1.0, 3.0, 5.0]
+        assert [p for p, _ in find_peaks(t, v, min_prominence_frac=0.2)] \
+            == [1.0, 5.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        v = np.array([0.0, 1.0, 0.0, bad, 0.0, bad])
+        with pytest.raises(ValueError, match=r"values\[3\]"):
+            find_peaks(np.arange(6.0), v)
+        with pytest.raises(ValueError, match=r"values\[0\]"):
+            find_peaks(np.array([0.0]), np.array([bad]))
+
 
 class TestDecayRatio:
     def test_damped_oscillation_ratio(self):
