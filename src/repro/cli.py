@@ -17,9 +17,8 @@ Commands
     ``python -m repro.experiments``).
 ``fabric``
     Run a fabric-scale multi-hop workload (fat-tree or DCell,
-    permutation traffic) on the serial or sharded engine
-    (``--shards``/``--workers``, :mod:`repro.shard`) and report
-    throughput, queueing and wall time.
+    permutation traffic) and report throughput, queueing and wall
+    time.
 ``scenario``
     List the named heavy-traffic scenario presets, or run one (incast,
     churn, outages, time-varying capacity) on either packet engine —
@@ -345,10 +344,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     config = PortConfig(q0=args.q0_frames * frame_bits,
                         buffer_bits=args.buffer_frames * frame_bits)
 
-    shards: int | str | None = None
-    if args.shards is not None:
-        shards = "auto" if args.shards == "auto" else int(args.shards)
-
     obs = None
     if args.obs:
         from .obs import Observability
@@ -358,14 +353,8 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         graph, flows, config,
         propagation_delay=args.delay,
         engine=engine,
-        shards=shards,
-        workers=args.workers,
         obs=obs,
     )
-    mode = "serial"
-    if net.sharded:
-        mode = (f"{net._plan.n_shards} shards, "
-                f"lookahead {1e6 * net._plan.lookahead:g} us")
     wall_start = _time.perf_counter()
     result = net.run(args.duration)
     wall = _time.perf_counter() - wall_start
@@ -375,9 +364,8 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     rows = [
         ["topology", f"{args.topology} ({len(hs)} hosts)"],
         ["flows", len(flows)],
-        ["ports", len(net._plan.port_edges)],
+        ["ports", len(net.ports)],
         ["engine", engine],
-        ["mode", mode],
         ["delivered (Gbit)", delivered / 1e9],
         ["aggregate throughput (Gbit/s)", delivered / args.duration / 1e9],
         ["drops", result.dropped_frames],
@@ -390,8 +378,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     ]
     print(format_table(["metric", "value"], rows))
     if obs is not None:
-        # Shard metrics/spans merge commutatively into this handle;
-        # per-event traces stay in the workers, so show the registries.
         print()
         print(obs.profiler.summary_table())
         print()
@@ -612,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fabric = sub.add_parser(
         "fabric",
-        help="run a fabric-scale workload on the serial or sharded engine")
+        help="run a fabric-scale workload")
     p_fabric.add_argument("--topology", default="fat-tree",
                           choices=["fat-tree", "dcell"])
     p_fabric.add_argument("--k", type=int, default=4,
@@ -628,20 +614,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fabric.add_argument("--duration", type=float, default=2e-3,
                           help="simulated horizon in seconds")
     p_fabric.add_argument("--delay", type=float, default=1e-6,
-                          help="per-hop propagation delay in seconds "
-                               "(sets the sharded lookahead window)")
+                          help="per-hop propagation delay in seconds")
     p_fabric.add_argument("--q0-frames", type=float, default=8,
                           help="per-port BCN reference queue, in frames")
     p_fabric.add_argument("--buffer-frames", type=float, default=150,
                           help="per-port buffer, in frames")
     p_fabric.add_argument("--engine", default="reference",
                           choices=["reference", "batched", "compiled"],
-                          help="event kernel (per shard when sharded)")
-    p_fabric.add_argument("--shards", default=None, metavar="N|auto",
-                          help="partition into N shards ('auto' = one "
-                               "per worker); omit for the serial engine")
-    p_fabric.add_argument("--workers", type=int, default=None,
-                          help="worker processes hosting the shards")
+                          help="obs tag of the run; every engine runs "
+                               "the same per-frame fabric")
     p_fabric.add_argument("--obs", action="store_true",
                           help="run under observability and print its summary")
     p_fabric.set_defaults(func=_cmd_fabric)

@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+def _require_positive_finite(name: str, value: float) -> None:
+    # NaN turns every comparison false, so it must be named to be caught.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,17 +103,17 @@ class BCNParams:
     initial_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_positive("capacity", self.capacity)
+        _require_positive_finite("capacity", self.capacity)
         if self.n_flows < 1:
             raise ValueError(f"n_flows must be >= 1, got {self.n_flows}")
-        _require_positive("q0", self.q0)
-        _require_positive("buffer_size", self.buffer_size)
-        _require_positive("w", self.w)
+        _require_positive_finite("q0", self.q0)
+        _require_positive_finite("buffer_size", self.buffer_size)
+        _require_positive_finite("w", self.w)
         if not 0 < self.pm <= 1:
             raise ValueError(f"pm must lie in (0, 1], got {self.pm}")
-        _require_positive("gi", self.gi)
-        _require_positive("gd", self.gd)
-        _require_positive("ru", self.ru)
+        _require_positive_finite("gi", self.gi)
+        _require_positive_finite("gd", self.gd)
+        _require_positive_finite("ru", self.ru)
         if self.q0 >= self.buffer_size:
             raise ValueError(
                 f"q0 ({self.q0}) must be below the buffer size ({self.buffer_size})"
@@ -192,11 +193,11 @@ class NormalizedParams:
     buffer_size: float = field(default=math.inf)
 
     def __post_init__(self) -> None:
-        _require_positive("a", self.a)
-        _require_positive("b", self.b)
-        _require_positive("k", self.k)
-        _require_positive("capacity", self.capacity)
-        _require_positive("q0", self.q0)
+        _require_positive_finite("a", self.a)
+        _require_positive_finite("b", self.b)
+        _require_positive_finite("k", self.k)
+        _require_positive_finite("capacity", self.capacity)
+        _require_positive_finite("q0", self.q0)
         if self.buffer_size <= self.q0:
             raise ValueError("buffer_size must exceed q0")
 

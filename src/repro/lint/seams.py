@@ -38,10 +38,6 @@ _PACKET_ENGINES_DEFAULT = frozenset({"reference", "batched", "compiled"})
 #: simulate_fluid_batch's stepping-loop selector.
 _FLUID_METHODS = frozenset({"auto", "numpy"})
 
-#: The sharded-fabric selector: ``shards=`` takes integers, None, or
-#: this one literal (``MultiHopNetwork`` / ``repro.shard``).
-_SHARDS_LITERALS = frozenset({"auto"})
-
 #: The job-server request selector (``repro.serve``): every submitted
 #: job names one of these kinds, and server-side dispatch on a
 #: ``job_kind`` variable must stay total as kinds are added.
@@ -50,7 +46,7 @@ _JOB_KINDS = frozenset({"experiment", "scenario", "sweep"})
 #: Seam keyword names that are safe to validate as *call keywords* too.
 #: ``engine=`` is excluded there: obs records reuse the keyword for
 #: engine *tags* ("packet.reference"), a different vocabulary.
-_KEYWORD_SEAMS = ("fluid_method", "shards", "job_kind")
+_KEYWORD_SEAMS = ("fluid_method", "job_kind")
 
 #: Engine selectors the obs layer tags records with, per family.  The
 #: fluid family includes ``compiled`` (the CLI-level name for the
@@ -70,7 +66,6 @@ def seam_registries(project: LintProject) -> dict[str, frozenset[str]]:
     return {
         "engine": packet,
         "fluid_method": _FLUID_METHODS,
-        "shards": _SHARDS_LITERALS,
         "job_kind": _JOB_KINDS,
     }
 

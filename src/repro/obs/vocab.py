@@ -46,7 +46,6 @@ SPAN_NAMES = (
     "runner.sweep",            # repro.runner.parallel: one sweep's wall
     "fluid.reference.simulate",  # solve_ivp reference integrator
     "fluid.batch.kernel",      # batch RK4 kernel (numpy and compiled)
-    "shard.window",            # repro.shard.runtime: one conservative window
     "serve.job",               # repro.serve.server: one job's compute wall
     "serve.drain",             # repro.serve.server: drain-to-quiesce wall
 )
@@ -69,9 +68,6 @@ COUNTER_NAMES = (
     "runner.kernel_seconds",
     "runner.worker.points",
     "runner.worker.kernel_seconds",
-    "shard.windows",           # repro.shard.coordinator: barrier count
-    "shard.msgs.sent",         # repro.shard.runtime: cross-shard messages out
-    "shard.msgs.recv",         # repro.shard.runtime: cross-shard messages in
     "serve.connections",       # repro.serve.server: client connections seen
     "serve.requests",          # protocol requests handled (all ops)
     "serve.submitted",         # submit ops accepted (incl. deduplicated)

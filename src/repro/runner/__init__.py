@@ -18,9 +18,8 @@ layer on top of them:
   worker-utilisation instrumentation, rendered as a summary table and
   surfaced in ``ExperimentResult.notes``;
 * :class:`PersistentWorkerPool` — long-lived worker processes hosting
-  named per-worker actors (build state once, step it thousands of
-  times), the substrate of the sharded fabric engine
-  (:mod:`repro.shard`).
+  named per-worker actors (build state once, then send it many small
+  commands).
 
 Exposed on the CLI as ``python -m repro experiments --parallel
 --workers N --cache-dir DIR`` (``--no-cache`` disables a configured

@@ -3,17 +3,17 @@
 :class:`~concurrent.futures.ProcessPoolExecutor` (used by
 :mod:`repro.runner.parallel`) is built for one-shot task submission:
 every task re-pickles its inputs and no state survives between tasks.
-The sharded fabric engine (:mod:`repro.shard`) needs the opposite — a
-worker builds a shard's entire simulation state *once* and then
-receives thousands of tiny window-step commands against it.
+Some work needs the opposite: a worker builds expensive state *once*
+(a warm kernel, a loaded cache, a built simulation) and then answers
+many small commands against it.
 
 :class:`PersistentWorkerPool` provides exactly that: ``n_workers``
 processes, each running a command loop over a duplex pipe and hosting
 named **actors** (arbitrary objects built in-worker from a picklable
 factory).  Calls are explicitly pipelined: :meth:`call` only sends the
-command, :meth:`result` collects the reply, so a coordinator can issue
-one command to every worker and then gather — a single barrier round
-trip per window instead of ``n_workers`` sequential ones.
+command, :meth:`result` collects the reply, so a caller can issue one
+command to every worker and then gather, in one round trip instead of
+``n_workers`` sequential ones.
 
 Failures in a worker are caught there and re-raised in the parent as
 :class:`WorkerError` carrying the remote traceback text.
@@ -23,8 +23,9 @@ the next :meth:`~PersistentWorkerPool.result`/:meth:`~PersistentWorkerPool.call`
 touching it: the pool raises :class:`WorkerError` with ``died=True`` and
 **respawns a fresh process** in the dead worker's slot, so the pool
 stays usable — but the replacement starts empty, so every actor the
-dead worker hosted must be re-created by the caller (the job server's
-retry path and the shard coordinator both rebuild from scratch).
+dead worker hosted must be re-created by the caller.  The job server's
+retry path (:mod:`repro.serve.server`) already treats a
+:class:`WorkerError` with ``died=True`` that way.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._freeze_horizon = math.inf
 
     @property
     def now(self) -> float:
@@ -65,54 +64,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._heap)
-
-    # -- window barrier ----------------------------------------------------
-
-    @property
-    def freeze_horizon(self) -> float:
-        """Hard processing horizon for conservative window barriers.
-
-        No event beyond the horizon is executed by :meth:`run`, even
-        when a callback re-enters ``run`` with a later ``until`` — the
-        guarantee a conservative parallel coordinator needs: between
-        two barrier exchanges a shard can never outrun its lookahead.
-        Scheduling beyond the horizon stays legal (events simply wait
-        for a later window).  ``math.inf`` (the default) disables it.
-        """
-        return self._freeze_horizon
-
-    def set_freeze_horizon(self, t: float) -> None:
-        """Freeze event processing at ``t`` (see :attr:`freeze_horizon`)."""
-        if t < self._now:
-            raise ValueError(
-                f"freeze horizon {t} lies before now {self._now}"
-            )
-        self._freeze_horizon = t
-
-    def clear_freeze_horizon(self) -> None:
-        """Remove the processing horizon."""
-        self._freeze_horizon = math.inf
-
-    def run_window(self, t_end: float) -> int:
-        """Process one conservative window ``(now, t_end]`` and stop.
-
-        Equivalent to ``run(until=t_end)`` under a freeze horizon at
-        ``t_end``; the clock is left exactly at ``t_end`` and the
-        number of callbacks executed is returned.  Calling it
-        repeatedly with increasing ``t_end`` replays precisely the
-        event sequence a single ``run`` over the union would have —
-        the window barrier is invisible to the simulated system.
-        """
-        if not math.isfinite(t_end):
-            raise ValueError("window end must be finite")
-        before = self._processed
-        previous = self._freeze_horizon
-        self.set_freeze_horizon(t_end)
-        try:
-            self.run(until=t_end)
-        finally:
-            self._freeze_horizon = previous
-        return self._processed - before
 
     # -- scheduling --------------------------------------------------------
 
@@ -177,7 +128,6 @@ class Simulator:
         max_events:
             Safety cap on callbacks executed in this call.
         """
-        until = min(until, self._freeze_horizon)
         heap = self._heap
         pop = heappop
         no_arg = _NO_ARG
@@ -206,5 +156,4 @@ class Simulator:
         self._heap.clear()
         self._now = 0.0
         self._processed = 0
-        self._freeze_horizon = math.inf
 

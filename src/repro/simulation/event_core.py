@@ -109,7 +109,6 @@ def ineligible(net: BCNNetworkSimulator) -> str | None:
                    [net, switch, switch.queue, *sources, *regs, *links])):
         return "not the stock network: a subclass or a replaced method"
     if (sim.pending or sim.now != 0.0 or sim.events_processed
-            or sim.freeze_horizon != math.inf
             or any(s._started for s in sources)
             or len(switch.queue) or switch._busy):
         return "not fresh: the network already ran or has events pending"

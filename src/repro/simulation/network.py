@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.parameters import BCNParams
+from ..core.parameters import BCNParams, _require_positive_finite
 from . import event_core
 from .engine import Simulator
 from .frames import EthernetFrame, PauseFrame
@@ -145,11 +145,12 @@ class SimulationResult:
         return float(self.queue[mask].std()) if mask.any() else 0.0
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    # A zero or negative window never advances the clock and NaN turns
-    # every comparison false: both would hang or silently empty a run.
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+def _require_event_time(t: float) -> None:
+    # NaN compares false against every event and instant, so a NaN
+    # time would fire at an arbitrary point of the heap.
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(
+            f"event time must be finite and non-negative, got {t!r}")
 
 
 class BCNNetworkSimulator:
@@ -388,8 +389,7 @@ class BCNNetworkSimulator:
                                  total_bits=size_bits, start_time=start_time)
 
     def _register_event(self, t: float, kind: str, payload: tuple) -> None:
-        if t < 0:
-            raise ValueError("event time cannot be negative")
+        _require_event_time(t)
         self._timed_events.append((t, len(self._timed_events), kind, payload))
 
     def schedule_capacity(self, t: float, capacity: float) -> None:
@@ -400,8 +400,7 @@ class BCNNetworkSimulator:
         rate is constant within every window.  Same-timestamp events
         apply in registration order.
         """
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        _require_positive_finite("capacity", capacity)
         self._register_event(t, "capacity", (capacity,))
 
     def schedule_outage(self, t: float, outage_duration: float) -> None:
@@ -411,8 +410,7 @@ class BCNNetworkSimulator:
         link is down.  Arrivals keep queueing and drop-tail keeps
         applying, so a long outage fills the buffer and drops.
         """
-        if outage_duration <= 0:
-            raise ValueError("outage_duration must be positive")
+        _require_positive_finite("outage_duration", outage_duration)
         self._register_event(t, "outage", (outage_duration,))
 
     def schedule_departure(self, t: float, address: int) -> None:

@@ -140,6 +140,12 @@ class CoreSwitch:
             raise ValueError("capacity must be positive")
         if not 0 < pm <= 1:
             raise ValueError("pm must lie in (0, 1]")
+        if fb_bits is not None and not (
+                isinstance(fb_bits, (int, np.integer)) and fb_bits >= 2):
+            # FB is a signed fb_bits-bit field: below two bits it cannot
+            # carry both increase and decrease feedback.
+            raise ValueError(
+                f"fb_bits must be None or an int >= 2, got {fb_bits!r}")
         self.sim = sim
         self.cpid = cpid
         self.capacity = capacity

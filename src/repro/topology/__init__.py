@@ -1,7 +1,6 @@
 """Data-center topologies (networkx graphs) and routing helpers."""
 
 from .graphs import dcell, dumbbell, fat_tree, hosts, monsoon, switches
-from .partition import Partition, partition_graph
 from .routing import bottleneck_edge, ecmp_route, route_edges, shortest_route
 
 __all__ = [
@@ -15,6 +14,4 @@ __all__ = [
     "ecmp_route",
     "route_edges",
     "bottleneck_edge",
-    "Partition",
-    "partition_graph",
 ]

@@ -15,8 +15,9 @@ source.
 The dumbbell pins were recorded on the engine whose links delivered
 through a separate arrival hop and whose fluid loop stepped on numpy
 arrays; the fabric pins on the network that wired its own ports apart
-from the sharded regions.  A refactor of any of these call paths must
-leave them unchanged.
+from a separate region builder, before the fabric became one class on
+one simulator.  A refactor of any of these call paths must leave them
+unchanged.
 
 A dumbbell on the reference engine runs in one of two places: the
 python ``Simulator`` loop (the numpy kernel tier, where the stepping

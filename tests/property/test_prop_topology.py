@@ -1,11 +1,9 @@
-"""Property-based invariants for fabric topologies and the partitioner.
+"""Property-based invariants for fabric topologies.
 
-The sharded engine trusts two structural layers: the generators in
-:mod:`repro.topology.graphs` (node/link counts and reachability follow
-the published construction rules) and :func:`repro.topology.partition.
-partition_graph` (every partition is an exact, non-empty, symmetric-cut
-cover, deterministically).  Both are checked here over the whole small
-parameter space rather than at single pinned sizes:
+The multi-hop engine trusts the generators in
+:mod:`repro.topology.graphs`: node/link counts and reachability follow
+the published construction rules.  They are checked here over the whole
+small parameter space rather than at single pinned sizes:
 
 * **fat-tree** — for every even ``k``: ``k^3/4`` hosts, ``5k^2/4``
   switches, ``3k^3/4`` links and ``k``-regular switch tiers (Al-Fares
@@ -13,10 +11,7 @@ parameter space rather than at single pinned sizes:
 * **DCell** — the recursive counts ``t_l = t_{l-1} (t_{l-1} + 1)``
   hosts and ``s_l = s_{l-1} (t_{l-1} + 1)`` switches;
 * **reachability** — every generated fabric is connected, so every
-  host pair has a route for the multi-hop engine to resolve;
-* **partitioner** — exact cover, no empty shard, canonical symmetric
-  cut set, balance within the BFS-growth bound, and bit-for-bit
-  determinism across repeated calls.
+  host pair has a route for the multi-hop engine to resolve.
 """
 
 import networkx as nx
@@ -24,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.graphs import dcell, fat_tree, monsoon
-from repro.topology.partition import partition_graph
 
 even_k = st.integers(min_value=1, max_value=4).map(lambda half: 2 * half)
 
@@ -114,84 +108,3 @@ class TestReachability:
     @settings(max_examples=20, deadline=None)
     def test_monsoon_connected(self, n_tors, n_aggs):
         assert nx.is_connected(monsoon(n_tors, n_aggs))
-
-
-def fabric_graphs(draw):
-    choice = draw(st.integers(min_value=0, max_value=2))
-    if choice == 0:
-        return fat_tree(draw(st.sampled_from([2, 4, 6])))
-    if choice == 1:
-        return dcell(draw(st.integers(min_value=2, max_value=4)), 1)
-    return monsoon(draw(st.integers(min_value=2, max_value=5)))
-
-
-fabrics = st.composite(fabric_graphs)()
-
-
-class TestPartitioner:
-    @given(graph=fabrics, data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_invariants(self, graph, data):
-        n = graph.number_of_nodes()
-        n_shards = data.draw(st.integers(min_value=1, max_value=min(n, 12)))
-        part = partition_graph(graph, n_shards)
-        # exact cover of the node set
-        assert set(part.assignment) == set(graph.nodes)
-        assert all(0 <= s < n_shards for s in part.assignment.values())
-        # no empty shard
-        sizes = part.sizes()
-        assert len(sizes) == n_shards
-        assert all(size > 0 for size in sizes)
-        assert sum(sizes) == n
-        # validate() agrees
-        part.validate(graph)
-
-    @given(graph=fabrics, data=st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_cut_is_canonical_and_symmetric(self, graph, data):
-        n_shards = data.draw(
-            st.integers(min_value=2, max_value=min(graph.number_of_nodes(), 8)))
-        part = partition_graph(graph, n_shards)
-        cut = part.cut_edges(graph)
-        assert cut == sorted(cut)
-        for u, v in cut:
-            assert u <= v
-            # both directed orientations cross the same boundary
-            assert part.shard_of(u) != part.shard_of(v)
-        # completeness: every boundary edge of the graph is listed
-        expected = sorted(
-            (u, v) if u <= v else (v, u)
-            for u, v in graph.edges()
-            if part.shard_of(u) != part.shard_of(v)
-        )
-        assert cut == expected
-
-    @given(graph=fabrics, data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_deterministic(self, graph, data):
-        n_shards = data.draw(
-            st.integers(min_value=1, max_value=min(graph.number_of_nodes(), 8)))
-        first = partition_graph(graph, n_shards)
-        second = partition_graph(graph, n_shards)
-        assert first == second
-
-    @given(k=st.sampled_from([4, 6, 8]))
-    @settings(max_examples=6, deadline=None)
-    def test_fat_tree_balance(self, k):
-        g = fat_tree(k)
-        part = partition_graph(g, k)
-        sizes = part.sizes()
-        # BFS growth targets ceil(remaining / shards-left); refinement
-        # may move boundary nodes but keeps shards within 2x of each
-        # other on regular fabrics
-        assert max(sizes) <= 2 * min(sizes)
-
-    def test_rejects_bad_shard_counts(self):
-        g = fat_tree(4)
-        n = g.number_of_nodes()
-        for bad in (0, -1, n + 1):
-            try:
-                partition_graph(g, bad)
-            except ValueError:
-                continue
-            raise AssertionError(f"n_shards={bad} accepted")

@@ -64,3 +64,19 @@ class TestParser:
     def test_missing_required_arg_rejected(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--capacity", "1e9"])
+
+
+class TestFabric:
+    def test_reports_the_run(self, capsys):
+        code = main(["fabric", "--topology", "dcell", "--k", "2",
+                     "--rounds", "1", "--duration", "2e-4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "aggregate throughput" in out
+        assert "mode" not in out
+
+    def test_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fabric", "--shards", "2"])
+        assert exc.value.code != 0
+        assert "--shards" in capsys.readouterr().err

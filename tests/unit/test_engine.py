@@ -2,7 +2,7 @@
 
 Behavioural tests run through the ``sim`` fixture; the event contract
 (one-argument callbacks, insertion-order ties, no comparison beyond
-``(time, seq)``) and the window barrier get their own classes.
+``(time, seq)``) gets its own class.
 """
 
 import math
@@ -135,14 +135,14 @@ class TestEventContract:
             sim.schedule(t, lambda: None)
 
         def greedy():
-            sim.schedule(0.001, lambda: None)   # inside the window
-            sim.schedule(0.05, lambda: None)    # beyond the horizon
-            sim.run(until=1.0)                  # capped at 0.02
+            sim.schedule(0.001, lambda: None)   # inside the nested run
+            sim.schedule(0.05, lambda: None)    # beyond both runs
+            sim.run(until=0.02)                 # re-entrant
             counts.append(sim.events_processed)
 
         sim.schedule(0.01, greedy)
         sim.schedule(0.03, lambda: None)
-        assert sim.run_window(0.02) == 4
+        sim.run(until=0.02)
         # The nested run returned with the two earlier events and the
         # one it ran counted; the outer event is counted once it ends.
         assert counts == [3]
@@ -224,77 +224,3 @@ class TestRunControl:
         first = run_once(sim)
         sim.reset()
         assert run_once(sim) == first
-
-
-class TestWindowBarrier:
-    """freeze_horizon / run_window: the conservative-parallel contract."""
-
-    def test_run_window_processes_only_the_window(self, sim):
-        fired = []
-        for t in (0.01, 0.02, 0.03, 0.04):
-            sim.schedule(t, lambda t=t: fired.append(t))
-        n = sim.run_window(0.025)
-        assert fired == [0.01, 0.02]
-        assert n == 2
-        assert sim.now == 0.025
-        assert sim.freeze_horizon == math.inf  # restored afterwards
-
-    def test_windowed_replay_matches_single_run(self, sim):
-        def load(s):
-            order = []
-            for i, t in enumerate([0.005, 0.011, 0.011, 0.02, 0.033, 0.04]):
-                s.schedule(t, lambda i=i: order.append(i))
-            return order
-
-        want_sim = Simulator()
-        want = load(want_sim)
-        want_sim.run(until=0.05)
-
-        got = load(sim)
-        edge = 0.0
-        while edge < 0.05:
-            edge = min(edge + 0.012, 0.05)
-            sim.run_window(edge)
-        assert got == want
-        assert sim.now == 0.05
-
-    def test_horizon_caps_reentrant_run(self, sim):
-        fired = []
-        sim.schedule(0.03, lambda: fired.append("late"))
-
-        def greedy():
-            fired.append("early")
-            # A callback that tries to drag the clock past the barrier
-            # must still be capped by the freeze horizon.
-            sim.run(until=1.0)
-
-        sim.schedule(0.01, greedy)
-        sim.run_window(0.02)
-        assert fired == ["early"]
-        assert sim.now == 0.02
-        sim.run_window(0.05)
-        assert fired == ["early", "late"]
-
-    def test_scheduling_beyond_horizon_waits(self, sim):
-        fired = []
-        sim.schedule(0.005, lambda: sim.schedule_at(0.03, lambda: fired.append("x")))
-        sim.run_window(0.01)
-        assert fired == []
-        sim.run_window(0.04)
-        assert fired == ["x"]
-
-    def test_set_freeze_horizon_rejects_the_past(self, sim):
-        sim.run_window(0.02)
-        with pytest.raises(ValueError):
-            sim.set_freeze_horizon(0.01)
-        sim.clear_freeze_horizon()
-        assert sim.freeze_horizon == math.inf
-
-    def test_run_window_rejects_infinite_edge(self, sim):
-        with pytest.raises(ValueError):
-            sim.run_window(math.inf)
-
-    def test_reset_clears_horizon(self, sim):
-        sim.set_freeze_horizon(0.5)
-        sim.reset()
-        assert sim.freeze_horizon == math.inf

@@ -159,6 +159,11 @@ class TestDumbbell:
         net.run(0.01)
         assert late.muted
 
+    @pytest.mark.parametrize("fb_bits", [0, 1])
+    def test_rejects_bad_fb_bits(self, fb_bits):
+        with pytest.raises(ValueError, match="fb_bits"):
+            BCNNetworkSimulator(small_params(), fb_bits=fb_bits)
+
     def test_regulator_mode_plumbed(self):
         net = BCNNetworkSimulator(small_params(), regulator_mode="fluid-exact")
         assert all(s.regulator.mode == "fluid-exact" for s in net.sources)
@@ -241,17 +246,60 @@ class TestMultiHop:
         with pytest.raises(ValueError, match="q0"):
             PortConfig(q0=q0, buffer_bits=buffer_bits)
 
-    @pytest.mark.parametrize("shards", [None, 2])
     @pytest.mark.parametrize("duration", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_bad_duration(self, shards, duration):
-        # Checked before the sharded branch, so both paths fail early
-        # rather than in recorder sizing.
+    def test_rejects_bad_duration(self, duration):
+        # Checked first, so a bad duration fails early rather than in
+        # recorder sizing.
         g = dumbbell(2, capacity=1e8)
         flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
-        net = MultiHopNetwork(g, flows, self.config(), shards=shards,
-                              workers=1)
+        net = MultiHopNetwork(g, flows, self.config())
         with pytest.raises(ValueError, match="duration"):
             net.run(duration)
+
+    @pytest.mark.parametrize("field, value", [
+        ("w", np.nan), ("w", 0.0), ("gi", np.nan), ("gd", -1.0),
+        ("ru", np.nan), ("ru", np.inf), ("buffer_bits", np.inf),
+    ])
+    def test_port_config_rejects_bad_gains(self, field, value):
+        # w=nan mutes BCN and gd<0 inverts the decrease law; both ran
+        # silently before.
+        kwargs = dict(q0=5e4, buffer_bits=5e5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            PortConfig(**kwargs)
+
+    @pytest.mark.parametrize("fb_bits", [0, 1, 2.5, "6"])
+    def test_rejects_bad_fb_bits(self, fb_bits):
+        # The quantiser's unit is q0 / 2**(fb_bits - 2): fb_bits=0 made
+        # it 4*q0, so every feedback rounded to zero.
+        g = dumbbell(2, capacity=1e8)
+        flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+        config = PortConfig(q0=5e4, buffer_bits=5e5, fb_bits=fb_bits)
+        with pytest.raises(ValueError, match="fb_bits"):
+            MultiHopNetwork(g, flows, config)
+
+    @pytest.mark.parametrize("interval", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_bad_queue_sample_interval(self, interval):
+        g = dumbbell(2, capacity=1e8)
+        flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+        with pytest.raises(ValueError, match="queue_sample_interval"):
+            MultiHopNetwork(g, flows, self.config(),
+                            queue_sample_interval=interval)
+
+    def test_runs_once(self):
+        g = dumbbell(2, capacity=1e8)
+        flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+        net = MultiHopNetwork(g, flows, self.config(), frame_bits=8000)
+        first = net.run(1e-3)
+        events = net.sim.events_processed
+        with pytest.raises(RuntimeError, match="runs once"):
+            net.run(2e-3)
+        with pytest.raises(RuntimeError, match="already ran"):
+            net.schedule_departure(3e-3, 0)
+        with pytest.raises(RuntimeError, match="already ran"):
+            net.schedule_outage(3e-3, 1e-4)
+        assert net.sim.events_processed == events
+        assert first.per_flow_delivered_bits[0] > 0
 
     def test_jain_fairness_range(self):
         g = dumbbell(3, capacity=1e8)
@@ -259,6 +307,57 @@ class TestMultiHop:
         net = MultiHopNetwork(g, flows, self.config(), frame_bits=8000)
         res = net.run(0.2)
         assert 0 < res.jain_fairness() <= 1.0
+
+
+def _dumbbell_net():
+    return BCNNetworkSimulator(small_params(), frame_bits=8000)
+
+
+def _fabric_net():
+    g = dumbbell(2, capacity=1e8)
+    flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+    return MultiHopNetwork(g, flows, PortConfig(q0=5e4, buffer_bits=5e5),
+                           frame_bits=8000)
+
+
+def _schedule_capacity(net, t, capacity):
+    if isinstance(net, MultiHopNetwork):
+        net.schedule_capacity(t, next(iter(net.ports)), capacity)
+    else:
+        net.schedule_capacity(t, capacity)
+
+
+@pytest.mark.parametrize("make", [_dumbbell_net, _fabric_net],
+                         ids=["dumbbell", "fabric"])
+class TestTimedEventSeams:
+    """Both networks reject a timed event that would silently change
+    the run: a NaN time fires at an arbitrary heap position and a NaN
+    capacity or outage length disables the event."""
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_capacity_time(self, make, t):
+        with pytest.raises(ValueError, match="event time"):
+            _schedule_capacity(make(), t, 5e7)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_outage_time(self, make, t):
+        with pytest.raises(ValueError, match="event time"):
+            make().schedule_outage(t, 1e-4)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_departure_time(self, make, t):
+        with pytest.raises(ValueError, match="event time"):
+            make().schedule_departure(t, 0)
+
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf])
+    def test_capacity_value(self, make, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            _schedule_capacity(make(), 1e-3, capacity)
+
+    @pytest.mark.parametrize("outage", [np.nan, np.inf])
+    def test_outage_duration(self, make, outage):
+        with pytest.raises(ValueError, match="outage_duration"):
+            make().schedule_outage(1e-3, outage)
 
 
 class TestHopLevelPause:

@@ -84,7 +84,7 @@ __all__ = ["build_report", "gate_against_baseline", "main"]
 #: engine tags paired against "reference" for the speedup/gate section
 #: (listed fastest-first: when a workload carries several fast rows the
 #: earliest present tag is the one gated)
-_FAST_ENGINES = ("sharded", "compiled", "batch", "batched", "warm")
+_FAST_ENGINES = ("compiled", "batch", "batched", "warm")
 
 
 def _kernel_entry(bench: dict) -> dict:

@@ -28,7 +28,6 @@ PACKAGES = [
     "repro.analysis",
     "repro.runner",
     "repro.serve",
-    "repro.shard",
     "repro.scenarios",
     "repro.obs",
     "repro.lint",
