@@ -1,14 +1,15 @@
 """Reproduction report generation.
 
-Runs every registered experiment and assembles a single markdown
+Runs every registered experiment through
+:func:`repro.runner.run_experiments` and assembles a single markdown
 report — the artefact a reviewer reads: per-experiment verdict tables,
-pass/fail roll-up, and optionally the CSV series on the side.  Exposed
-on the CLI as ``python -m repro report``.
+pass/fail roll-up with each experiment's wall time from the runner's
+:class:`~repro.runner.RunnerStats`, and optionally the CSV series on
+the side.  Exposed on the CLI as ``python -m repro report``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,23 +82,17 @@ def run_reproduction_report(
     ids: list[str] | None = None,
     *,
     csv_dir: str | Path | None = None,
-    options_by_id: dict[str, dict] | None = None,
 ) -> ReproductionReport:
-    """Run experiments (all by default) and assemble the report.
+    """Run experiments (all by default) inline and assemble the report."""
+    from ..runner.executor import run_experiments
+    from ..runner.instrumentation import RunnerStats
 
-    ``options_by_id`` forwards keyword options to individual experiments
-    (e.g. shorter durations for smoke runs).
-    """
-    from ..experiments import all_experiments, get_experiment
-
+    stats = RunnerStats()
+    pairs = run_experiments(ids, workers=1, options={"render_plots": False},
+                            stats=stats)
+    walls = {point.label: point.wall for point in stats.points}
     report = ReproductionReport()
-    chosen = ids if ids is not None else sorted(all_experiments())
-    options_by_id = options_by_id or {}
-    for experiment_id in chosen:
-        run = get_experiment(experiment_id)
-        start = time.perf_counter()
-        result = run(render_plots=False, **options_by_id.get(experiment_id, {}))
-        wall = time.perf_counter() - start
+    for experiment_id, result in pairs:
         if csv_dir is not None:
             result.save_series(csv_dir)
         report.entries.append(
@@ -106,7 +101,7 @@ def run_reproduction_report(
                 title=result.title,
                 passed=result.passed,
                 failing=result.failing_verdicts(),
-                wall_seconds=wall,
+                wall_seconds=walls[experiment_id],
                 rendered=result.render(),
             )
         )

@@ -13,8 +13,14 @@ Commands
     Run the packet-level dumbbell and report utilisation, queue
     behaviour, drops and fairness.
 ``experiments``
-    Run the paper-reproduction experiments (same as
-    ``python -m repro.experiments``).
+    Run the paper-reproduction experiments through
+    :func:`repro.runner.run_experiments` (``python -m
+    repro.experiments`` is the same command): inline by default,
+    ``--workers N`` for a process pool, ``--cache-dir DIR`` for the
+    result cache; the runner's timing table goes to stderr.
+``report``
+    Run the experiments through the same runner into one markdown
+    reproduction report, with each experiment's wall time.
 ``fabric``
     Run a fabric-scale multi-hop workload (fat-tree or DCell,
     permutation traffic) and report throughput, queueing and wall
@@ -85,6 +91,13 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gi", type=float, default=4.0)
     parser.add_argument("--gd", type=float, default=1.0 / 128.0)
     parser.add_argument("--ru", type=float, default=8e6)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _params_from(args: argparse.Namespace) -> BCNParams:
@@ -386,20 +399,30 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments.__main__ import main as experiments_main
+    from .runner.cache import ResultCache
+    from .runner.executor import run_experiments
+    from .runner.instrumentation import RunnerStats
 
-    argv = list(args.ids)
-    if args.csv:
-        argv += ["--csv", args.csv]
-    if args.parallel:
-        argv += ["--parallel"]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    return experiments_main(argv)
+    stats = RunnerStats()
+    pairs = run_experiments(
+        args.ids or None,
+        workers=args.workers,
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+        options={"render_plots": not args.no_plots},
+        stats=stats,
+    )
+    failures = 0
+    for experiment_id, result in pairs:
+        print(result.render())
+        print()
+        if args.csv:
+            result.save_series(args.csv)
+        if not result.passed:
+            failures += 1
+            print(f"!! {experiment_id} failing verdicts: "
+                  f"{result.failing_verdicts()}", file=sys.stderr)
+    print(stats.summary_table(), file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -628,16 +651,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fabric.set_defaults(func=_cmd_fabric)
 
     p_exp = sub.add_parser("experiments", help="run paper reproductions")
-    p_exp.add_argument("ids", nargs="*")
-    p_exp.add_argument("--csv")
-    p_exp.add_argument("--parallel", action="store_true",
-                       help="run via the process-pool runner")
-    p_exp.add_argument("--workers", type=int, default=None,
-                       help="pool size for --parallel (default: cpu count)")
+    p_exp.add_argument("ids", nargs="*",
+                       help="experiment ids (default: all)")
+    p_exp.add_argument("--csv", metavar="DIR",
+                       help="directory for series CSVs")
+    p_exp.add_argument("--no-plots", action="store_true",
+                       help="skip the ASCII figures")
+    p_exp.add_argument("--workers", type=_positive_int, default=1,
+                       metavar="N",
+                       help="experiments run at once (default 1: inline; "
+                            "N > 1 runs a process pool)")
     p_exp.add_argument("--cache-dir", metavar="DIR",
                        help="content-addressed result cache directory")
-    p_exp.add_argument("--no-cache", action="store_true",
-                       help="ignore --cache-dir (cache disabled)")
     p_exp.set_defaults(func=_cmd_experiments)
 
     p_lint = sub.add_parser(

@@ -23,8 +23,10 @@ id                artefact
 ``s1``            extension — scenario presets: incast + varying C(t)
 ================  ==================================================
 
-Run one with ``get_experiment("fig6")(render_plots=True)`` or all via
-``python -m repro.experiments``.
+Run one with ``get_experiment("fig6")(render_plots=True)``.  Every
+command that runs them — ``python -m repro experiments`` (alias
+``python -m repro.experiments``) and ``python -m repro report`` — goes
+through :func:`repro.runner.run_experiments`.
 """
 
 from . import (  # noqa: F401  (registration side effects)

@@ -1,91 +1,25 @@
-"""Run every registered experiment and print its report.
+"""Alias of ``python -m repro experiments``: ``python -m repro.experiments``.
 
 Usage::
 
-    python -m repro.experiments                # all experiments, serially
+    python -m repro.experiments                # all experiments, inline
     python -m repro.experiments fig6 t1        # a subset
     python -m repro.experiments --csv out      # also dump series CSVs
-    python -m repro.experiments --parallel     # process-pool runner
-    python -m repro.experiments --parallel --workers 4 --cache-dir .cache
-    python -m repro.experiments --cache-dir .cache --no-cache  # cache off
+    python -m repro.experiments --workers 4 --cache-dir .cache
 
-The plain invocation keeps the serial loop below as the reference
-execution path; ``--parallel``/``--cache-dir`` route through
-:mod:`repro.runner`, which is differentially tested to produce identical
-results.
+The arguments are parsed by :mod:`repro.cli`, and the experiments run
+through :func:`repro.runner.run_experiments`.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-
-from .base import ExperimentResult, all_experiments, get_experiment
-
-
-def _run_with_runner(args: argparse.Namespace, ids: list[str]) -> list[ExperimentResult]:
-    from ..runner import ResultCache, RunnerStats, run_experiments
-
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-    options = {"render_plots": not args.no_plots}
-    if args.parallel:
-        # Runner-aware experiments (v1) parallelise their own sweep too.
-        options.update(
-            parallel=True,
-            workers=args.workers,
-            cache_dir=args.cache_dir if cache is not None else None,
-        )
-    stats = RunnerStats()
-    pairs = run_experiments(
-        ids,
-        workers=(args.workers if args.parallel else 1),
-        cache=cache,
-        options=options,
-        stats=stats,
-    )
-    print(stats.summary_table(), file=sys.stderr)
-    return [result for _, result in pairs]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    parser.add_argument("--csv", metavar="DIR", help="directory for series CSVs")
-    parser.add_argument("--no-plots", action="store_true")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run through the process-pool runner")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool size for --parallel (default: cpu count)")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="content-addressed result cache directory")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore --cache-dir (cache disabled)")
-    args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 0:
-        parser.error(f"--workers must be >= 0, got {args.workers}")
+    from ..cli import main as cli_main
 
-    ids = args.ids or sorted(all_experiments())
-    if args.parallel or (args.cache_dir and not args.no_cache):
-        results = _run_with_runner(args, ids)
-    else:
-        results = [
-            get_experiment(experiment_id)(render_plots=not args.no_plots)
-            for experiment_id in ids
-        ]
-
-    failures = 0
-    for experiment_id, result in zip(ids, results):
-        print(result.render())
-        print()
-        if args.csv:
-            result.save_series(args.csv)
-        if not result.passed:
-            failures += 1
-            print(f"!! {experiment_id} failing verdicts: "
-                  f"{result.failing_verdicts()}", file=sys.stderr)
-    return 1 if failures else 0
+    return cli_main(["experiments", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

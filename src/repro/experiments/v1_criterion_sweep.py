@@ -12,12 +12,11 @@ peak of the composed trajectory from ``(-q0, 0)`` and check:
   the bound maximally conservative there — exactly the structure the
   paper's proof exhibits.
 
-The grid runs through the sweep harness
-(:func:`repro.analysis.sweeps.sweep` serially, or
-:func:`repro.runner.run_sweep_parallel` with ``parallel=True``) so the
-``repro experiments v1 --parallel --cache-dir DIR`` CLI path exercises
-the process pool and the result cache while producing records identical
-to the serial reference.
+The 36-point grid runs through the serial sweep harness
+(:func:`repro.analysis.sweeps.sweep`); it takes milliseconds, less than
+a process pool costs to start.  ``evaluate_point`` stays module-level
+and pure, so :func:`repro.runner.run_sweep_parallel` can run the same
+grid over a pool.
 """
 
 from __future__ import annotations
@@ -68,32 +67,14 @@ def evaluate_point(p: NormalizedParams) -> dict[str, object]:
 
 
 @register("v1")
-def run(
-    *,
-    render_plots: bool = True,
-    parallel: bool = False,
-    workers: int | None = None,
-    cache_dir: str | None = None,
-) -> ExperimentResult:
+def run(*, render_plots: bool = True) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="v1",
         title="Theorem 1 bound vs exact transient peak (sweep)",
         table_headers=["a", "b", "k", "case", "bound", "peak", "tightness"],
     )
 
-    if parallel or cache_dir is not None:
-        from ..runner import ResultCache, RunnerStats, run_sweep_parallel
-
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        stats = RunnerStats()
-        swept = run_sweep_parallel(
-            base_point(), AXES, evaluate_point,
-            workers=workers if parallel else 0,
-            cache=cache, cache_id="v1", stats=stats,
-        )
-        result.notes.extend(stats.notes())
-    else:
-        swept = sweep(base_point(), AXES, evaluate_point)
+    swept = sweep(base_point(), AXES, evaluate_point)
 
     sound = True
     tightness_by_case: dict[str, list[float]] = {}

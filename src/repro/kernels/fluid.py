@@ -33,11 +33,11 @@ events than its preallocated slots it returns None, and
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
+from ..cpus import usable_cpus
 from ._backend import KernelBackend, consume_warmup_span
 
 __all__ = ["simulate_fluid_batch_compiled"]
@@ -52,11 +52,7 @@ _MIN_CHUNK_ROWS = 64
 def _fluid_threads(m: int) -> int:
     """Threads for an ``m``-row call: one per usable core, but no more
     than leave every chunk :data:`_MIN_CHUNK_ROWS` rows."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, m // _MIN_CHUNK_ROWS))
+    return max(1, min(usable_cpus(), m // _MIN_CHUNK_ROWS))
 
 
 def _row_chunks(m: int, n: int) -> list[tuple[int, int]]:

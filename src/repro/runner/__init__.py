@@ -1,16 +1,18 @@
 """Runner & caching — parallel experiment execution with a result cache.
 
-The serial reference paths (:func:`repro.analysis.sweeps.sweep` and the
-per-experiment loop in ``repro.experiments.__main__``) recompute every
-point from scratch on each invocation.  This package is the scaling
-layer on top of them:
+This package is the scaling layer over the serial sweep reference
+(:func:`repro.analysis.sweeps.sweep`), and the one place experiments
+are run:
 
+* :func:`run_experiments` — the only loop over the experiment registry
+  (:func:`repro.experiments.base.all_experiments`): inline or over a
+  process pool, through an optional cache, timed per experiment.
+  ``repro experiments``, ``python -m repro.experiments``, ``repro
+  report`` and served experiment jobs all call it;
 * :func:`run_sweep_parallel` — a process-pool executor for sweep grids
   with chunked work distribution and record ordering identical to the
   serial :func:`~repro.analysis.sweeps.sweep` path (differentially
   tested against it);
-* :func:`run_experiments` — the same treatment for the experiment
-  registry (:func:`repro.experiments.base.all_experiments`);
 * :class:`ResultCache` — a content-addressed on-disk cache (key =
   experiment id + canonicalised params + package version) with hit/miss
   statistics and explicit invalidation;
@@ -21,9 +23,8 @@ layer on top of them:
   named per-worker actors (build state once, then send it many small
   commands).
 
-Exposed on the CLI as ``python -m repro experiments --parallel
---workers N --cache-dir DIR`` (``--no-cache`` disables a configured
-cache).
+Exposed on the CLI as ``python -m repro experiments [--workers N]
+[--cache-dir DIR]``; ``--workers`` defaults to 1 (inline).
 """
 
 from __future__ import annotations

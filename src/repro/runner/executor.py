@@ -1,25 +1,25 @@
-"""Parallel, cached execution of the experiment registry.
+"""The one loop that runs experiments: :func:`run_experiments`.
 
 :func:`run_experiments` runs a set of registered experiments
-(:func:`repro.experiments.base.all_experiments`) with the same three
-ingredients as the sweep runner: a process pool, a
+(:func:`repro.experiments.base.all_experiments`) inline or over a
+process pool, through an optional
 :class:`~repro.runner.cache.ResultCache` holding whole
-:class:`~repro.experiments.base.ExperimentResult` objects, and
-:class:`~repro.runner.instrumentation.RunnerStats` timing.  Results are
+:class:`~repro.experiments.base.ExperimentResult` objects, and times
+each one into :class:`~repro.runner.instrumentation.RunnerStats`.
+``repro experiments``, ``python -m repro.experiments``, ``repro
+report`` and served experiment jobs all run through it.  Results are
 always returned in the requested id order, whatever order the pool
-completes them in.
+completes them in.  Each experiment's ``run`` is looked up in the
+registry when the call runs, so an entry replaced after import is the
+one that runs.
 
 Option handling
 ---------------
-``options`` is filtered per experiment against the ``run`` signature, so
-runner-aware experiments (e.g. ``v1``'s ``parallel``/``workers``/
-``cache_dir`` knobs) receive them while plain experiments only see what
-they accept (typically ``render_plots``).  When more than one experiment
-is dispatched to a pool, the execution knobs are stripped so worker
-processes never spawn nested pools.  Execution knobs are also excluded
-from the cache key — they change how a result is computed, never what it
-is (the differential tests guarantee that), so a serial run primes the
-cache for a parallel one.
+``options`` is filtered per experiment against the ``run`` signature:
+each experiment receives only the options it accepts (typically
+``render_plots``, plus knobs such as ``duration`` or ``engine``), so
+one options mapping can be offered to the whole registry.  The cache
+key is the accepted options and nothing else.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .parallel import resolve_workers
 
 __all__ = ["run_experiments"]
 
-#: Options that select an execution strategy rather than an experiment
-#: outcome; stripped from cache keys and from pooled dispatch.
-EXECUTION_OPTIONS = frozenset({"parallel", "workers", "cache_dir"})
-
 _MISS = object()
 
 
@@ -49,12 +45,6 @@ def _accepted_options(run, options: Mapping[str, Any]) -> dict[str, Any]:
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
         return dict(options)
     return {k: v for k, v in options.items() if k in parameters}
-
-
-def _cache_params(options: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "options": {k: v for k, v in options.items() if k not in EXECUTION_OPTIONS}
-    }
 
 
 def _run_one(experiment_id: str, options: dict[str, Any]) -> tuple[ExperimentResult, float]:
@@ -84,9 +74,8 @@ def run_experiments(
         Experiment ids to run (default: every registered experiment,
         sorted).
     workers:
-        Pool size; ``None`` means ``os.cpu_count()``, ``0``/``1`` runs
-        inline.  A single requested experiment always runs inline — its
-        own sweep-level parallelism (if any) is the useful axis there.
+        Pool size; ``None`` means every usable core, ``0``/``1`` runs
+        inline.  A single requested experiment always runs inline.
     cache:
         Optional :class:`ResultCache`; hits skip the run entirely and
         are annotated in the result's notes.
@@ -113,20 +102,17 @@ def run_experiments(
     if obs is not None and obs.enabled:
         stats.obs = obs
 
-    per_id_options: dict[str, dict[str, Any]] = {}
-    for experiment_id in ids:
-        accepted = _accepted_options(get_experiment(experiment_id), options)
-        if pooled:
-            accepted = {k: v for k, v in accepted.items()
-                        if k not in EXECUTION_OPTIONS}
-        per_id_options[experiment_id] = accepted
+    per_id_options = {
+        experiment_id: _accepted_options(get_experiment(experiment_id), options)
+        for experiment_id in ids
+    }
 
     results: dict[str, ExperimentResult] = {}
     pending: list[str] = []
     for experiment_id in ids:
         if cache is not None:
             entry = cache.get(
-                experiment_id, _cache_params(per_id_options[experiment_id]), _MISS
+                experiment_id, {"options": per_id_options[experiment_id]}, _MISS
             )
             if entry is not _MISS:
                 result, stored_wall = entry["result"], entry["wall"]
@@ -143,7 +129,7 @@ def run_experiments(
         if cache is not None:
             cache.put(
                 experiment_id,
-                _cache_params(per_id_options[experiment_id]),
+                {"options": per_id_options[experiment_id]},
                 {"result": result, "wall": wall},
             )
         result.notes.append(f"runner: computed in {wall:.3f}s")

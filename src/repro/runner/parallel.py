@@ -9,9 +9,9 @@ adds
 
 * chunked distribution of grid points over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``workers=``
-  defaults to ``os.cpu_count()``; ``0`` or ``1`` runs inline in the
-  calling process, which is also how the cache logic is exercised
-  without pool overhead);
+  defaults to the process's usable cores; ``0`` or ``1`` runs inline
+  in the calling process, which is also how the cache logic is
+  exercised without pool overhead);
 * per-point lookup/store through a :class:`~repro.runner.cache.ResultCache`
   (key: ``cache_id`` + base params + overrides + package version), so a
   repeated sweep evaluates nothing;
@@ -25,12 +25,12 @@ parent process, exactly mirroring the serial path's ordering.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.sweeps import SweepResult, grid
+from ..cpus import usable_cpus
 from ..obs import MetricsRegistry, Observability, POINT_WALL_EDGES
 from .cache import ResultCache
 from .instrumentation import RunnerStats
@@ -41,9 +41,10 @@ _MISS = object()
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: ``None`` means ``os.cpu_count()``."""
+    """Effective worker count: ``None`` means every usable core
+    (:func:`repro.cpus.usable_cpus`)."""
     if workers is None:
-        return os.cpu_count() or 1
+        return usable_cpus()
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers

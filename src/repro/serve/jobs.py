@@ -15,9 +15,8 @@ one :func:`job_key`, which is what the server deduplicates on:
   can never collapse onto one key;
 * defaults are filled in before hashing, so eliding ``engine`` equals
   writing ``"reference"``;
-* execution knobs (``workers`` etc., see
-  :data:`repro.runner.executor.EXECUTION_OPTIONS`) are stripped — they
-  change how a result is computed, never what it is.
+* an experiment option its ``run()`` does not take is rejected, by
+  name, since it would change nothing but the key.
 
 :func:`execute_job` is the blocking executor the server runs in a
 thread: it dispatches on the ``job_kind`` seam to the existing runner
@@ -35,7 +34,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..runner.cache import ResultCache, canonical_key
-from ..runner.executor import EXECUTION_OPTIONS, run_experiments
+from ..runner.executor import _accepted_options, run_experiments
 from ..runner.instrumentation import RunnerStats
 from ..obs import Observability
 from .protocol import PROTOCOL_VERSION
@@ -189,7 +188,7 @@ def normalize_request(payload: Mapping[str, Any]) -> JobRequest:
             f"allowed: {', '.join(sorted(_ALLOWED_FIELDS[job_kind]))}")
 
     if job_kind == "experiment":
-        from ..experiments.base import all_experiments
+        from ..experiments.base import all_experiments, get_experiment
 
         experiment_id = _require_str(spec, "id", job_kind)
         import repro.experiments  # noqa: F401 — registration side effects
@@ -201,12 +200,14 @@ def normalize_request(payload: Mapping[str, Any]) -> JobRequest:
         options = spec.get("options", {})
         if not isinstance(options, Mapping):
             raise JobError("experiment options must be an object")
-        options = {k: v for k, v in options.items()
-                   if k not in EXECUTION_OPTIONS}
-        canonical = {
-            "id": experiment_id,
-            "options": _normalize_value(options, "options"),
-        }
+        options = _normalize_value(options, "options")
+        accepted = _accepted_options(get_experiment(experiment_id), options)
+        unknown = sorted(set(options) - set(accepted))
+        if unknown:
+            raise JobError(
+                f"experiment {experiment_id!r} does not take option(s) "
+                f"{', '.join(unknown)}")
+        canonical = {"id": experiment_id, "options": options}
     elif job_kind == "scenario":
         canonical = {
             "preset": _normalize_preset(spec, job_kind),

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.parameters import _require_positive_finite
 from .engine import Simulator
 from .frames import BCNMessage, EthernetFrame, PauseFrame
 from .link import Link
@@ -136,8 +137,7 @@ class CoreSwitch:
         random_sampling: bool = False,
         sampling_seed: int = 0,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        _require_positive_finite("capacity", capacity)
         if not 0 < pm <= 1:
             raise ValueError("pm must lie in (0, 1]")
         if fb_bits is not None and not (
@@ -354,8 +354,7 @@ class CoreSwitch:
         Takes effect from the next service start; the in-flight frame
         finishes at the rate it started with (store-and-forward).
         """
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        _require_positive_finite("capacity", capacity)
         self.capacity = capacity
 
     def _start_service(self) -> None:

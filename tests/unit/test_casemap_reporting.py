@@ -90,8 +90,3 @@ class TestReporting:
         assert "| fig4 | PASS" in text
         path = report.write(tmp_path / "REPORT.md")
         assert path.read_text() == text
-
-    def test_options_forwarded(self):
-        report = run_reproduction_report(
-            ["v3"], options_by_id={"v3": {"duration": 0.01}})
-        assert report.entries[0].experiment_id == "v3"

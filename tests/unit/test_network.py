@@ -240,6 +240,16 @@ class TestMultiHop:
         with pytest.raises(ValueError, match="frame_bits"):
             MultiHopNetwork(g, flows, self.config(), frame_bits=frame_bits)
 
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf, 0.0])
+    def test_rejects_a_bad_port_capacity_at_construction(self, capacity):
+        # fail at construction, not inside run() as a bad event delay
+        g = dumbbell(2, capacity=1e8)
+        flows = homogeneous(["h0", "h1"], "sink", demand=1e7)
+        port = next(iter(MultiHopNetwork(g, flows, self.config()).ports))
+        g.edges[port]["capacity"] = capacity
+        with pytest.raises(ValueError, match="capacity"):
+            MultiHopNetwork(g, flows, self.config())
+
     @pytest.mark.parametrize("q0, buffer_bits",
                              [(-1.0, 5e5), (0.0, 5e5), (5e5, 5e5), (6e5, 5e5)])
     def test_port_config_needs_q0_inside_the_buffer(self, q0, buffer_bits):

@@ -3,6 +3,7 @@
 import pytest
 
 import repro.experiments  # noqa: F401 — registration side effects
+from repro.experiments import base
 from repro.experiments.base import ExperimentResult
 from repro.runner import ResultCache, RunnerStats, run_experiments
 
@@ -36,21 +37,20 @@ class TestOrdering:
 
 
 class TestOptionFiltering:
-    def test_runner_options_only_reach_aware_experiments(self):
-        # fig4's run() accepts only render_plots; passing runner knobs
-        # through the executor must not crash it.
-        options = {**OPTIONS, "parallel": True, "workers": 0,
-                   "cache_dir": None}
-        pairs = run_experiments(["fig4", "v1"], workers=0, options=options)
-        assert all(r.passed for _, r in pairs)
-        v1 = dict(pairs)["v1"]
-        assert any("runner:" in note for note in v1.notes)
+    def test_each_experiment_receives_only_the_options_it_takes(
+            self, monkeypatch):
+        seen = {}
 
-    def test_pooled_dispatch_strips_execution_options(self):
-        options = {**OPTIONS, "parallel": True, "workers": 2,
-                   "cache_dir": None}
-        pairs = run_experiments(["fig4", "v1"], workers=2, options=options)
-        assert all(r.passed for _, r in pairs)
+        def run(*, render_plots=True, duration=1.0):
+            seen.update(render_plots=render_plots, duration=duration)
+            return ExperimentResult(experiment_id="v3", title="stand-in")
+
+        monkeypatch.setitem(base._REGISTRY, "v3", run)
+        # fig4's run() takes only render_plots: duration must not reach it
+        pairs = dict(run_experiments(["fig4", "v3"], workers=0,
+                                     options={**OPTIONS, "duration": 0.01}))
+        assert pairs["fig4"].passed
+        assert seen == {"render_plots": False, "duration": 0.01}
 
 
 class TestCaching:
@@ -69,18 +69,13 @@ class TestCaching:
             assert a.table_rows == b.table_rows
             assert any("cache hit" in note for note in b.notes)
 
-    def test_execution_knobs_do_not_split_the_cache(self, tmp_path):
-        # A serial run primes the cache for a parallel one: parallel /
-        # workers / cache_dir are execution strategy, not outcome.
-        run_experiments(["v1"], workers=0, cache=ResultCache(tmp_path),
+    def test_options_an_experiment_does_not_take_stay_out_of_its_key(
+            self, tmp_path):
+        run_experiments(["fig6"], workers=0, cache=ResultCache(tmp_path),
                         options=OPTIONS)
         stats = RunnerStats()
-        run_experiments(
-            ["v1"], workers=0, cache=ResultCache(tmp_path),
-            options={**OPTIONS, "parallel": True, "workers": 2,
-                     "cache_dir": None},
-            stats=stats,
-        )
+        run_experiments(["fig6"], workers=0, cache=ResultCache(tmp_path),
+                        options={**OPTIONS, "duration": 0.01}, stats=stats)
         assert stats.cache_hits == 1
 
     def test_render_plots_is_part_of_the_key(self, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.sweeps import sweep
 from repro.core.parameters import BCNParams
 from repro.core.stability import required_buffer
+from repro.cpus import usable_cpus
 from repro.runner import ResultCache, RunnerStats, resolve_workers, run_sweep_parallel
 
 BASE = BCNParams(capacity=1e9, n_flows=10, q0=1e6, buffer_size=8e6)
@@ -27,9 +28,33 @@ def failing_evaluate(params: BCNParams) -> dict:
 
 class TestResolveWorkers:
     def test_none_means_cpu_count(self):
+        # the cores of the process's CPU set, not the machine's count
+        assert resolve_workers(None) == usable_cpus()
+
+    def test_none_follows_the_cpu_set_like_the_fluid_kernel(
+            self, monkeypatch):
         import os
 
-        assert resolve_workers(None) == (os.cpu_count() or 1)
+        from repro.kernels.fluid import _fluid_threads
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_workers(None) == 1
+        assert _fluid_threads(4096) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert resolve_workers(None) == 3
+        assert _fluid_threads(4096) == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert usable_cpus() == resolve_workers(None) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
     def test_explicit_passthrough(self):
         assert resolve_workers(0) == 0

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.trace import SCHEMA_VERSION, TraceRecord
-from repro.runner.executor import EXECUTION_OPTIONS
 from repro.serve import (
     JOB_KINDS,
     JobError,
@@ -189,13 +188,28 @@ class TestNormalize:
         request = normalize_request(SCENARIO)
         assert normalize_request(request.to_payload()) == request
 
-    def test_execution_options_stripped(self):
-        some_id = sorted(_experiment_ids())[0]
-        noisy = {"kind": "experiment", "id": some_id,
-                 "options": {opt: 7 for opt in EXECUTION_OPTIONS}}
-        clean = {"kind": "experiment", "id": some_id}
-        assert (normalize_request(noisy).key()
-                == normalize_request(clean).key())
+    def test_execution_options_rejected(self):
+        # no experiment's run() takes pool or cache knobs: they would
+        # only fork the job key
+        for option in ("parallel", "workers", "cache_dir"):
+            with pytest.raises(JobError, match=option):
+                normalize_request({"kind": "experiment", "id": "v1",
+                                   "options": {option: True}})
+
+    def test_misspelt_options_rejected_by_name(self):
+        # a typo must not get its own key and run v3 at its defaults
+        with pytest.raises(JobError,
+                           match=r"'v3' does not take option\(s\) duraton, speed$"):
+            normalize_request({"kind": "experiment", "id": "v3",
+                               "options": {"speed": 2, "duraton": 0.01,
+                                           "duration": 0.01}})
+
+    def test_accepted_options_enter_the_key(self):
+        plain = normalize_request({"kind": "experiment", "id": "v3"})
+        short = normalize_request({"kind": "experiment", "id": "v3",
+                                   "options": {"duration": 0.01}})
+        assert short.spec["options"] == {"duration": 0.01}
+        assert short.key() != plain.key()
 
     def test_options_must_be_object(self):
         some_id = sorted(_experiment_ids())[0]

@@ -245,6 +245,19 @@ class TestDataPlane:
         with pytest.raises(ValueError):
             make_switch(Simulator(), pm=0.0)
 
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -1e9])
+    def test_rejects_a_capacity_that_is_not_finite_and_positive(
+            self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            make_switch(Simulator(), capacity=capacity)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -1e9])
+    def test_set_capacity_rejects_what_construction_rejects(self, capacity):
+        switch = make_switch(Simulator())
+        with pytest.raises(ValueError, match="capacity"):
+            switch.set_capacity(capacity)
+        assert switch.capacity == 1e9
+
 
 # -- a zero FB is +0.0 on every path ---------------------------------------
 
