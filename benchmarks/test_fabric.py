@@ -1,4 +1,4 @@
-"""Bench F — the multi-hop fabric on its one serial event kernel.
+"""Bench F — the multi-hop fabric on the C event core.
 
 Two fabric-scale workloads on
 :class:`repro.simulation.multihop.MultiHopNetwork`:
@@ -10,10 +10,13 @@ Two fabric-scale workloads on
   congested permutation rounds.  DCell's cross-cell links are
   host-to-host, so hosts relay frames and carry BCN/PAUSE control.
 
-The timed region covers construction plus the run.  Each row records
-absolute wall times; the report's ``cores`` field names the machine
-that produced them.  There is no fast/reference pair to gate: every
-packet engine name runs the same per-frame fabric.
+The timed region covers construction plus the run.  With a compiled
+kernel tier both rows run on the C event core
+(:mod:`repro.simulation.event_core`), whose events are the python
+loop's bit for bit; on the numpy tier they time the python loop.  Each
+row records absolute wall times; the report's ``cores`` field names the
+machine that produced them.  There is no fast/reference pair to gate:
+every packet engine name runs the same per-frame fabric.
 
 Every test tags ``benchmark.extra_info`` with ``workload``/``engine``
 and ``simulated_seconds`` (``tools/bench_report.py`` derives ns per

@@ -34,7 +34,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..core.parameters import BCNParams
-from .metrics import jain_index
 
 __all__ = ["TwoFlowTrajectory", "simulate_two_flows", "fairness_trajectory"]
 
@@ -51,12 +50,11 @@ class TwoFlowTrajectory:
 
     def jain_series(self) -> np.ndarray:
         """Jain's fairness index along the trajectory."""
-        return np.array([
-            jain_index(np.array([a, b])) for a, b in zip(self.r1, self.r2)
-        ])
+        return np.array([_jain_pair(a, b)
+                         for a, b in zip(self.r1.tolist(), self.r2.tolist())])
 
     def final_jain(self) -> float:
-        return float(self.jain_series()[-1])
+        return _jain_pair(float(self.r1[-1]), float(self.r2[-1]))
 
     def gap_series(self) -> np.ndarray:
         """Normalised rate gap ``|r1 - r2| / (r1 + r2)``."""
@@ -65,6 +63,13 @@ class TwoFlowTrajectory:
 
     def utilization_series(self) -> np.ndarray:
         return (self.r1 + self.r2) / self.params.capacity
+
+
+def _jain_pair(a: float, b: float) -> float:
+    """:func:`~.metrics.jain_index` of two rates, in the same float
+    operations on python floats: no numpy call per sample."""
+    denom = 2 * (a * a + b * b)
+    return (a + b) ** 2 / denom if denom != 0.0 else 1.0
 
 
 def simulate_two_flows(

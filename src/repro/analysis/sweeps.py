@@ -107,9 +107,5 @@ def sweep(
             raise
         record: dict[str, Any] = dict(overrides)
         record.update(evaluate(params))
-        # reserved instrumentation key (see repro.runner.parallel): the
-        # serial reference drops it too, keeping records differentially
-        # identical to the parallel path
-        record.pop("_kernel_wall", None)
         result.records.append(record)
     return result

@@ -16,6 +16,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from ..core.parameters import _require_positive_finite
 from ..simulation.engine import Simulator
 from ..simulation.frames import EthernetFrame
 from ..simulation.link import Link
@@ -39,8 +40,7 @@ class QueuedPort:
         buffer_bits: float,
         forward: Callable[[EthernetFrame], None] | None = None,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        _require_positive_finite("capacity", capacity)
         self.sim = sim
         self.capacity = capacity
         self.queue = DropTailQueue(buffer_bits)

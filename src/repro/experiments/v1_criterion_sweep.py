@@ -22,7 +22,6 @@ grid over a pool.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -51,19 +50,14 @@ def evaluate_point(p: NormalizedParams) -> dict[str, object]:
     """One grid point: case label, Theorem 1 bound, exact peak, tightness.
 
     Module-level and pure so the parallel runner can pickle it and the
-    cache can replay it.  The reserved ``"_kernel_wall"`` key reports
-    the trajectory-composition kernel time; both sweep paths pop it
-    before it reaches the records, and the parallel runner surfaces it
-    as per-point kernel time vs pool overhead in the stats summary.
+    cache can replay it.
     """
     case = classify_case(p).value
     bound = p.q0 * math.sqrt(p.a / (p.b * p.capacity))
-    t0 = time.perf_counter()
     traj = PhasePlaneAnalyzer(p).compose(max_switches=60)
-    kernel_wall = time.perf_counter() - t0
     peak = max(0.0, traj.max_x())
     return {"case": case, "bound": bound, "peak": peak,
-            "tightness": peak / bound, "_kernel_wall": kernel_wall}
+            "tightness": peak / bound}
 
 
 @register("v1")

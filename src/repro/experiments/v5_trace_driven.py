@@ -19,7 +19,7 @@ import numpy as np
 
 from ..simulation.multihop import MultiHopNetwork, PortConfig
 from ..topology.graphs import fat_tree, hosts
-from ..topology.routing import bottleneck_edge, ecmp_route
+from ..topology.routing import bottleneck_edge
 from ..workloads.traces import TraceConfig, generate_trace
 from .base import ExperimentResult, register
 
@@ -96,8 +96,8 @@ def run(*, render_plots: bool = True, horizon: float = 0.5,
     )
 
     # hotspot plausibility: the hottest port is among the most-shared
-    routes = [ecmp_route(fabric, f.src, f.dst, f.flow_id)
-              for f in trace.flows]
+    # (the network resolved every flow's ECMP route when it was built)
+    routes = [network.routes[f.flow_id] for f in trace.flows]
     _, max_share = bottleneck_edge(fabric, routes)
     hot = res.hottest_port()
     hot_share = sum(

@@ -23,8 +23,8 @@ tier's closures and do every state update themselves.  Three kernels
 are C only, and each has a python oracle that runs on the numpy tier:
 
 * the event core (``event_core``): the ``engine="reference"``
-  dumbbell executes the python ``Simulator`` loop's events one by one
-  in C, bit for bit, and writes the state back
+  dumbbell and every multi-hop fabric execute the python ``Simulator``
+  loop's events one by one in C, bit for bit, and write the state back
   (:mod:`repro.simulation.event_core`);
 * the fluid kernel (``fluid_rows``): by default
   :func:`~repro.fluid.batch.simulate_fluid_batch` runs it through

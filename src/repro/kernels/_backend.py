@@ -23,7 +23,7 @@ Two tiers (override with ``REPRO_KERNEL_BACKEND`` set to ``auto`` /
     bit for bit with the python or numpy loop that runs on the numpy
     tier: ``fluid_rows`` (the batch fluid kernel), ``delayed`` (the
     delayed-feedback model's method of steps) and ``event_core``
-    (the ``engine="reference"`` dumbbell's events).
+    (the ``engine="reference"`` dumbbell's and a fabric's events).
     ``auto`` picks this tier whenever cffi and a C compiler are
     available.
 
@@ -452,23 +452,26 @@ class KernelBackend:
         return f"<KernelBackend {self.name} compiled={self.compiled}>"
 
 
-#: The event core's grown outputs: field -> (count field, dtype).  A
-#: digest row is ``(now, occupancy, forwarded frames, sum of rates)``.
+#: The event core's grown outputs: field -> (count fields, dtype); an
+#: output holds the product of its counts.  ``rec_q`` is sample-major,
+#: one row of port queues per recorder tick, and a digest row is ``(now,
+#: occupancy, forwarded frames, sum of rates)`` over every port.
 _CORE_OUTPUTS = {
-    "rec_t": ("n_rec", "f8"), "rec_q": ("n_rec", "f8"),
-    "rec_r": ("n_rec", "f8"),
-    "sig_t": ("n_sig", "f8"), "sig_v": ("n_sig", "f8"),
-    "log_kind": ("n_log", "i1"), "log_t": ("n_log", "f8"),
-    "log_flow": ("n_log", "i8"), "log_v": ("n_log", "f8"),
-    "dig": ("n_dig", [("now", "f8"), ("occupancy", "f8"),
-                      ("forwarded", "i8"), ("rate", "f8")]),
-    "res_src": ("n_res", "i8"), "res_t": ("n_res", "f8"),
-    "res_assoc": ("n_res", "u1"),
-    "pend_kind": ("n_pend", "i1"), "pend_idx": ("n_pend", "i8"),
-    "pend_seq": ("n_pend", "i8"), "pend_t": ("n_pend", "f8"),
-    "pend_a": ("n_pend", "f8"), "pend_b": ("n_pend", "f8"),
-    "pend_c": ("n_pend", "f8"), "pend_d": ("n_pend", "f8"),
-    "pend_e": ("n_pend", "f8"),
+    "rec_t": (("n_rec",), "f8"), "rec_q": (("n_rec", "n_ports"), "f8"),
+    "rec_r": (("n_rec",), "f8"),
+    "sig_port": (("n_sig",), "i8"), "sig_t": (("n_sig",), "f8"),
+    "sig_v": (("n_sig",), "f8"),
+    "log_kind": (("n_log",), "i1"), "log_port": (("n_log",), "i8"),
+    "log_t": (("n_log",), "f8"), "log_flow": (("n_log",), "i8"),
+    "log_v": (("n_log",), "f8"),
+    "dig": (("n_dig",), [("now", "f8"), ("occupancy", "f8"),
+                         ("forwarded", "i8"), ("rate", "f8")]),
+    "res_port": (("n_res",), "i8"), "res_src": (("n_res",), "i8"),
+    "res_assoc": (("n_res",), "i8"), "res_t": (("n_res",), "f8"),
+    **{f"pend_{x}": (("n_pend",), dtype) for x, dtype in (
+        ("kind", "i1"), ("idx", "i8"), ("port", "i8"), ("seq", "i8"),
+        ("t", "f8"), ("a", "f8"), ("b", "f8"), ("c", "f8"), ("d", "f8"),
+        ("e", "f8"))},
 }
 
 
@@ -478,7 +481,7 @@ class _CffiKernels(KernelBackend):
     numpy oracle is :func:`repro.fluid.batch.simulate_fluid_batch`, the
     delayed fluid model's ``delayed``, whose oracle is the python loop
     of :func:`repro.fluid.delay.simulate_delayed`, and the reference
-    dumbbell's ``event_core``, whose oracle is the python ``Simulator``
+    networks' ``event_core``, whose oracle is the python ``Simulator``
     loop."""
 
     name = "cffi"
@@ -595,20 +598,27 @@ class _CffiKernels(KernelBackend):
             buf("double[]", t), buf("double[]", x), buf("double[]", y))
 
     def event_core(self, scalars, arrays):
-        """Run one reference dumbbell's events in C (``k_event_core``).
+        """Run one reference network's events in C (``k_event_core``).
 
         ``scalars`` and ``arrays`` fill the ``ev_core`` struct field by
-        field; the arrays are the per-source, pause-link and timed-event
-        state, updated in place.  Returns every scalar field after the
-        run plus copies of the outputs the core grew: recorder series
-        ``rec_*``, sigma history ``sig_*``, obs log ``log_*``, digest
-        rows ``dig``, the frames left in the queue ``res_*`` and the
-        events still pending at the horizon ``pend_*``.  Its
-        oracle is the python ``Simulator`` loop of
-        :class:`~repro.simulation.network.BCNNetworkSimulator`.
+        field; ``arrays`` must name every input array (the per-source,
+        per-port, wiring and timed-event state), and the state ones are
+        updated in place.  Returns every scalar field after the run plus
+        copies of the outputs the core grew: recorder series ``rec_*``,
+        sigma history ``sig_*``, obs log ``log_*``, digest rows ``dig``,
+        the frames left in the queues ``res_*`` and the events still
+        pending at the horizon ``pend_*``.  Its oracle is the python
+        ``Simulator`` loop of
+        :class:`~repro.simulation.network.BCNNetworkSimulator` (one
+        port) and :class:`~repro.simulation.multihop.MultiHopNetwork`.
         """
         ffi, lib = self._ffi, self._lib
         core = ffi.new("ev_core *")
+        inputs = {name for name, field in ffi.typeof("ev_core").fields
+                  if field.type.kind == "pointer"} - set(_CORE_OUTPUTS)
+        if set(arrays) != inputs:
+            raise ValueError(
+                f"the event core needs exactly the arrays {sorted(inputs)}")
         keep = []
         for name, value in scalars.items():
             setattr(core, name, value)
@@ -622,8 +632,8 @@ class _CffiKernels(KernelBackend):
             out = {name: getattr(core, name)
                    for name, field in ffi.typeof("ev_core").fields
                    if field.type.kind == "primitive"}
-            for name, (count, dtype) in _CORE_OUTPUTS.items():
-                n = out[count]
+            for name, (counts, dtype) in _CORE_OUTPUTS.items():
+                n = math.prod(out[count] for count in counts)
                 dt = np.dtype(dtype)
                 out[name] = (np.frombuffer(
                     ffi.buffer(getattr(core, name), n * dt.itemsize),

@@ -32,15 +32,18 @@ the same float64 operations in the same order:
   trajectory, RK4 stages and history interpolation in the python
   loop's float64 operations and order, with the same early stop, so
   the sample count and every sample are the same;
-* the reference dumbbell's event core ``k_event_core`` against the
-  python ``Simulator`` loop of
-  :class:`~repro.simulation.network.BCNNetworkSimulator`: one binary
-  heap ordered by ``(time, seq)`` and pushed in the callbacks' order,
-  the sources, links, :class:`~repro.simulation.switch.CoreSwitch`
-  (CPython's MT19937 ``random()`` for Bernoulli sampling, the shared
-  ``bcn_sample``) and the regulator laws (``bcn_rate_step``; libm
-  ``exp``, the one ``math.exp`` calls), so the events, their order and
-  every state they leave, the events still pending at the horizon
+* the event core ``k_event_core`` against the python ``Simulator``
+  loop of :class:`~repro.simulation.network.BCNNetworkSimulator`'s
+  reference dumbbell (one port) and of
+  :class:`~repro.simulation.multihop.MultiHopNetwork` (N ports, each
+  flow's frames hopping port to port): one binary heap ordered by
+  ``(time, seq)`` and pushed in the callbacks' order, the sources,
+  links, each port's :class:`~repro.simulation.switch.CoreSwitch`
+  (CPython's MT19937 ``random()`` on the port's own stream for
+  Bernoulli sampling, the shared ``bcn_sample``), hop-level and
+  source-directed PAUSE and the regulator laws (``bcn_rate_step``;
+  libm ``exp``, the one ``math.exp`` calls), so the events, their order
+  and every state they leave, the events still pending at the horizon
   included, are the same bit for bit.
 
 Every kernel is compiled with ``-ffp-contract=off`` (:data:`COMPILE_ARGS`,
@@ -144,42 +147,46 @@ int64_t k_delayed(int64_t n_steps, double tau, double step, double a,
     double *t, double *x, double *y);
 
 typedef struct ev_core {
-    int64_t n, n_pause, n_timed, neumaier, log_on, digest_on;
+    int64_t n, n_ports, n_pause, n_timed, neumaier, digest_on, start_all;
     double duration, queue_dt, L;
     double *rate, *gi, *gd, *ru, *max_dt, *min_rate, *line_rate;
-    double *last_update, *up_delay, *back_delay, *start_time, *total_bits;
-    double *paused_until, *bits_sent, *finish_time;
-    int64_t *mode, *updates, *frames_sent, *pause_dst;
-    uint8_t *assoc, *muted, *started;
+    double *last_update, *up_delay, *start_time, *total_bits;
+    double *paused_until, *bits_sent, *finish_time, *got, *size, *done_t;
+    int64_t *mode, *updates, *frames_sent, *assoc, *up_port, *done_rank;
+    uint8_t *muted, *started;
+    int64_t *hop_port;
+    double *hop_delay, *bcn_delay;
+    int64_t *pause_off, *pause_kind, *pause_dst;
+    double *pause_delay;
     double *ev_t, *ev_val;
-    int64_t *ev_kind;
-    double capacity, q0, w, pm, q_sc, pause_duration, buffer_bits;
-    double sigma_unit, full_scale, q_last, service_paused_until;
-    int64_t pos_only, req_assoc, interval, since, use_rng;
-    int64_t busy, armed, mt_index;
+    int64_t *ev_kind, *ev_idx;
+    double *capacity, *q0, *w, *pm, *q_sc, *pause_duration, *buffer_bits;
+    double *sigma_unit, *full_scale, *q_last, *service_paused_until;
+    int64_t *pos_only, *req_assoc, *interval, *since, *use_rng, *log_on;
+    int64_t *busy, *armed, *mt_index;
     uint32_t *mt;
-    double occ, enq_bits, deq_bits, drop_bits, fwd_bits, delivered;
-    int64_t enq_frames, deq_frames, drop_frames, fwd_frames;
-    int64_t samples, bcn_neg, bcn_pos, pauses_sent;
-    double now;
-    int64_t processed, pushes;
+    double *occ, *enq_bits, *deq_bits, *drop_bits, *fwd_bits;
+    int64_t *enq_frames, *deq_frames, *drop_frames, *fwd_frames;
+    int64_t *samples, *bcn_neg, *bcn_pos, *pauses_sent;
+    double delivered, now;
+    int64_t processed, pushes, n_done;
     int64_t n_rec, cap_rec;
     double *rec_t, *rec_q, *rec_r;
     int64_t n_sig, cap_sig;
+    int64_t *sig_port;
     double *sig_t, *sig_v;
     int64_t n_log, cap_log;
     int8_t *log_kind;
+    int64_t *log_port, *log_flow;
     double *log_t, *log_v;
-    int64_t *log_flow;
     int64_t n_dig, cap_dig;
     double *dig;
     int64_t n_res;
-    int64_t *res_src;
+    int64_t *res_port, *res_src, *res_assoc;
     double *res_t;
-    uint8_t *res_assoc;
     int64_t n_pend;
     int8_t *pend_kind;
-    int64_t *pend_idx, *pend_seq;
+    int64_t *pend_idx, *pend_port, *pend_seq;
     double *pend_t, *pend_a, *pend_b, *pend_c, *pend_d, *pend_e;
 } ev_core;
 
@@ -1139,34 +1146,39 @@ int64_t k_delayed(int64_t n_steps, double tau, double step, double a,
 """
 
 _CORE = r"""
-/* ---- exact event core of the reference dumbbell ------------------------ */
-/* The oracle is the python Simulator loop running BCNNetworkSimulator's
-   reference engine: every callback below is one python callback, pushed
-   onto a (time, seq) heap in the same order, with the same float64
-   operations, so the run executes the same events in the same order
-   and leaves the same state. */
+/* ---- exact event core of the reference packet networks ----------------- */
+/* The oracle is the python Simulator loop of BCNNetworkSimulator's
+   reference engine (one port: the dumbbell) and of MultiHopNetwork (one
+   port per switch output a flow crosses: a fabric): every callback below
+   is one python callback, pushed onto a (time, seq) heap in the same
+   order, with the same float64 operations, so the run executes the same
+   events in the same order and leaves the same state. */
 
-enum { EV_EMIT, EV_START, EV_ARRIVE, EV_DONE, EV_SERVE, EV_BCN, EV_PAUSE,
-       EV_REARM, EV_TICK, EV_TIMED };
+enum { EV_EMIT, EV_START, EV_ARRIVE, EV_DELIVER, EV_DONE, EV_SERVE, EV_BCN,
+       EV_PAUSE, EV_HOLD, EV_REARM, EV_TICK, EV_TIMED };
 
-/* timed-event kinds (network.py _apply_event) and obs log kinds */
+/* timed-event kinds, PAUSE link targets and obs log kinds */
 enum { TE_CAPACITY, TE_OUTAGE, TE_DEPARTURE };
+enum { PL_SOURCE, PL_PORT };
 enum { LOG_DROP, LOG_BCN, LOG_PAUSE_ON, LOG_PAUSE_OFF };
 
-/* ARRIVE and DONE (the frame): idx = source, a = emission time, b = RRT
-   matches this switch; BCN: a = wire FB, b = raw sigma, c = q0 - q,
-   d = dq, e = sent at; PAUSE: a = duration, b = sent at */
+/* idx: the source (EMIT, START, the frame events, BCN, PAUSE), the
+   paused port (HOLD) or the timed event (TIMED); port: the port the
+   event runs at (ARRIVE, DONE, SERVE, REARM) or the sending port (BCN,
+   PAUSE, HOLD).  A frame: a = emission time, b = the port its RRT
+   names (-1: none); BCN: a = wire FB, b = raw sigma, c = q0 - q,
+   d = dq, e = sent at; PAUSE and HOLD: a = duration, b = sent at */
 typedef struct {
-    double t; int64_t seq; double a, b, c, d, e; int32_t kind, idx;
+    double t; int64_t seq; double a, b, c, d, e; int32_t kind, idx, port;
 } core_ev;
-typedef struct { int64_t src; double t; uint8_t assoc; } core_frame;
+typedef struct { int64_t src, assoc; double t; } core_frame;
+typedef struct { core_frame *q; int64_t head, len, cap; } core_fifo;
 
 typedef struct {
     ev_core *c;
     core_ev *heap;
     int64_t n_heap, cap_heap;
-    core_frame *q;
-    int64_t q_head, q_len, q_cap;
+    core_fifo *fifo;  /* one drop-tail FIFO per port */
     int failed;
 } core_rt;
 
@@ -1231,7 +1243,8 @@ static int ev_before(const core_ev *x, const core_ev *y)
 }
 
 static void core_push5(core_rt *rt, double t, int kind, int64_t idx,
-                       double a, double b, double c, double d, double e)
+                       int64_t port, double a, double b, double c, double d,
+                       double e)
 {
     core_ev ev;
     int64_t i;
@@ -1245,7 +1258,7 @@ static void core_push5(core_rt *rt, double t, int kind, int64_t idx,
     }
     ev.t = t; ev.seq = rt->c->pushes++;
     ev.a = a; ev.b = b; ev.c = c; ev.d = d; ev.e = e;
-    ev.kind = kind; ev.idx = (int32_t)idx;
+    ev.kind = kind; ev.idx = (int32_t)idx; ev.port = (int32_t)port;
     i = rt->n_heap++;
     while (i > 0) {
         int64_t parent = (i - 1) >> 1;
@@ -1257,9 +1270,9 @@ static void core_push5(core_rt *rt, double t, int kind, int64_t idx,
 }
 
 static void core_push(core_rt *rt, double t, int kind, int64_t idx,
-                      double a, double b)
+                      int64_t port, double a, double b)
 {
-    core_push5(rt, t, kind, idx, a, b, 0.0, 0.0, 0.0);
+    core_push5(rt, t, kind, idx, port, a, b, 0.0, 0.0, 0.0);
 }
 
 static core_ev core_pop(core_rt *rt)
@@ -1279,60 +1292,67 @@ static core_ev core_pop(core_rt *rt)
     return top;
 }
 
-/* sum(rates) as the running interpreter computes it: left to right from
-   the first item before python 3.12, Neumaier-compensated from 3.12 */
-static double core_rate_sum(const ev_core *c)
+/* sum(x) as the running interpreter computes it: left to right from
+   0 + x[0] before python 3.12, Neumaier-compensated from 3.12 */
+static double core_sum(const double *x, int64_t n, int64_t neumaier)
 {
     int64_t i;
     double f, comp = 0.0;
-    if (c->n == 0) return 0.0;
-    f = 0.0 + c->rate[0];
-    if (!c->neumaier) {
-        for (i = 1; i < c->n; i++) f += c->rate[i];
+    if (n == 0) return 0.0;
+    f = 0.0 + x[0];
+    if (!neumaier) {
+        for (i = 1; i < n; i++) f += x[i];
         return f;
     }
-    for (i = 1; i < c->n; i++) {
-        double x = c->rate[i], t = f + x;
-        if (fabs(f) >= fabs(x)) comp += (f - t) + x;
-        else comp += (x - t) + f;
+    for (i = 1; i < n; i++) {
+        double t = f + x[i];
+        if (fabs(f) >= fabs(x[i])) comp += (f - t) + x[i];
+        else comp += (x[i] - t) + f;
         f = t;
     }
     if (comp != 0.0 && isfinite(comp)) f += comp;
     return f;
 }
 
+/* one recorder tick: every port's queue and the sum of the source rates */
 static void core_record(core_rt *rt)
 {
     ev_core *c = rt->c;
+    int64_t p, np = c->n_ports;
     if (c->n_rec == c->cap_rec) {
         void **ptrs[3] = {(void **)&c->rec_t, (void **)&c->rec_q,
                           (void **)&c->rec_r};
-        size_t sizes[3] = {sizeof(double), sizeof(double), sizeof(double)};
+        size_t sizes[3] = {sizeof(double),
+                           (size_t)(np > 0 ? np : 1) * sizeof(double),
+                           sizeof(double)};
         if (core_grow(ptrs, sizes, 3, &c->cap_rec, c->n_rec + 1)) {
             rt->failed = 1;
             return;
         }
     }
     c->rec_t[c->n_rec] = c->now;
-    c->rec_q[c->n_rec] = c->occ;
-    c->rec_r[c->n_rec] = core_rate_sum(c);
+    for (p = 0; p < np; p++) c->rec_q[c->n_rec * np + p] = c->occ[p];
+    c->rec_r[c->n_rec] = core_sum(c->rate, c->n, c->neumaier);
     c->n_rec++;
 }
 
-static void core_log(core_rt *rt, int kind, double t, int64_t flow, double v)
+static void core_log(core_rt *rt, int kind, int64_t port, double t,
+                     int64_t flow, double v)
 {
     ev_core *c = rt->c;
     if (c->n_log == c->cap_log) {
-        void **ptrs[4] = {(void **)&c->log_kind, (void **)&c->log_t,
-                          (void **)&c->log_flow, (void **)&c->log_v};
-        size_t sizes[4] = {sizeof(int8_t), sizeof(double), sizeof(int64_t),
-                           sizeof(double)};
-        if (core_grow(ptrs, sizes, 4, &c->cap_log, c->n_log + 1)) {
+        void **ptrs[5] = {(void **)&c->log_kind, (void **)&c->log_port,
+                          (void **)&c->log_t, (void **)&c->log_flow,
+                          (void **)&c->log_v};
+        size_t sizes[5] = {sizeof(int8_t), sizeof(int64_t), sizeof(double),
+                           sizeof(int64_t), sizeof(double)};
+        if (core_grow(ptrs, sizes, 5, &c->cap_log, c->n_log + 1)) {
             rt->failed = 1;
             return;
         }
     }
     c->log_kind[c->n_log] = (int8_t)kind;
+    c->log_port[c->n_log] = port;
     c->log_t[c->n_log] = t;
     c->log_flow[c->n_log] = flow;
     c->log_v[c->n_log] = v;
@@ -1340,145 +1360,205 @@ static void core_log(core_rt *rt, int kind, double t, int64_t flow, double v)
 }
 
 /* CoreSwitch._start_service (the busy flag is set by the caller's path) */
-static void core_serve(core_rt *rt)
+static void core_serve(core_rt *rt, int64_t p)
 {
     ev_core *c = rt->c;
+    core_fifo *q = &rt->fifo[p];
     core_frame f;
-    if (c->now < c->service_paused_until) {
-        c->busy = 1;
-        core_push(rt, c->service_paused_until, EV_SERVE, 0, 0.0, 0.0);
+    if (c->now < c->service_paused_until[p]) {
+        c->busy[p] = 1;
+        core_push(rt, c->service_paused_until[p], EV_SERVE, 0, p, 0.0, 0.0);
         return;
     }
-    if (rt->q_len == 0) {
-        c->busy = 0;
+    if (q->len == 0) {
+        c->busy[p] = 0;
         return;
     }
-    f = rt->q[rt->q_head];
-    rt->q_head = (rt->q_head + 1) % rt->q_cap;
-    rt->q_len--;
-    c->occ -= c->L;
-    if (c->occ < 0) c->occ = 0.0;
-    c->deq_frames++;
-    c->deq_bits += c->L;
-    c->busy = 1;
-    core_push(rt, c->now + c->L / c->capacity, EV_DONE, f.src, f.t,
+    f = q->q[q->head];
+    q->head = (q->head + 1) % q->cap;
+    q->len--;
+    c->occ[p] -= c->L;
+    if (c->occ[p] < 0) c->occ[p] = 0.0;
+    c->deq_frames[p]++;
+    c->deq_bits[p] += c->L;
+    c->busy[p] = 1;
+    core_push(rt, c->now + c->L / c->capacity[p], EV_DONE, f.src, p, f.t,
               (double)f.assoc);
 }
 
 /* CoreSwitch._process_sample + _send_bcn */
-static void core_sample(core_rt *rt, int64_t src, uint8_t assoc)
+static void core_sample(core_rt *rt, int64_t p, int64_t src, int64_t assoc)
 {
     ev_core *c = rt->c;
-    double q = c->occ;
-    bcn_fb s = bcn_sample(q, c->q_last, c->q0, c->w, c->pos_only,
-                          c->req_assoc, assoc, c->sigma_unit, c->full_scale);
-    c->samples++;
-    c->q_last = q;
+    double q = c->occ[p], d;
+    bcn_fb s = bcn_sample(q, c->q_last[p], c->q0[p], c->w[p],
+                          c->pos_only[p], c->req_assoc[p], assoc == p,
+                          c->sigma_unit[p], c->full_scale[p]);
+    c->samples[p]++;
+    c->q_last[p] = q;
     if (c->n_sig == c->cap_sig) {
-        void **ptrs[2] = {(void **)&c->sig_t, (void **)&c->sig_v};
-        size_t sizes[2] = {sizeof(double), sizeof(double)};
-        if (core_grow(ptrs, sizes, 2, &c->cap_sig, c->n_sig + 1)) {
+        void **ptrs[3] = {(void **)&c->sig_port, (void **)&c->sig_t,
+                          (void **)&c->sig_v};
+        size_t sizes[3] = {sizeof(int64_t), sizeof(double), sizeof(double)};
+        if (core_grow(ptrs, sizes, 3, &c->cap_sig, c->n_sig + 1)) {
             rt->failed = 1;
             return;
         }
     }
+    c->sig_port[c->n_sig] = p;
     c->sig_t[c->n_sig] = c->now;
     c->sig_v[c->n_sig] = s.sigma;
     c->n_sig++;
     if (s.emit == 0) return;
-    if (s.emit < 0) c->bcn_neg++; else c->bcn_pos++;
-    core_push5(rt, c->now + c->back_delay[src], EV_BCN, src, s.fb, s.sigma,
-               c->q0 - q, s.dq, c->now);
-    if (c->log_on) core_log(rt, LOG_BCN, c->now, src, s.sigma);
+    if (s.emit < 0) c->bcn_neg[p]++; else c->bcn_pos[p]++;
+    d = c->bcn_delay[p * c->n + src];  /* NaN: no BCN link to src */
+    if (d == d)
+        core_push5(rt, c->now + d, EV_BCN, src, p, s.fb, s.sigma,
+                   c->q0[p] - q, s.dq, c->now);
+    if (c->log_on[p]) core_log(rt, LOG_BCN, p, c->now, src, s.sigma);
 }
 
 /* CoreSwitch.receive */
-static void core_arrive(core_rt *rt, int64_t src, double t_emit,
-                        uint8_t assoc)
+static void core_arrive(core_rt *rt, int64_t p, int64_t src, double t_emit,
+                        int64_t assoc)
 {
     ev_core *c = rt->c;
     int sampled, accepted;
-    if (c->use_rng) {
-        sampled = mt_random(c->mt, &c->mt_index) < c->pm;
+    if (c->use_rng[p]) {
+        sampled = mt_random(c->mt + MT_N * p, &c->mt_index[p]) < c->pm[p];
     } else {
-        c->since++;
-        sampled = c->since >= c->interval;
-        if (sampled) c->since = 0;
+        c->since[p]++;
+        sampled = c->since[p] >= c->interval[p];
+        if (sampled) c->since[p] = 0;
     }
-    if (c->occ + c->L > c->buffer_bits) {
+    if (c->occ[p] + c->L > c->buffer_bits[p]) {
         accepted = 0;
-        c->drop_frames++;
-        c->drop_bits += c->L;
-        if (c->log_on) core_log(rt, LOG_DROP, c->now, src, c->L);
+        c->drop_frames[p]++;
+        c->drop_bits[p] += c->L;
+        if (c->log_on[p]) core_log(rt, LOG_DROP, p, c->now, src, c->L);
     } else {
+        core_fifo *q = &rt->fifo[p];
         core_frame *f;
         accepted = 1;
-        if (rt->q_len == rt->q_cap) {
+        if (q->len == q->cap) {
             /* unroll the ring into a doubled buffer */
-            int64_t cap = rt->q_cap > 0 ? 2 * rt->q_cap : 64, k;
+            int64_t cap = q->cap > 0 ? 2 * q->cap : 64, k;
             core_frame *nq = malloc((size_t)cap * sizeof(core_frame));
             if (nq == NULL) { rt->failed = 1; return; }
-            for (k = 0; k < rt->q_len; k++)
-                nq[k] = rt->q[(rt->q_head + k) % rt->q_cap];
-            free(rt->q);
-            rt->q = nq; rt->q_head = 0; rt->q_cap = cap;
+            for (k = 0; k < q->len; k++)
+                nq[k] = q->q[(q->head + k) % q->cap];
+            free(q->q);
+            q->q = nq; q->head = 0; q->cap = cap;
         }
-        f = &rt->q[(rt->q_head + rt->q_len) % rt->q_cap];
+        f = &q->q[(q->head + q->len) % q->cap];
         f->src = src; f->t = t_emit; f->assoc = assoc;
-        rt->q_len++;
-        c->occ += c->L;
-        c->enq_frames++;
-        c->enq_bits += c->L;
+        q->len++;
+        c->occ[p] += c->L;
+        c->enq_frames[p]++;
+        c->enq_bits[p] += c->L;
     }
-    if (sampled) core_sample(rt, src, assoc);
-    if (c->occ > c->q_sc && c->armed) {
-        /* CoreSwitch._maybe_pause: one PAUSE per excursion */
+    if (sampled) core_sample(rt, p, src, assoc);
+    if (c->occ[p] > c->q_sc[p] && c->armed[p]) {
+        /* CoreSwitch._maybe_pause: one PAUSE per excursion, down every
+           PAUSE link in registration order */
         int64_t k;
-        c->armed = 0;
-        for (k = 0; k < c->n_pause; k++) {
-            int64_t dst = c->pause_dst[k];
-            core_push(rt, c->now + c->back_delay[dst], EV_PAUSE, dst,
-                      c->pause_duration, c->now);
+        double pd = c->pause_duration[p];
+        c->armed[p] = 0;
+        for (k = c->pause_off[p]; k < c->pause_off[p + 1]; k++)
+            core_push(rt, c->now + c->pause_delay[k],
+                      c->pause_kind[k] == PL_SOURCE ? EV_PAUSE : EV_HOLD,
+                      c->pause_dst[k], p, pd, c->now);
+        c->pauses_sent[p] += c->pause_off[p + 1] - c->pause_off[p];
+        if (c->log_on[p]) {
+            core_log(rt, LOG_PAUSE_ON, p, c->now, -1, pd);
+            core_log(rt, LOG_PAUSE_OFF, p, c->now + pd, -1, 0.0);
         }
-        c->pauses_sent += c->n_pause;
-        if (c->log_on) {
-            core_log(rt, LOG_PAUSE_ON, c->now, -1, c->pause_duration);
-            core_log(rt, LOG_PAUSE_OFF, c->now + c->pause_duration, -1, 0.0);
-        }
-        core_push(rt, c->now + c->pause_duration, EV_REARM, 0, 0.0, 0.0);
+        core_push(rt, c->now + pd, EV_REARM, 0, p, 0.0, 0.0);
     }
-    if (accepted && !c->busy) core_serve(rt);
+    if (accepted && !c->busy[p]) core_serve(rt, p);
 }
 
-/* TrafficSource._emit */
+/* the network's _deliver: the total, the flow's bits and its finish
+   (done_rank: the order the flows finished in) */
+static void core_deliver(core_rt *rt, int64_t i)
+{
+    ev_core *c = rt->c;
+    c->delivered += c->L;
+    c->got[i] += c->L;
+    if (c->got[i] >= c->size[i] && c->done_t[i] != c->done_t[i]) {
+        c->done_t[i] = c->now;
+        c->done_rank[i] = c->n_done++;
+    }
+}
+
+/* TrafficSource._emit; the uplink leads to a port or straight to the
+   network's _deliver (up_port -1) */
 static void core_emit(core_rt *rt, int64_t i)
 {
     ev_core *c = rt->c;
     double now = c->now, total = c->total_bits[i];
     if (c->bits_sent[i] >= total) return;  /* NaN total: never finished */
     if (c->muted[i]) {
-        core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
+        core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0, 0.0, 0.0);
         return;
     }
     if (now < c->paused_until[i]) {
-        core_push(rt, c->paused_until[i], EV_EMIT, i, 0.0, 0.0);
+        core_push(rt, c->paused_until[i], EV_EMIT, i, 0, 0.0, 0.0);
         return;
     }
-    core_push(rt, now + c->up_delay[i], EV_ARRIVE, i, now,
-              (double)c->assoc[i]);
+    core_push(rt, now + c->up_delay[i],
+              c->up_port[i] >= 0 ? EV_ARRIVE : EV_DELIVER, i, c->up_port[i],
+              now, (double)c->assoc[i]);
     c->frames_sent[i]++;
     c->bits_sent[i] += c->L;
     if (c->bits_sent[i] >= total) {
         c->finish_time[i] = now;
         return;
     }
-    core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
+    core_push(rt, now + c->L / c->rate[i], EV_EMIT, i, 0, 0.0, 0.0);
+}
+
+/* CoreSwitch._service_done: count the frame, then hand it to its next
+   hop at this port (hop_port -1: the network's _deliver, called
+   directly) before serving the next one */
+static void core_done(core_rt *rt, int64_t p, const core_ev *e)
+{
+    ev_core *c = rt->c;
+    int64_t k = p * c->n + e->idx, h = c->hop_port[k];
+    c->fwd_frames[p]++;
+    c->fwd_bits[p] += c->L;
+    if (h < 0) core_deliver(rt, e->idx);
+    else core_push(rt, c->now + c->hop_delay[k], EV_ARRIVE, e->idx, h, e->a,
+                   e->b);
+    if (c->now < c->service_paused_until[p]) {
+        core_push(rt, c->service_paused_until[p], EV_SERVE, 0, p, 0.0, 0.0);
+        return;
+    }
+    core_serve(rt, p);
+}
+
+static void core_timed(core_rt *rt, int64_t k)
+{
+    ev_core *c = rt->c;
+    int64_t j = c->ev_idx[k], p;
+    if (c->ev_kind[k] == TE_CAPACITY) {
+        c->capacity[j] = c->ev_val[k];
+    } else if (c->ev_kind[k] == TE_OUTAGE) {
+        /* suspend_service on port j, or on every port (j = -1) */
+        double end = c->now + c->ev_val[k];
+        for (p = j < 0 ? 0 : j; p < (j < 0 ? c->n_ports : j + 1); p++)
+            if (end > c->service_paused_until[p])
+                c->service_paused_until[p] = end;
+    } else {
+        c->muted[j] = 1;
+    }
 }
 
 static void core_digest(core_rt *rt)
 {
     ev_core *c = rt->c;
     double *row;
+    int64_t p, fwd = 0;
     if (c->n_dig == c->cap_dig) {
         void **ptrs[1] = {(void **)&c->dig};
         size_t sizes[1] = {4 * sizeof(double)};
@@ -1487,15 +1567,79 @@ static void core_digest(core_rt *rt)
             return;
         }
     }
+    for (p = 0; p < c->n_ports; p++) fwd += c->fwd_frames[p];
     row = c->dig + 4 * c->n_dig++;
     row[0] = c->now;
-    row[1] = c->occ;
-    memcpy(&row[2], &c->fwd_frames, sizeof(int64_t));
-    row[3] = core_rate_sum(c);
+    row[1] = core_sum(c->occ, c->n_ports, c->neumaier);
+    memcpy(&row[2], &fwd, sizeof(int64_t));
+    row[3] = core_sum(c->rate, c->n, c->neumaier);
 }
 
-/* BCNNetworkSimulator.run on the reference engine, Simulator.run
-   included; returns 0, or -1 when an allocation failed. */
+/* The outputs the run leaves: the frames still resident, port by port
+   head first, and the events still pending, in heap order. */
+static void core_leftovers(core_rt *rt)
+{
+    ev_core *c = rt->c;
+    int64_t p, k, n = 0;
+    for (p = 0; p < c->n_ports; p++) n += rt->fifo[p].len;
+    if (n > 0) {
+        c->res_port = malloc((size_t)n * sizeof(int64_t));
+        c->res_src = malloc((size_t)n * sizeof(int64_t));
+        c->res_assoc = malloc((size_t)n * sizeof(int64_t));
+        c->res_t = malloc((size_t)n * sizeof(double));
+        if (!c->res_port || !c->res_src || !c->res_assoc || !c->res_t) {
+            rt->failed = 1;
+            return;
+        }
+        for (p = 0; p < c->n_ports; p++) {
+            core_fifo *q = &rt->fifo[p];
+            for (k = 0; k < q->len; k++) {
+                core_frame *f = &q->q[(q->head + k) % q->cap];
+                c->res_port[c->n_res] = p;
+                c->res_src[c->n_res] = f->src;
+                c->res_assoc[c->n_res] = f->assoc;
+                c->res_t[c->n_res] = f->t;
+                c->n_res++;
+            }
+        }
+    }
+    if (rt->n_heap > 0) {
+        size_t m = (size_t)rt->n_heap;
+        c->pend_kind = malloc(m);
+        c->pend_idx = malloc(m * sizeof(int64_t));
+        c->pend_port = malloc(m * sizeof(int64_t));
+        c->pend_seq = malloc(m * sizeof(int64_t));
+        c->pend_t = malloc(m * sizeof(double));
+        c->pend_a = malloc(m * sizeof(double));
+        c->pend_b = malloc(m * sizeof(double));
+        c->pend_c = malloc(m * sizeof(double));
+        c->pend_d = malloc(m * sizeof(double));
+        c->pend_e = malloc(m * sizeof(double));
+        if (!c->pend_kind || !c->pend_idx || !c->pend_port || !c->pend_seq
+            || !c->pend_t || !c->pend_a || !c->pend_b || !c->pend_c
+            || !c->pend_d || !c->pend_e) {
+            rt->failed = 1;
+            return;
+        }
+        for (k = 0; k < rt->n_heap; k++) {
+            core_ev *ev = &rt->heap[k];
+            c->pend_kind[k] = (int8_t)ev->kind;
+            c->pend_idx[k] = ev->idx;
+            c->pend_port[k] = ev->port;
+            c->pend_seq[k] = ev->seq;
+            c->pend_t[k] = ev->t;
+            c->pend_a[k] = ev->a;
+            c->pend_b[k] = ev->b;
+            c->pend_c[k] = ev->c;
+            c->pend_d[k] = ev->d;
+            c->pend_e[k] = ev->e;
+        }
+        c->n_pend = rt->n_heap;
+    }
+}
+
+/* The network's run on the reference engine, Simulator.run included;
+   returns 0, or -1 when an allocation failed. */
 int64_t k_event_core(ev_core *c)
 {
     core_rt rt;
@@ -1506,25 +1650,32 @@ int64_t k_event_core(ev_core *c)
     c->n_rec = c->cap_rec = c->n_sig = c->cap_sig = 0;
     c->n_log = c->cap_log = c->n_dig = c->cap_dig = c->n_res = 0;
     c->rec_t = c->rec_q = c->rec_r = c->sig_t = c->sig_v = NULL;
-    c->log_kind = NULL; c->log_t = c->log_v = NULL; c->log_flow = NULL;
-    c->dig = NULL; c->res_src = NULL; c->res_t = NULL; c->res_assoc = NULL;
-    c->n_pend = 0; c->pend_kind = NULL; c->pend_idx = c->pend_seq = NULL;
+    c->sig_port = NULL;
+    c->log_kind = NULL; c->log_port = c->log_flow = NULL;
+    c->log_t = c->log_v = NULL;
+    c->dig = NULL;
+    c->res_port = c->res_src = c->res_assoc = NULL; c->res_t = NULL;
+    c->n_pend = 0; c->pend_kind = NULL;
+    c->pend_idx = c->pend_port = c->pend_seq = NULL;
     c->pend_t = c->pend_a = c->pend_b = NULL;
     c->pend_c = c->pend_d = c->pend_e = NULL;
-    c->processed = 0;
+    c->processed = c->n_done = 0;
+    rt.fifo = calloc((size_t)c->n_ports + 1, sizeof(core_fifo));
+    if (rt.fifo == NULL) return -1;
 
     for (k = 0; k < c->n_timed; k++)
-        core_push(&rt, c->ev_t[k], EV_TIMED, k, 0.0, 0.0);
+        core_push(&rt, c->ev_t[k], EV_TIMED, k, 0, 0.0, 0.0);
     for (i = 0; i < c->n; i++) {
-        if (c->start_time[i] > 0.0) {
-            core_push(&rt, c->start_time[i], EV_START, i, 0.0, 0.0);
+        if (c->start_all || c->start_time[i] > 0.0) {
+            core_push(&rt, c->start_time[i], EV_START, i, 0, 0.0, 0.0);
         } else {
             c->started[i] = 1;
-            core_push(&rt, c->now + c->L / c->rate[i], EV_EMIT, i, 0.0, 0.0);
+            core_push(&rt, c->now + c->L / c->rate[i], EV_EMIT, i, 0, 0.0,
+                      0.0);
         }
     }
     core_record(&rt);
-    core_push(&rt, c->now + c->queue_dt, EV_TICK, 0, 0.0, 0.0);
+    core_push(&rt, c->now + c->queue_dt, EV_TICK, 0, 0, 0.0, 0.0);
 
     while (rt.n_heap > 0 && !rt.failed) {
         core_ev e;
@@ -1542,58 +1693,52 @@ int64_t k_event_core(ev_core *c)
             if (!c->started[e.idx]) {
                 c->started[e.idx] = 1;
                 core_push(&rt, c->now + c->L / c->rate[e.idx], EV_EMIT,
-                          e.idx, 0.0, 0.0);
+                          e.idx, 0, 0.0, 0.0);
             }
             break;
         case EV_ARRIVE:
-            core_arrive(&rt, e.idx, e.a, (uint8_t)(e.b != 0.0));
+            core_arrive(&rt, e.port, e.idx, e.a, (int64_t)e.b);
+            break;
+        case EV_DELIVER:
+            core_deliver(&rt, e.idx);
             break;
         case EV_DONE:
-            c->fwd_frames++;
-            c->fwd_bits += c->L;
-            c->delivered += c->L;
-            if (c->now < c->service_paused_until) {
-                core_push(&rt, c->service_paused_until, EV_SERVE, 0,
-                          0.0, 0.0);
-                break;
-            }
-            core_serve(&rt);
+            core_done(&rt, e.port, &e);
             break;
         case EV_SERVE:
-            core_serve(&rt);
+            core_serve(&rt, e.port);
             break;
-        case EV_BCN:  /* RateRegulator.apply: a = wire FB, b = raw sigma */
+        case EV_BCN: {  /* RateRegulator.apply: a = wire FB, b = raw sigma */
+            uint8_t hold = 2;  /* 1: associate with the sender, 0: release */
             c->rate[e.idx] = bcn_rate_step(c->mode[e.idx], c->gi[e.idx],
                 c->gd[e.idx], c->ru[e.idx], c->max_dt[e.idx],
                 c->min_rate[e.idx], c->line_rate[e.idx], c->rate[e.idx],
-                &c->last_update[e.idx], c->now, e.a, e.b, &c->assoc[e.idx]);
+                &c->last_update[e.idx], c->now, e.a, e.b, &hold);
             c->updates[e.idx]++;
+            if (hold != 2) c->assoc[e.idx] = hold ? e.port : -1;
             break;
-        case EV_PAUSE:
+        }
+        case EV_PAUSE:  /* TrafficSource.receive_control */
             if (c->now + e.a > c->paused_until[e.idx])
                 c->paused_until[e.idx] = c->now + e.a;
             break;
+        case EV_HOLD:  /* CoreSwitch.receive_pause */
+            if (c->now + e.a > c->service_paused_until[e.idx])
+                c->service_paused_until[e.idx] = c->now + e.a;
+            break;
         case EV_REARM:
-            c->armed = 1;
+            c->armed[e.port] = 1;
             break;
         case EV_TICK: {
             double next_time;
             core_record(&rt);
             next_time = c->now + c->queue_dt;
             if (next_time <= until)
-                core_push(&rt, next_time, EV_TICK, 0, 0.0, 0.0);
+                core_push(&rt, next_time, EV_TICK, 0, 0, 0.0, 0.0);
             break;
         }
         case EV_TIMED:
-            if (c->ev_kind[e.idx] == TE_CAPACITY) {
-                c->capacity = c->ev_val[e.idx];
-            } else if (c->ev_kind[e.idx] == TE_OUTAGE) {
-                double end = c->now + c->ev_val[e.idx];
-                if (end > c->service_paused_until)
-                    c->service_paused_until = end;
-            } else {
-                c->muted[(int64_t)c->ev_val[e.idx]] = 1;
-            }
+            core_timed(&rt, e.idx);
             break;
         }
         c->processed++;
@@ -1601,75 +1746,31 @@ int64_t k_event_core(ev_core *c)
     }
     if (rt.n_heap == 0 && until > c->now) c->now = until;
     if (!rt.failed) core_record(&rt);
-
-    /* frames still resident in the queue, head first */
-    if (!rt.failed && rt.q_len > 0) {
-        c->res_src = malloc((size_t)rt.q_len * sizeof(int64_t));
-        c->res_t = malloc((size_t)rt.q_len * sizeof(double));
-        c->res_assoc = malloc((size_t)rt.q_len);
-        if (c->res_src == NULL || c->res_t == NULL || c->res_assoc == NULL) {
-            rt.failed = 1;
-        } else {
-            for (k = 0; k < rt.q_len; k++) {
-                core_frame *f = &rt.q[(rt.q_head + k) % rt.q_cap];
-                c->res_src[k] = f->src;
-                c->res_t[k] = f->t;
-                c->res_assoc[k] = f->assoc;
-            }
-            c->n_res = rt.q_len;
-        }
-    }
-    /* events still pending at the horizon, in heap order */
-    if (!rt.failed && rt.n_heap > 0) {
-        size_t n = (size_t)rt.n_heap;
-        c->pend_kind = malloc(n);
-        c->pend_idx = malloc(n * sizeof(int64_t));
-        c->pend_seq = malloc(n * sizeof(int64_t));
-        c->pend_t = malloc(n * sizeof(double));
-        c->pend_a = malloc(n * sizeof(double));
-        c->pend_b = malloc(n * sizeof(double));
-        c->pend_c = malloc(n * sizeof(double));
-        c->pend_d = malloc(n * sizeof(double));
-        c->pend_e = malloc(n * sizeof(double));
-        if (!c->pend_kind || !c->pend_idx || !c->pend_seq || !c->pend_t
-            || !c->pend_a || !c->pend_b || !c->pend_c || !c->pend_d
-            || !c->pend_e) {
-            rt.failed = 1;
-        } else {
-            for (k = 0; k < rt.n_heap; k++) {
-                core_ev *ev = &rt.heap[k];
-                c->pend_kind[k] = (int8_t)ev->kind;
-                c->pend_idx[k] = ev->idx;
-                c->pend_seq[k] = ev->seq;
-                c->pend_t[k] = ev->t;
-                c->pend_a[k] = ev->a;
-                c->pend_b[k] = ev->b;
-                c->pend_c[k] = ev->c;
-                c->pend_d[k] = ev->d;
-                c->pend_e[k] = ev->e;
-            }
-            c->n_pend = rt.n_heap;
-        }
-    }
+    if (!rt.failed) core_leftovers(&rt);
+    for (k = 0; k < c->n_ports; k++) free(rt.fifo[k].q);
+    free(rt.fifo);
     free(rt.heap);
-    free(rt.q);
     return rt.failed ? -1 : 0;
 }
 
 void k_event_core_free(ev_core *c)
 {
     free(c->rec_t); free(c->rec_q); free(c->rec_r);
-    free(c->sig_t); free(c->sig_v);
-    free(c->log_kind); free(c->log_t); free(c->log_v); free(c->log_flow);
+    free(c->sig_port); free(c->sig_t); free(c->sig_v);
+    free(c->log_kind); free(c->log_port); free(c->log_t);
+    free(c->log_flow); free(c->log_v);
     free(c->dig);
-    free(c->res_src); free(c->res_t); free(c->res_assoc);
-    free(c->pend_kind); free(c->pend_idx); free(c->pend_seq);
-    free(c->pend_t); free(c->pend_a); free(c->pend_b);
+    free(c->res_port); free(c->res_src); free(c->res_assoc); free(c->res_t);
+    free(c->pend_kind); free(c->pend_idx); free(c->pend_port);
+    free(c->pend_seq); free(c->pend_t); free(c->pend_a); free(c->pend_b);
     free(c->pend_c); free(c->pend_d); free(c->pend_e);
     c->rec_t = c->rec_q = c->rec_r = c->sig_t = c->sig_v = NULL;
-    c->log_kind = NULL; c->log_t = c->log_v = NULL; c->log_flow = NULL;
-    c->dig = NULL; c->res_src = NULL; c->res_t = NULL; c->res_assoc = NULL;
-    c->pend_kind = NULL; c->pend_idx = c->pend_seq = NULL;
+    c->sig_port = NULL;
+    c->log_kind = NULL; c->log_port = c->log_flow = NULL;
+    c->log_t = c->log_v = NULL;
+    c->dig = NULL;
+    c->res_port = c->res_src = c->res_assoc = NULL; c->res_t = NULL;
+    c->pend_kind = NULL; c->pend_idx = c->pend_port = c->pend_seq = NULL;
     c->pend_t = c->pend_a = c->pend_b = NULL;
     c->pend_c = c->pend_d = c->pend_e = NULL;
 }

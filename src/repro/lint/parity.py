@@ -58,7 +58,8 @@ _C_ONLY = {
     "fluid_rows": "its oracle is repro.fluid.batch.simulate_fluid_batch",
     "delayed": "its oracle is repro.fluid.delay._simulate_delayed_python",
     "event_core": "its oracle is the python Simulator loop of "
-                  "BCNNetworkSimulator's reference engine",
+                  "BCNNetworkSimulator's reference engine and of "
+                  "MultiHopNetwork",
 }
 
 

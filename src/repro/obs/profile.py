@@ -29,20 +29,11 @@ __all__ = ["PointTiming", "SpanStats", "SpanProfiler"]
 
 @dataclass(frozen=True)
 class PointTiming:
-    """Wall-clock record of one executed (or cache-served) work unit.
-
-    ``kernel`` is the portion of ``wall`` the work unit reported as time
-    spent inside its numerical kernel (e.g.
-    ``BatchFluidResult.kernel_seconds``, forwarded by the runner's
-    reserved ``"_kernel_wall"`` record key); the remainder is
-    serialisation, dispatch and bookkeeping overhead.  Cache-served
-    units always carry ``kernel == 0.0`` — no kernel ran.
-    """
+    """Wall-clock record of one executed (or cache-served) work unit."""
 
     label: str
     wall: float
     cached: bool = False
-    kernel: float = 0.0
 
 
 @dataclass

@@ -65,9 +65,7 @@ COUNTER_NAMES = (
     "runner.evaluated",
     "runner.cache_hit",
     "runner.cache_miss",
-    "runner.kernel_seconds",
     "runner.worker.points",
-    "runner.worker.kernel_seconds",
     "serve.connections",       # repro.serve.server: client connections seen
     "serve.requests",          # protocol requests handled (all ops)
     "serve.submitted",         # submit ops accepted (incl. deduplicated)

@@ -11,9 +11,8 @@ experiment framework attaches to ``ExperimentResult.notes``.
 
 When an :class:`~repro.obs.Observability` handle is attached (``obs``
 field), every recorded point also feeds the runner metric family:
-``runner.evaluated`` / ``runner.cache_hit`` counters, the
-``runner.point_wall_seconds`` histogram and the accumulated
-``runner.kernel_seconds``.
+``runner.evaluated`` / ``runner.cache_hit`` counters and the
+``runner.point_wall_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -39,24 +38,15 @@ class RunnerStats:
 
     # -- recording ----------------------------------------------------------
 
-    def record(self, label: str, wall: float, *, cached: bool = False,
-               kernel: float = 0.0) -> None:
-        if cached:
-            # A cache hit runs no kernel: any kernel figure arriving
-            # with one is the stale timing of the original computation
-            # and must not inflate this run's kernel wall.
-            kernel = 0.0
-        self.points.append(
-            PointTiming(label=label, wall=wall, cached=cached, kernel=kernel)
-        )
+    def record(self, label: str, wall: float, *,
+               cached: bool = False) -> None:
+        self.points.append(PointTiming(label=label, wall=wall, cached=cached))
         if self.obs is not None:
             self.obs.count("runner.cache_hit" if cached
                            else "runner.evaluated")
             if not cached:
                 self.obs.observe("runner.point_wall_seconds", wall,
                                  POINT_WALL_EDGES)
-                if kernel:
-                    self.obs.count("runner.kernel_seconds", kernel)
 
     # -- derived quantities -------------------------------------------------
 
@@ -89,25 +79,6 @@ class RunnerStats:
         return max(walls) if walls else 0.0
 
     @property
-    def kernel_wall(self) -> float:
-        """Total self-reported kernel time (sum over non-cached points)."""
-        return sum(p.kernel for p in self.points if not p.cached)
-
-    @property
-    def overhead_wall(self) -> float:
-        """``compute_wall - kernel_wall``: dispatch/serialisation cost.
-
-        Only meaningful when the evaluated points report kernel time;
-        otherwise it degenerates to ``compute_wall``.
-        """
-        return self.compute_wall - self.kernel_wall
-
-    @property
-    def kernel_fraction(self) -> float:
-        """Fraction of compute wall spent in reported kernels."""
-        return self.kernel_wall / self.compute_wall if self.compute_wall else 0.0
-
-    @property
     def utilization(self) -> float:
         """``compute_wall / (workers * elapsed)`` — pool busy fraction.
 
@@ -132,12 +103,6 @@ class RunnerStats:
             ["max point wall (s)", self.max_point_wall],
             ["worker utilization", self.utilization],
         ]
-        if self.kernel_wall > 0.0:
-            rows += [
-                ["kernel wall (s)", self.kernel_wall],
-                ["pool overhead (s)", self.overhead_wall],
-                ["kernel fraction", self.kernel_fraction],
-            ]
         if self.cache is not None:
             rows.append(["cache (process-wide)", self.cache.summary()])
         return rows
@@ -158,11 +123,5 @@ class RunnerStats:
                 f"runner cache: {self.cache_hits} hit(s), "
                 f"{self.evaluated} evaluated "
                 f"(hit rate {self.cache_hit_rate:.0%})"
-            )
-        if self.kernel_wall > 0.0:
-            lines.append(
-                f"runner kernels: {self.kernel_wall:.3f}s in kernels vs "
-                f"{self.overhead_wall:.3f}s pool/dispatch overhead "
-                f"(kernel fraction {self.kernel_fraction:.0%})"
             )
         return lines

@@ -58,15 +58,8 @@ def _evaluate_chunk(
     evaluate: Callable[[Any], Mapping[str, Any]],
     chunk: list[tuple[int, dict[str, Any], Any]],
     collect_metrics: bool = False,
-) -> tuple[list[tuple[int, dict[str, Any], float, float]], dict | None]:
+) -> tuple[list[tuple[int, dict[str, Any], float]], dict | None]:
     """Worker entry point: evaluate one chunk of (index, overrides, params).
-
-    The reserved record key ``"_kernel_wall"`` lets an ``evaluate``
-    report how much of its wall time was spent inside a numerical
-    kernel (e.g. ``BatchFluidResult.kernel_seconds``): the key is popped
-    here — it never reaches the sweep records or the cache — and
-    surfaces as ``PointTiming.kernel``, so sweep summaries can separate
-    per-point kernel time from pool dispatch overhead.
 
     With ``collect_metrics`` the chunk also returns a picklable
     worker-local :class:`~repro.obs.MetricsRegistry` snapshot
@@ -74,21 +67,18 @@ def _evaluate_chunk(
     histogram merges commute, so the completion order of pool futures
     cannot change the folded totals.
     """
-    out: list[tuple[int, dict[str, Any], float, float]] = []
+    out: list[tuple[int, dict[str, Any], float]] = []
     for index, overrides, params in chunk:
         t0 = time.perf_counter()
         record: dict[str, Any] = dict(overrides)
         record.update(evaluate(params))
-        kernel = float(record.pop("_kernel_wall", 0.0))
-        out.append((index, record, time.perf_counter() - t0, kernel))
+        out.append((index, record, time.perf_counter() - t0))
     if not collect_metrics:
         return out, None
     registry = MetricsRegistry()
     registry.inc("runner.worker.points", len(out))
-    registry.inc("runner.worker.kernel_seconds",
-                 sum(kernel for _, _, _, kernel in out))
     registry.observe_many("runner.worker.point_wall_seconds",
-                          [wall for _, _, wall, _ in out], POINT_WALL_EDGES)
+                          [wall for _, _, wall in out], POINT_WALL_EDGES)
     return out, registry.snapshot()
 
 
@@ -179,9 +169,9 @@ def run_sweep_parallel(
                     if snapshot is not None:
                         stats.obs.merge_metrics({"metrics": snapshot})
         overrides_by_index = {index: overrides for index, overrides, _ in pending}
-        for index, record, wall, kernel in computed:
+        for index, record, wall in computed:
             records_by_index[index] = record
-            stats.record(f"point[{index}]", wall, kernel=kernel)
+            stats.record(f"point[{index}]", wall)
             if cache is not None:
                 cache.put(
                     entry_id,

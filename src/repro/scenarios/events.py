@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from ..core.parameters import BCNParams
+from ..core.parameters import BCNParams, _require_positive_finite
 
 __all__ = [
     "FlowArrival",
@@ -127,8 +127,7 @@ class CapacityChange:
 
     def __post_init__(self) -> None:
         _require_time(self.t)
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        _require_positive_finite("capacity", self.capacity)
 
 
 #: Canonical same-timestamp ordering: capacity and outage state flips

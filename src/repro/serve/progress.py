@@ -164,7 +164,7 @@ class ProgressStats(RunnerStats):
         super().__init__(**kwargs)
         self._on_unit = on_unit
 
-    def record(self, label: str, wall: float, *, cached: bool = False,
-               kernel: float = 0.0) -> None:
-        super().record(label, wall, cached=cached, kernel=kernel)
+    def record(self, label: str, wall: float, *,
+               cached: bool = False) -> None:
+        super().record(label, wall, cached=cached)
         self._on_unit(len(self.points), label, cached)

@@ -18,7 +18,11 @@ The whole fabric runs on one :class:`~.engine.Simulator`.  The network
 wires it in a fixed order, and the event sequence depends on that
 order: ports in first-traversal order over flows, then per flow its
 source, the next hop at each port it crosses, its BCN back-links and
-its PAUSE links.
+its PAUSE links.  With a compiled kernel tier the same events run on
+the C event core (:mod:`.event_core`), which reads this wiring and
+writes every piece of state back, bit for bit; the python loop stays
+its oracle, on the numpy tier and for a fabric the core does not
+model.
 
 Simplification relative to a full switch implementation (documented
 here per the reproduction rules): one rate regulator per source reacts
@@ -34,7 +38,6 @@ import itertools
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import networkx as nx
 import numpy as np
@@ -42,6 +45,7 @@ import numpy as np
 from ..core.parameters import _require_positive_finite
 from ..topology.routing import ecmp_route, route_edges
 from ..workloads.flows import FlowSpec
+from . import event_core
 from .engine import Simulator
 from .frames import EthernetFrame
 from .link import Link
@@ -130,6 +134,7 @@ class MultiHopResult:
         return float(np.sum(r)) ** 2 / (r.size * float(np.sum(r * r)))
 
 
+@event_core.stock("record")
 class QueueRecorder:
     """Per-port queue sampler writing into preallocated numpy storage.
 
@@ -177,8 +182,20 @@ class QueueRecorder:
         }
 
 
+@event_core.stock("__call__")
+class _NextHops(dict):
+    """One port's ``forward``: flow id -> the next hop of that flow's
+    frames, a frame link's ``transmit`` or the network's ``_deliver``."""
+
+    __slots__ = ()
+
+    def __call__(self, frame: EthernetFrame) -> None:
+        self[frame.flow_id](frame)
+
+
+@event_core.stock("_deliver", "_apply_event")
 class MultiHopNetwork:
-    """Instantiate and run a BCN fabric for a workload.
+    """Run a BCN fabric for a workload, on the C event core when compiled.
 
     Parameters
     ----------
@@ -199,10 +216,10 @@ class MultiHopNetwork:
         Defaults to 50 frame times of the slowest port.
     engine:
         Any of :data:`~repro.simulation.network.PACKET_ENGINES`.  Every
-        engine runs the same binary-heap event kernel and per-frame
-        ports, so results are identical across them; the name only sets
-        the obs tag ``packet.<engine>``.  Frame-train batching currently
-        applies to the single-bottleneck dumbbell only.
+        engine runs the same per-frame events, so results are identical
+        across them; the name only sets the obs tag ``packet.<engine>``.
+        Frame-train batching currently applies to the single-bottleneck
+        dumbbell only.
 
     A network runs once: schedule timed events, call :meth:`run`, and
     build a new network for another run.  :attr:`sim`, :attr:`ports`
@@ -255,11 +272,15 @@ class MultiHopNetwork:
         self._timed_events: list[tuple[float, int, str, tuple]] = []
         self._event_seq = itertools.count()
         self._ran = False
+        #: Test hook of the C event core: a bytearray here receives one
+        #: ``<ddqd`` row of (now, summed port occupancy, summed forwarded
+        #: frames, sum of rates) per executed event (see ``event_core``).
+        self._event_digest: bytearray | None = None
 
         self.sim = Simulator()
         self.ports: dict[Edge, CoreSwitch] = {}
         #: port -> {flow id: the frame's next transmit, or delivery}
-        self._next_hop: dict[Edge, dict[int, Callable]] = {}
+        self._next_hop: dict[Edge, _NextHops] = {}
         for spec in flows:
             route = self.routes[spec.flow_id]
             for edge in route_edges(route):
@@ -297,8 +318,7 @@ class MultiHopNetwork:
             q_sc=cfg.q_sc,
             fb_bits=cfg.fb_bits,
         )
-        hops = self._next_hop[edge] = {}
-        port.forward = lambda frame: hops[frame.flow_id](frame)
+        port.forward = self._next_hop[edge] = _NextHops()
         port.attach_obs(self.obs, self._obs_engine)
         return port
 
@@ -448,31 +468,42 @@ class MultiHopNetwork:
         Timed events go on the heap first, sorted by ``(t, registration
         seq)`` so same-instant ties fire in registration order; then the
         sources in flow order, one immediate queue sample and the
-        periodic recorder.
+        periodic recorder.  With a compiled kernel tier an eligible
+        fabric (:func:`.event_core.ineligible`) runs these events on the
+        C event core, bit for bit.
         """
         _require_positive_finite("duration", duration)
         if self._ran:
             raise RuntimeError(
                 "a MultiHopNetwork runs once; build a new network for "
                 "another run")
+        from ..kernels import get_backend
+
+        be = get_backend()
         self._ran = True
         wall_start = _time.monotonic() if self.obs is not None else 0.0  # repro-lint: disable=wall-clock -- obs run-span wall-time
         sim = self.sim
-        for t_event, _, kind, payload in sorted(
-            self._timed_events, key=lambda ev: ev[:2]
-        ):
-            sim.schedule_at(t_event, partial(self._apply_event, kind, payload))
-        for spec in self.flows:
-            sim.schedule_at(spec.start_time, self.sources[spec.flow_id].start)
         dt = self._queue_dt
         recorder = QueueRecorder(sim, self.ports, int(duration / dt) + 3)
-        recorder.record()
-        sim.schedule_every(dt, recorder.record, until=duration)
-        sim.run(until=duration)
+        on_core = be.compiled and event_core.run_fabric_core(
+            self, duration, be, recorder)
+        if not on_core:
+            for t_event, _, kind, payload in sorted(
+                self._timed_events, key=lambda ev: ev[:2]
+            ):
+                sim.schedule_at(t_event,
+                                partial(self._apply_event, kind, payload))
+            for spec in self.flows:
+                sim.schedule_at(spec.start_time,
+                                self.sources[spec.flow_id].start)
+            recorder.record()
+            sim.schedule_every(dt, recorder.record, until=duration)
+            sim.run(until=duration)
         if self.obs is not None:
             self.obs.add_span(f"{self._obs_engine}.multihop.run",
                               _time.monotonic() - wall_start)  # repro-lint: disable=wall-clock -- obs run-span wall-time
-        recorder.record()
+        if not on_core:
+            recorder.record()
         queues = recorder.queues()
         if self.obs is not None:
             from ..obs import emit_sign_switches

@@ -19,11 +19,11 @@ from a separate region builder, before the fabric became one class on
 one simulator.  A refactor of any of these call paths must leave them
 unchanged.
 
-A dumbbell on the reference engine runs in one of two places: the
-python ``Simulator`` loop (the numpy kernel tier, where the stepping
-``sim.run`` below sees every event) or the C event core (the cffi
-tier), which writes the same tuple after each event into its digest
-buffer.  Both must hit the same two pins.
+A dumbbell on the reference engine, and a fabric on any engine, runs
+in one of two places: the python ``Simulator`` loop (the numpy kernel
+tier, where the stepping ``sim.run`` below sees every event) or the C
+event core (the cffi tier), which writes the same tuple after each
+event into its digest buffer.  Both must hit the same pins.
 """
 
 import hashlib
@@ -39,6 +39,7 @@ from repro.experiments.presets import CASE1, CASE2, CASE3, CASE4
 from repro.experiments.v2_fluid_vs_packet import validation_params
 from repro.fluid.delay import simulate_delayed
 from repro.kernels import _backend, get_backend
+from repro.simulation.event_core import ineligible
 from repro.simulation.multihop import MultiHopNetwork, PortConfig
 from repro.simulation.network import BCNNetworkSimulator
 from repro.topology.graphs import fat_tree, hosts
@@ -64,9 +65,10 @@ def _fingerprint(net: BCNNetworkSimulator, duration: float) -> tuple[int, str]:
     return _stepped_digest(net, duration, [net.switch], net.sources)
 
 
-def _core_fingerprint(net: BCNNetworkSimulator,
-                      duration: float) -> tuple[int, str]:
-    """:func:`_fingerprint` from the C event core's digest buffer."""
+def _core_fingerprint(net, duration: float) -> tuple[int, str]:
+    """:func:`_fingerprint` (or :func:`_fabric_fingerprint`) from the C
+    event core's digest buffer."""
+    assert ineligible(net) is None
     net._event_digest = bytearray()
     net.run(duration)
     return net.sim.events_processed, hashlib.sha256(
@@ -163,23 +165,30 @@ def _m1_network(*, enable_bcn: bool) -> MultiHopNetwork:
                            propagation_delay=1e-6)
 
 
-def test_m1_pause_only_fabric_fingerprint():
+M1_PAUSE_ONLY_PIN = (
+    22_980,
+    "b0e0aee0f4b5487ff2684d15533579d20dfbea4fa02377bc336e4abb7d988592")
+M1_BCN_PIN = (
+    10_698,
+    "29d3b942feae42b656231d2cffd67e405da819ea00e4a0bc492b73c619c442ae")
+INCAST_PIN = (
+    2_666,
+    "0c7da04be7833a3c30f45c7fdf59e6450ccd4712e2a490e8b53a59e815aec9ba")
+
+
+def test_m1_pause_only_fabric_fingerprint(python_loop):
     # hop-by-hop PAUSE rolls the hot port's congestion back onto s0's
     # shared port (4,468 PAUSE frames, 2,615 drops in 50 ms)
     net = _m1_network(enable_bcn=False)
-    assert _fabric_fingerprint(net, 0.05) == (
-        22_980,
-        "b0e0aee0f4b5487ff2684d15533579d20dfbea4fa02377bc336e4abb7d988592")
+    assert _fabric_fingerprint(net, 0.05) == M1_PAUSE_ONLY_PIN
 
 
-def test_m1_bcn_fabric_fingerprint():
+def test_m1_bcn_fabric_fingerprint(python_loop):
     net = _m1_network(enable_bcn=True)
-    assert _fabric_fingerprint(net, 0.05) == (
-        10_698,
-        "29d3b942feae42b656231d2cffd67e405da819ea00e4a0bc492b73c619c442ae")
+    assert _fabric_fingerprint(net, 0.05) == M1_BCN_PIN
 
 
-def test_fat_tree_incast_with_events_fingerprint():
+def _incast_network() -> MultiHopNetwork:
     # 15-to-1 incast on fat-tree(4) with hop-level PAUSE armed, the
     # client's last hop cut to a quarter, a fabric-wide outage and one
     # departure before that flow completes
@@ -194,9 +203,28 @@ def test_fat_tree_incast_with_events_fingerprint():
     net.schedule_capacity(5e-5, last_hop, 2.5e9)
     net.schedule_outage(1e-4, 3e-5)
     net.schedule_departure(3e-5, 5)
-    assert _fabric_fingerprint(net, 1.2e-3) == (
-        2_666,
-        "0c7da04be7833a3c30f45c7fdf59e6450ccd4712e2a490e8b53a59e815aec9ba")
+    return net
+
+
+def test_fat_tree_incast_with_events_fingerprint(python_loop):
+    assert _fabric_fingerprint(_incast_network(), 1.2e-3) == INCAST_PIN
+
+
+@requires_core
+def test_m1_pause_only_core_fingerprint():
+    net = _m1_network(enable_bcn=False)
+    assert _core_fingerprint(net, 0.05) == M1_PAUSE_ONLY_PIN
+
+
+@requires_core
+def test_m1_bcn_core_fingerprint():
+    net = _m1_network(enable_bcn=True)
+    assert _core_fingerprint(net, 0.05) == M1_BCN_PIN
+
+
+@requires_core
+def test_fat_tree_incast_with_events_core_fingerprint():
+    assert _core_fingerprint(_incast_network(), 1.2e-3) == INCAST_PIN
 
 
 def _trajectory_digest(traj) -> str:

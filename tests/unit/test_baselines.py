@@ -36,6 +36,12 @@ class TestCommonHarness:
         sim.run()
         assert out == [(1.0, 0), (2.0, 1)]
 
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 0.0])
+    def test_queued_port_rejects_a_capacity_that_is_not_finite_positive(
+            self, capacity):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QueuedPort(Simulator(), capacity=capacity, buffer_bits=1e6)
+
     def test_paced_source_clamps(self):
         sim = Simulator()
         source = PacedSource(sim, address=0, rate=100.0, send=lambda f: None,

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.fairness import fairness_trajectory, simulate_two_flows
+from repro.analysis.fairness import (
+    TwoFlowTrajectory,
+    fairness_trajectory,
+    simulate_two_flows,
+)
+from repro.analysis.metrics import jain_index
 from repro.baselines.qcn_fluid import (
     QCNFluidParams,
     compare_bcn_qcn_fluid,
@@ -22,6 +27,20 @@ class TestTwoFlowFairness:
         traj = fairness_trajectory(gentle_params(), imbalance=4.0, t_max=3.0)
         assert traj.final_jain() > 0.999
         assert traj.gap_series()[-1] < 0.01
+
+    def test_jain_series_is_jain_index_bit_for_bit(self):
+        traj = fairness_trajectory(gentle_params(), imbalance=4.0, t_max=3.0)
+        # a zero pair takes jain_index's zero-denominator branch
+        traj = TwoFlowTrajectory(traj.params,
+                                 np.append(traj.t, traj.t[-1] + 1.0),
+                                 np.append(traj.q, 0.0),
+                                 np.append(traj.r1, 0.0),
+                                 np.append(traj.r2, 0.0))
+        want = np.array([jain_index(np.array([a, b]))
+                         for a, b in zip(traj.r1, traj.r2)])
+        got = traj.jain_series()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert traj.final_jain() == want[-1] == 1.0
 
     def test_symmetric_start_stays_symmetric(self):
         p = gentle_params()

@@ -1,5 +1,7 @@
 """Unit tests for the declarative scenario layer (repro.scenarios)."""
 
+import math
+
 import pytest
 
 from repro.scenarios import (
@@ -50,6 +52,12 @@ class TestEventValidation:
             CapacityChange(t=0.0, capacity=0.0)
         with pytest.raises(ValueError):
             FlowDeparture(t=0.0, address=-1)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_capacity_change_rejects_a_capacity_that_is_not_finite(
+            self, capacity):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CapacityChange(t=1e-3, capacity=capacity)
 
 
 class TestScenarioContainer:
