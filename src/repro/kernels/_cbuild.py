@@ -154,8 +154,8 @@ typedef struct ev_core {
     double *paused_until, *bits_sent, *finish_time, *got, *size, *done_t;
     int64_t *mode, *updates, *frames_sent, *assoc, *up_port, *done_rank;
     uint8_t *muted, *started;
-    int64_t *hop_port;
-    double *hop_delay, *bcn_delay;
+    int64_t *fl_off, *fl_port, *fl_next;
+    double *fl_delay, *fl_bcn;
     int64_t *pause_off, *pause_kind, *pause_dst;
     double *pause_delay;
     double *ev_t, *ev_val;
@@ -1386,11 +1386,24 @@ static void core_serve(core_rt *rt, int64_t p)
               (double)f.assoc);
 }
 
+/* flow i's entry for port p in its hop list (fl_off[i] .. fl_off[i+1]):
+   fl_next its next hop (-1: the network's _deliver), fl_delay that
+   link's delay, fl_bcn its BCN back-link's delay (NaN: none); -1 when
+   the flow has no entry there */
+static int64_t core_hop(const ev_core *c, int64_t p, int64_t i)
+{
+    int64_t k;
+    for (k = c->fl_off[i]; k < c->fl_off[i + 1]; k++)
+        if (c->fl_port[k] == p) return k;
+    return -1;
+}
+
 /* CoreSwitch._process_sample + _send_bcn */
 static void core_sample(core_rt *rt, int64_t p, int64_t src, int64_t assoc)
 {
     ev_core *c = rt->c;
-    double q = c->occ[p], d;
+    double q = c->occ[p];
+    int64_t k;
     bcn_fb s = bcn_sample(q, c->q_last[p], c->q0[p], c->w[p],
                           c->pos_only[p], c->req_assoc[p], assoc == p,
                           c->sigma_unit[p], c->full_scale[p]);
@@ -1411,9 +1424,9 @@ static void core_sample(core_rt *rt, int64_t p, int64_t src, int64_t assoc)
     c->n_sig++;
     if (s.emit == 0) return;
     if (s.emit < 0) c->bcn_neg[p]++; else c->bcn_pos[p]++;
-    d = c->bcn_delay[p * c->n + src];  /* NaN: no BCN link to src */
-    if (d == d)
-        core_push5(rt, c->now + d, EV_BCN, src, p, s.fb, s.sigma,
+    k = core_hop(c, p, src);
+    if (k >= 0 && c->fl_bcn[k] == c->fl_bcn[k])
+        core_push5(rt, c->now + c->fl_bcn[k], EV_BCN, src, p, s.fb, s.sigma,
                    c->q0[p] - q, s.dq, c->now);
     if (c->log_on[p]) core_log(rt, LOG_BCN, p, c->now, src, s.sigma);
 }
@@ -1519,16 +1532,16 @@ static void core_emit(core_rt *rt, int64_t i)
 }
 
 /* CoreSwitch._service_done: count the frame, then hand it to its next
-   hop at this port (hop_port -1: the network's _deliver, called
-   directly) before serving the next one */
+   hop at this port (-1: the network's _deliver, called directly) before
+   serving the next one */
 static void core_done(core_rt *rt, int64_t p, const core_ev *e)
 {
     ev_core *c = rt->c;
-    int64_t k = p * c->n + e->idx, h = c->hop_port[k];
+    int64_t k = core_hop(c, p, e->idx), h = k < 0 ? -1 : c->fl_next[k];
     c->fwd_frames[p]++;
     c->fwd_bits[p] += c->L;
     if (h < 0) core_deliver(rt, e->idx);
-    else core_push(rt, c->now + c->hop_delay[k], EV_ARRIVE, e->idx, h, e->a,
+    else core_push(rt, c->now + c->fl_delay[k], EV_ARRIVE, e->idx, h, e->a,
                    e->b);
     if (c->now < c->service_paused_until[p]) {
         core_push(rt, c->service_paused_until[p], EV_SERVE, 0, p, 0.0, 0.0);

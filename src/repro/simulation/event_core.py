@@ -219,9 +219,9 @@ class _FabricWiring:
         deliver = _STOCK[(type(net), "_deliver")]
         self.up_port = np.zeros(n, dtype=np.int64)
         self.up_delay = np.zeros(n)
-        self.hop_port = np.full(n * n_ports, -2, dtype=np.int64)
-        self.hop_delay = np.zeros(n * n_ports)
-        self.bcn_delay = np.full(n * n_ports, math.nan)
+        # per flow: port -> [next hop (-1: _deliver, -2: none), its link
+        # delay, the BCN back-link's delay (NaN: none)]
+        hops_of: list[dict[int, list]] = [{} for _ in range(n)]
         pause = []
 
         def link_to(callback):
@@ -258,9 +258,9 @@ class _FabricWiring:
                 self.ok = False
                 continue
             for fid, hop in hops.items():
-                k = p * n + index[fid]
+                entry = hops_of[index[fid]].setdefault(p, [-2, 0.0, math.nan])
                 if _bound(hop, net, deliver):
-                    self.hop_port[k] = -1
+                    entry[0] = -1
                     continue
                 link = link_to(hop)
                 target = None if link is None else port_at(link.deliver,
@@ -268,7 +268,7 @@ class _FabricWiring:
                 if target is None:
                     self.ok = False
                     continue
-                self.hop_port[k], self.hop_delay[k] = target, link.delay
+                entry[:2] = target, link.delay
             for fid, link in port._bcn_links.items():
                 i = index.get(fid)
                 if (i is None or type(link) is not Link
@@ -277,7 +277,7 @@ class _FabricWiring:
                     self.ok = False
                     continue
                 self.links.append(link)
-                self.bcn_delay[p * n + i] = link.delay
+                hops_of[i].setdefault(p, [-2, 0.0, math.nan])[2] = link.delay
             for link in port._pause_links:
                 target = None
                 if type(link) is Link:
@@ -298,9 +298,15 @@ class _FabricWiring:
             p, seen = int(self.up_port[i]), set()
             while p >= 0 and p not in seen:
                 seen.add(p)
-                p = int(self.hop_port[p * n + i])
+                p = hops_of[i].get(p, (-2,))[0]
             if p == -2:
                 self.ok = False
+        self.fl_off = np.cumsum([0] + [len(h) for h in hops_of],
+                                dtype=np.int64)
+        self.fl_port = _i8([p for h in hops_of for p in h])
+        self.fl_next = _i8([e[0] for h in hops_of for e in h.values()])
+        self.fl_delay = _f8([e[1] for h in hops_of for e in h.values()])
+        self.fl_bcn = _f8([e[2] for h in hops_of for e in h.values()])
         self.pause_off = np.searchsorted(
             np.array([row[0] for row in pause], dtype=np.int64),
             np.arange(n_ports + 1)).astype(np.int64)
@@ -676,9 +682,11 @@ def run_event_core(net: BCNNetworkSimulator, duration: float, backend) -> None:
         "start_time": _f8([s.start_time for s in sources]),
         "got": np.zeros(n), "size": np.full(n, math.nan),
         "done_t": np.full(n, math.nan), "done_rank": np.zeros(n, np.int64),
-        "hop_port": np.full(n, -1, dtype=np.int64),
-        "hop_delay": np.zeros(n),
-        "bcn_delay": _f8([link.delay for link in backlinks]),
+        "fl_off": np.arange(n + 1, dtype=np.int64),
+        "fl_port": np.zeros(n, dtype=np.int64),
+        "fl_next": np.full(n, -1, dtype=np.int64),
+        "fl_delay": np.zeros(n),
+        "fl_bcn": _f8([link.delay for link in backlinks]),
         "pause_off": _i8([0, len(switch._pause_links)]),
         "pause_kind": np.zeros(len(switch._pause_links), dtype=np.int64),
         "pause_dst": _i8([index_of[id(link)]
@@ -747,8 +755,9 @@ def run_fabric_core(net: MultiHopNetwork, duration: float, backend,
         "got": _f8([net._delivered[fid] for fid in fids]),
         "size": _f8([_nan_if_none(net._sizes[fid]) for fid in fids]),
         "done_t": np.full(n, math.nan), "done_rank": np.zeros(n, np.int64),
-        "hop_port": wiring.hop_port, "hop_delay": wiring.hop_delay,
-        "bcn_delay": wiring.bcn_delay, "pause_off": wiring.pause_off,
+        "fl_off": wiring.fl_off, "fl_port": wiring.fl_port,
+        "fl_next": wiring.fl_next, "fl_delay": wiring.fl_delay,
+        "fl_bcn": wiring.fl_bcn, "pause_off": wiring.pause_off,
         "pause_kind": wiring.pause_kind, "pause_dst": wiring.pause_dst,
         "pause_delay": wiring.pause_delay,
     }
